@@ -8,10 +8,22 @@ corners come from inverting the corner-distance code at the cell::
     x1 = stride * (cell_x + 1 - l)      x2 = stride * (cell_x + r)
     y1 = stride * (cell_y + 1 - t)      y2 = stride * (cell_y + b)
 
+Both stages work on column arrays and touch :class:`Detection` objects
+only at their edges. Decoding keeps a cell only when ``x2 > x1`` and
+``y2 > y1``; every other confident cell is dropped and counted in
+``DecodeResult.dropped_degenerate``. That covers zero or negative extent
+and non-finite distance logits alike, since any comparison with NaN is
+false.
+
 Greedy suppression is class-wise: a detection is removed only by a
-higher-ranked kept detection of the same class overlapping it above the
-IoU threshold. Ranking is objectness times the best class probability,
-with ties broken by (scale, cell_y, cell_x, class) for determinism.
+higher-ranked kept detection of the same class overlapping it with IoU
+strictly above the threshold. Ranking is objectness times the best class
+probability, with ties broken by (scale, cell_y, cell_x, class) for
+determinism. Each kept box suppresses its still-alive successors of its
+class through one row of :func:`geom.iou_xyxy`, whose arithmetic matches
+the scalar referee :func:`geom.iou` bit for bit on boxes of positive area.
+The IoU with a zero-area box is 0, so such a box is kept and never
+suppresses anything.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ import numpy as np
 from scipy.special import expit
 
 from .codec import ScaleConfig, decode_distances
-from .geom import CornerBox, iou
+from .geom import CornerBox, iou_xyxy
 
 DEFAULT_CONF_THRESHOLD = 0.001
 DEFAULT_NMS_THRESHOLD = 0.6
@@ -46,9 +58,6 @@ class Detection:
     @property
     def score(self) -> float:
         return self.objectness * float(np.max(self.class_scores))
-
-    def sort_key(self):
-        return (-self.score, self.scale_index, self.cell[1], self.cell[0], self.class_id)
 
 
 @dataclass(frozen=True)
@@ -85,15 +94,16 @@ def decode_grid(
 ) -> DecodeResult:
     """Decode every confident cell across all scales into detections.
 
-    Output is sorted by descending objectness. Cells decoding to a
-    degenerate box (zero or negative extent) are dropped and counted
-    rather than raising: they are legitimate raw-output states.
+    Output is sorted by descending objectness, then (scale, cell_y,
+    cell_x, class). Cells decoding to a degenerate box (zero or negative
+    extent, or a NaN corner) are dropped and counted rather than raising:
+    they are legitimate raw-output states.
     """
     if len(grid.levels) != scale.num_scales:
         raise ValueError(
             f"grid has {len(grid.levels)} levels, scale config {scale.num_scales}"
         )
-    detections: list[Detection] = []
+    parts = []
     dropped = 0
     for scale_index, arr in enumerate(grid.levels):
         nx, ny = scale.grid_size(scale_index)
@@ -103,35 +113,57 @@ def decode_grid(
                 f"for stride {scale.strides[scale_index]}"
             )
         stride = scale.strides[scale_index]
-        gain = scale.gains[scale_index]
         objectness = expit(arr[..., 4])
-        keep = np.argwhere(objectness >= conf_threshold)
-        if keep.size == 0:
+        cx, cy = np.nonzero(objectness >= conf_threshold)
+        if cx.size == 0:
             continue
-        cx, cy = keep[:, 0], keep[:, 1]
-        dists = decode_distances(arr[cx, cy, :4], gain)
+        dists = decode_distances(arr[cx, cy, :4], scale.gains[scale_index])
         x1 = stride * (cx + 1.0 - dists[:, 0])
         y1 = stride * (cy + 1.0 - dists[:, 1])
         x2 = stride * (cx + dists[:, 2])
         y2 = stride * (cy + dists[:, 3])
-        class_scores = expit(arr[cx, cy, 5:])
-        for k in range(len(keep)):
-            if x2[k] <= x1[k] or y2[k] <= y1[k]:
-                dropped += 1
-                continue
-            detections.append(
-                Detection(
-                    box=CornerBox(float(x1[k]), float(y1[k]), float(x2[k]), float(y2[k])),
-                    objectness=float(objectness[cx[k], cy[k]]),
-                    class_scores=class_scores[k].copy(),
-                    scale_index=scale_index,
-                    cell=(int(cx[k]), int(cy[k])),
-                )
-            )
-    detections.sort(
-        key=lambda d: (-d.objectness, d.scale_index, d.cell[1], d.cell[0], d.class_id)
+        good = (x2 > x1) & (y2 > y1)
+        dropped += int(np.count_nonzero(~good))
+        cx, cy = cx[good], cy[good]
+        parts.append((
+            x1[good], y1[good], x2[good], y2[good], objectness[cx, cy],
+            expit(arr[cx, cy, 5:]), np.full(cx.size, scale_index), cx, cy,
+        ))
+    if not parts:
+        return DecodeResult(detections=[], dropped_degenerate=dropped)
+    x1, y1, x2, y2, obj, class_scores, level, cx, cy = (np.concatenate(c) for c in zip(*parts))
+    order = np.lexsort((class_scores.argmax(axis=1), cx, cy, level, -obj))
+    x1, y1, x2, y2, obj, level, cx, cy = (
+        c[order].tolist() for c in (x1, y1, x2, y2, obj, level, cx, cy)
     )
+    detections = [
+        Detection(
+            box=CornerBox(*corners),
+            objectness=o,
+            class_scores=scores,
+            scale_index=k,
+            cell=(i, j),
+        )
+        for *corners, o, scores, k, i, j in zip(
+            x1, y1, x2, y2, obj, class_scores[order], level, cx, cy
+        )
+    ]
     return DecodeResult(detections=detections, dropped_degenerate=dropped)
+
+
+def _best_classes(detections: list[Detection]) -> tuple[np.ndarray, np.ndarray]:
+    """``class_id`` and the best class score of every detection, computed
+    per group of equally shaped score vectors instead of per detection."""
+    class_id = np.empty(len(detections), dtype=np.intp)
+    best = np.empty(len(detections))
+    groups: dict[tuple, list[int]] = {}
+    for i, d in enumerate(detections):
+        groups.setdefault(np.shape(d.class_scores), []).append(i)
+    for rows in groups.values():
+        table = np.stack([detections[i].class_scores for i in rows]).reshape(len(rows), -1)
+        class_id[rows] = table.argmax(axis=1)
+        best[rows] = table.max(axis=1)
+    return class_id, best
 
 
 def nms(
@@ -141,19 +173,37 @@ def nms(
     """Greedy per-class suppression; returns survivors by descending score.
 
     A detection is suppressed when some already-kept detection of the same
-    class overlaps it with reference IoU strictly above the threshold.
-    Boxes of different classes never interact.
+    class overlaps it with IoU strictly above the threshold. Boxes of
+    different classes never interact, and a zero-area box overlaps nothing.
+    The survivors are the input objects themselves, in rank order.
     """
-    ranked = sorted(detections, key=Detection.sort_key)
-    kept: list[Detection] = []
-    for det in ranked:
-        suppressed = any(
-            k.class_id == det.class_id and iou(k.box, det.box) > iou_threshold
-            for k in kept
-        )
-        if not suppressed:
-            kept.append(det)
-    return kept
+    n = len(detections)
+    class_id, best = _best_classes(detections)
+    score = np.array([d.objectness for d in detections], dtype=float) * best
+    boxes = np.array([(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in detections], dtype=float)
+    level = np.array([d.scale_index for d in detections])
+    cell = np.array([d.cell for d in detections]).reshape(n, 2)
+    order = np.lexsort((class_id, cell[:, 0], cell[:, 1], level, -score))
+    # One greedy pass per class, not torchvision's trick of offsetting each
+    # class's coordinates: the offset changes how the IoU rounds, so pairs
+    # near the threshold could flip against the scalar referee.
+    ranked_class = class_id[order]
+    by_class = np.argsort(ranked_class, kind="stable")
+    bounds = np.flatnonzero(np.diff(ranked_class[by_class])) + 1
+    kept: list[int] = []
+    for members in np.split(by_class, bounds):
+        member_boxes = boxes[order[members]]
+        alive = np.ones(members.size, dtype=bool)
+        for i in range(members.size):
+            if not alive[i]:
+                continue
+            kept.append(int(members[i]))
+            rest = i + 1 + np.flatnonzero(alive[i + 1:])
+            if rest.size:
+                overlap = iou_xyxy(member_boxes[i], member_boxes[rest])
+                alive[rest[overlap > iou_threshold]] = False
+    kept.sort()
+    return [detections[i] for i in order[kept]]
 
 
 def _fmt(x: float) -> str:

@@ -238,6 +238,16 @@ class TestNmsCommand:
         main(["nms", "--detections", str(src), "--output", str(out)])
         assert len(detections_from_jsonl(out.read_text())) == 1
 
+    def test_zero_area_box_is_kept(self, tmp_path):
+        src = tmp_path / "dets.jsonl"
+        src.write_text(
+            _det_line(0, 0, 10, 10, 0.9, 1) + "\n" +
+            _det_line(5, 0, 5, 10, 0.8, 1) + "\n"
+        )
+        out = tmp_path / "kept.jsonl"
+        assert main(["nms", "--detections", str(src), "--output", str(out)]) == 0
+        assert len(detections_from_jsonl(out.read_text())) == 2
+
 
 class TestConfigPrecedence:
     def test_file_overrides_builtin_and_flag_overrides_file(self, tmp_path):

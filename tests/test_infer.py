@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detbox import (
     BoundingBox,
@@ -87,6 +89,19 @@ class TestDecodeGrid:
         res = decode_grid(PredictionGrid(tuple(levels)), scale)
         assert res.detections == []
         assert res.dropped_degenerate == 1
+
+    def test_nan_distance_logits_dropped_and_counted(self, scale):
+        levels = empty_grid(scale)
+        box = BoundingBox(241.5, 133.25, 58.0, 37.5)
+        plant(levels, scale, box, scale_index=1, class_id=2)
+        levels[0][7, 3, :4] = np.nan
+        levels[0][7, 3, 4] = 9.0
+        levels[2][5, 6, :4] = [0.0, np.nan, 0.0, 0.0]
+        levels[2][5, 6, 4] = 9.0
+        res = decode_grid(PredictionGrid(tuple(levels)), scale)
+        assert res.dropped_degenerate == 2
+        assert [d.class_id for d in res.detections] == [2]
+        assert "nan" not in detections_to_jsonl(res.detections)
 
     def test_threshold_filters_low_objectness(self, scale):
         levels = empty_grid(scale)
@@ -209,6 +224,52 @@ class TestNms:
         kept = nms([a, b], 0.6)
         assert kept == [b, a]
         assert nms([b, a], 0.6) == [b, a]
+
+
+def _one_hot(class_id, n_classes, value):
+    scores = np.zeros(n_classes)
+    scores[class_id] = value
+    return scores
+
+
+@st.composite
+def detection_sets(draw):
+    """Small integer boxes (duplicates and zero areas common) with scores,
+    scales and cells from small sets, so exact ties in every key occur."""
+    n_classes = draw(st.integers(1, 80))
+    dets = []
+    for _ in range(draw(st.integers(0, 30))):
+        x1, y1 = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+        w, h = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+        class_id = draw(st.integers(0, n_classes - 1))
+        # score vectors of unequal lengths, as detections read from JSONL carry
+        length = draw(st.sampled_from([n_classes, class_id + 1]))
+        dets.append(Detection(
+            box=CornerBox(x1, y1, x1 + w, y1 + h),
+            objectness=draw(st.sampled_from([0.25, 0.5, 1.0])),
+            class_scores=_one_hot(class_id, length, draw(st.sampled_from([0.5, 1.0]))),
+            scale_index=draw(st.integers(0, 2)),
+            cell=(draw(st.integers(-1, 1)), draw(st.integers(-1, 1))),
+        ))
+    return dets
+
+
+class TestNmsAgainstReference:
+    def test_zero_area_box_kept_and_never_suppresses(self):
+        flat = make_det(5, 5, 5, 15, 0.9, class_id=1)     # zero width
+        box = make_det(0, 0, 10, 10, 0.8, class_id=1)
+        line = make_det(0, 5, 10, 5, 0.7, class_id=1)     # zero height
+        twin = make_det(5, 5, 5, 15, 0.6, class_id=1)
+        dets = [twin, line, box, flat]
+        assert nms(dets, 0.0) == [flat, box, line, twin]
+        assert nms(dets, 0.0) == reference_nms(dets, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dets=detection_sets(), threshold=st.sampled_from([0.0, 0.5, 1.01]))
+    def test_matches_reference(self, dets, threshold):
+        got = nms(dets, threshold)
+        want = reference_nms(dets, threshold)
+        assert [id(d) for d in got] == [id(d) for d in want]
 
 
 class TestWireFormat:
