@@ -14,13 +14,12 @@ from .assign import (
 )
 from .codec import (
     CodecError,
-    RawPrediction,
     RegressionTarget,
     ScaleConfig,
     center_cell,
-    decode,
+    decode_distances,
     encode,
-    encode_logit,
+    encode_logit_array,
     representable_range,
 )
 from .fit import FitConfig, FitReport, SceneSpec, compare_losses, fit_scene, generate_scene
@@ -40,13 +39,11 @@ from .losses import (
     LossConfig,
     MultitaskLoss,
     SdiouParts,
-    baseline_loss,
     bce_with_logits,
+    logit_loss_grad,
     multitask_loss,
     regression_loss_grad,
     sdiou,
-    sdiou_grad,
-    sdiou_logit_grad,
     sdiou_loss,
     sdiou_scale_drift,
 )
@@ -71,7 +68,6 @@ __all__ = [
     "LossConfig",
     "MultitaskLoss",
     "PredictionGrid",
-    "RawPrediction",
     "RegressionTarget",
     "ScaleConfig",
     "Scene",
@@ -79,32 +75,30 @@ __all__ = [
     "SdiouParts",
     "apply_scale_constraints",
     "assign",
-    "baseline_loss",
     "bce_with_logits",
     "center_cell",
     "center_collision_audit",
     "compare_losses",
     "dataset_stats",
-    "decode",
+    "decode_distances",
     "decode_grid",
     "detections_from_jsonl",
     "detections_to_jsonl",
     "encode",
-    "encode_logit",
+    "encode_logit_array",
     "export_coco",
     "fit_scene",
     "generate_scene",
     "giou",
     "iou",
     "load_coco",
+    "logit_loss_grad",
     "multitask_loss",
     "nms",
     "positives_per_object",
     "regression_loss_grad",
     "representable_range",
     "sdiou",
-    "sdiou_grad",
-    "sdiou_logit_grad",
     "sdiou_loss",
     "sdiou_scale_drift",
     "to_center",

@@ -249,7 +249,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _scenes_from_args(args, cfg: EffectiveConfig, n_scenes: int):
     if getattr(args, "scene", None):
-        return load_coco(args.scene).scenes, None
+        return load_coco(args.scene).scenes
     spec = SceneSpec(
         image_w=cfg.image_w,
         image_h=cfg.image_h,
@@ -258,8 +258,7 @@ def _scenes_from_args(args, cfg: EffectiveConfig, n_scenes: int):
         size_max=args.size_max,
     )
     check_size_bounds(spec, cfg.scale())
-    scenes = [generate_scene(spec, cfg.seed + i) for i in range(n_scenes)]
-    return scenes, spec
+    return [generate_scene(spec, cfg.seed + i) for i in range(n_scenes)]
 
 
 def _cmd_fit(args) -> int:
@@ -267,7 +266,7 @@ def _cmd_fit(args) -> int:
     kind = args.loss or "sdiou"
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss {kind!r}; valid: {', '.join(LOSS_KINDS)}")
-    scenes, spec = _scenes_from_args(args, cfg, n_scenes=1)
+    scenes = _scenes_from_args(args, cfg, n_scenes=1)
     fit_cfg = FitConfig(
         steps=args.steps,
         learning_rate=args.lr,
@@ -275,8 +274,6 @@ def _cmd_fit(args) -> int:
         rho=cfg.rho,
         mode=_mode_from_args(args),
         scale=cfg.scale(),
-        seed=cfg.seed,
-        scene=spec if spec is not None else SceneSpec(),
         multitask=args.multitask,
     )
     reports = [fit_scene(scene, fit_cfg) for scene in scenes]
@@ -317,15 +314,13 @@ def _cmd_compare_losses(args) -> int:
     for kind in kinds:
         if kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss {kind!r}; valid: {', '.join(LOSS_KINDS)}")
-    scenes, spec = _scenes_from_args(args, cfg, n_scenes=args.scenes)
+    scenes = _scenes_from_args(args, cfg, n_scenes=args.scenes)
     fit_cfg = FitConfig(
         steps=args.steps,
         learning_rate=args.lr,
         rho=cfg.rho,
         mode=_mode_from_args(args),
         scale=cfg.scale(),
-        seed=cfg.seed,
-        scene=spec if spec is not None else SceneSpec(),
     )
     rows = compare_losses(scenes, fit_cfg, kinds)
     echo = cfg.echo(

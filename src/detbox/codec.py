@@ -21,14 +21,14 @@ scaled by a per-level gain::
     distance = (2 * sigmoid(p))**2 * gain
 
 so each decoded distance lives in the open interval ``(0, 4 * gain)`` and is
-strictly increasing in the logit. :func:`encode_logit` is the exact inverse,
-used by round-trip tests and the synthetic fitting harness.
+strictly increasing in the logit. :func:`encode_logit_array` is the exact
+inverse, used by round-trip tests and the gradient checker.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit, logit
@@ -86,6 +86,18 @@ class ScaleConfig:
         s = self.strides[scale_index]
         return self.image_w // s, self.image_h // s
 
+    def for_image(self, image_w, image_h) -> ScaleConfig:
+        """The same strides and gains sized to an image.
+
+        Returns ``self`` when the size already matches; otherwise the copy
+        is validated like any new config, so a size that some stride does
+        not divide raises :class:`CodecError`.
+        """
+        image_w, image_h = int(image_w), int(image_h)
+        if (image_w, image_h) == (self.image_w, self.image_h):
+            return self
+        return replace(self, image_w=image_w, image_h=image_h)
+
 
 @dataclass(frozen=True)
 class RegressionTarget:
@@ -99,20 +111,6 @@ class RegressionTarget:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.l, self.t, self.r, self.b], dtype=float)
-
-
-@dataclass(frozen=True)
-class RawPrediction:
-    """Unbounded distance logits (p0..p3) at one scale."""
-
-    p0: float
-    p1: float
-    p2: float
-    p3: float
-    scale_index: int
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p0, self.p1, self.p2, self.p3], dtype=float)
 
 
 def center_cell(cx: float, cy: float, stride: int) -> tuple[int, int]:
@@ -170,46 +168,20 @@ def encode_logit_array(d: np.ndarray, gain) -> np.ndarray:
     """Vectorized exact inverse of :func:`decode_distances`.
 
     Every entry must lie strictly inside ``(0, 4 * gain)``; the sigmoid
-    cannot reach the endpoints.
+    cannot reach the endpoints. Otherwise :class:`CodecError` names the
+    first offending entry, by component (``l``, ``t``, ``r``, ``b``) when
+    the last axis holds distance quadruples.
     """
-    d = np.asarray(d, dtype=float)
-    gain = np.asarray(gain, dtype=float)
-    if np.any(d <= 0.0) or np.any(d >= 4.0 * gain):
-        bad = np.argwhere((d <= 0.0) | (d >= 4.0 * gain))
-        idx = tuple(bad[0])
+    d, gain = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(gain, dtype=float))
+    bad = (d <= 0.0) | (d >= 4.0 * gain)
+    if np.any(bad):
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        name = "ltrb"[idx[-1]] if d.shape[-1:] == (4,) else "d"
         raise CodecError(
-            f"distance {d[idx]:.6g} at index {idx} outside representable "
-            f"open interval (0, {4.0 * np.max(gain):.6g})"
+            f"component {name}={d[idx]:.6g} at index {idx} not representable: "
+            f"open interval (0, {4.0 * gain[idx]:.6g})"
         )
     return logit(np.sqrt(d / gain) / 2.0)
-
-
-def decode(raw: RawPrediction, scale: ScaleConfig) -> RegressionTarget:
-    """Decode raw logits into corner distances at their scale."""
-    d = decode_distances(raw.as_array(), scale.gains[raw.scale_index])
-    return RegressionTarget(d[0], d[1], d[2], d[3], raw.scale_index)
-
-
-_COMPONENTS = ("l", "t", "r", "b")
-
-
-def encode_logit(target: RegressionTarget, scale: ScaleConfig) -> RawPrediction:
-    """Exact inverse of :func:`decode` for targets inside the open range.
-
-    Raises :class:`CodecError` naming the offending component when any
-    distance falls outside ``(0, 4 * gain)`` for the target's scale.
-    """
-    gain = scale.gains[target.scale_index]
-    d = target.as_array()
-    hi = 4.0 * gain
-    for name, value in zip(_COMPONENTS, d):
-        if not (0.0 < value < hi):
-            raise CodecError(
-                f"component {name}={value:.6g} not representable at scale "
-                f"{target.scale_index}: open interval (0, {hi:.6g})"
-            )
-    p = logit(np.sqrt(d / gain) / 2.0)
-    return RawPrediction(p[0], p[1], p[2], p[3], target.scale_index)
 
 
 def representable_range(scale: ScaleConfig, scale_index: int) -> tuple[float, float]:

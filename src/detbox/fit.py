@@ -18,7 +18,7 @@ IoU over time, and how many update steps each object needed to cross the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
@@ -27,7 +27,7 @@ from .assign import AssignMode, assign
 from .codec import ScaleConfig, decode_distances, decode_jacobian
 from .geom import BoundingBox, iou_xyxy, to_corner
 from .ingest import Scene
-from .losses import LOSS_KINDS, bce_with_logits, regression_loss_grad
+from .losses import LOSS_KINDS, multitask_loss, regression_loss_grad
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,7 @@ class FitConfig:
     loss: str = "sdiou"
     rho: float = 1.0
     mode: AssignMode = field(default_factory=AssignMode)
-    scale: ScaleConfig | None = None
-    seed: int = 0
-    scene: SceneSpec = field(default_factory=SceneSpec)
+    scale: ScaleConfig = field(default_factory=ScaleConfig)
     multitask: bool = False
 
     def __post_init__(self) -> None:
@@ -156,20 +154,6 @@ class FitReport:
         }
 
 
-def resolve_scale(scene: Scene, scale: ScaleConfig | None) -> ScaleConfig:
-    """Size the pyramid to the scene, keeping the template's strides/gains."""
-    if scale is None:
-        return ScaleConfig(image_w=int(scene.image_w), image_h=int(scene.image_h))
-    if (scale.image_w, scale.image_h) == (scene.image_w, scene.image_h):
-        return scale
-    return ScaleConfig(
-        strides=scale.strides,
-        gains=scale.gains,
-        image_w=int(scene.image_w),
-        image_h=int(scene.image_h),
-    )
-
-
 def check_size_bounds(spec: SceneSpec, scale: ScaleConfig) -> None:
     """Reject scene specs no scale can represent.
 
@@ -207,7 +191,7 @@ def fit_scene(scene: Scene, cfg: FitConfig = FitConfig()) -> FitReport:
     scale in multitask mode). Deterministic: identical scene and config
     reproduce the report bit for bit.
     """
-    scale = resolve_scale(scene, cfg.scale)
+    scale = cfg.scale.for_image(scene.image_w, scene.image_h)
     records = assign(list(scene.objects), scale, cfg.mode)
     n_objects = len(scene.objects)
     n_scales = scale.num_scales
@@ -276,39 +260,35 @@ def fit_scene(scene: Scene, cfg: FitConfig = FitConfig()) -> FitReport:
         best[acc >= 0.0] = acc[acc >= 0.0]
         return best
 
-    def box_loss_terms(d: np.ndarray):
-        loss_r, grad_d = regression_loss_grad(d, targets, cfg.loss, cfg.rho)
-        return loss_r, grad_d
+    rec_masks = [scale_idx == s for s in range(n_scales)]
+    key_masks = [key_scale == s for s in range(n_scales)]
 
-    def total_loss(loss_r: np.ndarray) -> float:
+    def objective(loss_r: np.ndarray) -> float:
         if not cfg.multitask:
             return float(np.sum(loss_r))
-        per_scale = 0.0
-        for s in range(n_scales):
-            sel_r = scale_idx == s
-            sel_k = key_scale == s
-            box = float(np.mean(loss_r[sel_r])) if np.any(sel_r) else 0.0
-            obj = (
-                float(np.mean(bce_with_logits(obj_logits[sel_k], np.ones(sel_k.sum()))))
-                if np.any(sel_k) else 0.0
-            )
-            cls = (
-                float(np.mean(bce_with_logits(cls_logits[sel_k], cls_labels[sel_k])))
-                if np.any(sel_k) else 0.0
-            )
-            per_scale += box + obj + cls
-        return per_scale
+        return multitask_loss(
+            [float(np.mean(loss_r[m])) if np.any(m) else 0.0 for m in rec_masks],
+            [obj_logits[m] for m in key_masks],
+            [np.ones(np.count_nonzero(m)) for m in key_masks],
+            [cls_logits[m] for m in key_masks],
+            [cls_labels[m] for m in key_masks],
+        ).total
 
+    def decode_records() -> np.ndarray:
+        if not n_rec:
+            return np.zeros((0, 4))
+        return decode_distances(logits[key_idx], gains[:, None])
+
+    # Step k's post-update decode is step k+1's input, and the last pass
+    # only scores the final logits.
+    d = decode_records()
+    iou_rows = [best_iou_per_object(d)]
     loss_trace = []
-    iou_rows = []
-
-    d0 = decode_distances(logits[key_idx], gains[:, None]) if n_rec else np.zeros((0, 4))
-    iou_rows.append(best_iou_per_object(d0))
-
-    for _ in range(cfg.steps):
-        d = decode_distances(logits[key_idx], gains[:, None]) if n_rec else np.zeros((0, 4))
-        loss_r, grad_d = box_loss_terms(d)
-        loss_trace.append(total_loss(loss_r))
+    for step in range(cfg.steps + 1):
+        loss_r, grad_d = regression_loss_grad(d, targets, cfg.loss, cfg.rho)
+        loss_trace.append(objective(loss_r))
+        if step == cfg.steps:
+            break
 
         if n_rec:
             if cfg.multitask:
@@ -330,19 +310,15 @@ def fit_scene(scene: Scene, cfg: FitConfig = FitConfig()) -> FitReport:
                 / (kcounts[key_scale, None] * cls_labels.shape[1])
             )
 
-        d_new = decode_distances(logits[key_idx], gains[:, None]) if n_rec else np.zeros((0, 4))
-        iou_rows.append(best_iou_per_object(d_new))
-
-    d_final = decode_distances(logits[key_idx], gains[:, None]) if n_rec else np.zeros((0, 4))
-    loss_r, _ = box_loss_terms(d_final)
-    loss_trace.append(total_loss(loss_r))
+        d = decode_records()
+        iou_rows.append(best_iou_per_object(d))
 
     iou_trace = np.array(iou_rows).reshape(cfg.steps + 1, n_objects)
     final_iou = iou_trace[-1].copy()
 
     per_object_scale = np.full((n_objects, n_scales), np.nan)
     if n_rec:
-        ious = iou_xyxy(_record_boxes(d_final, cells, strides), truth_boxes[obj_idx])
+        ious = iou_xyxy(_record_boxes(d, cells, strides), truth_boxes[obj_idx])
         flat = np.full(n_objects * n_scales, -1.0)
         np.maximum.at(flat, obj_idx * n_scales + scale_idx, ious)
         grid = flat.reshape(n_objects, n_scales)
@@ -394,24 +370,10 @@ def compare_losses(
     """
     if isinstance(scenes, Scene):
         scenes = [scenes]
-    for kind in kinds:
-        if kind not in LOSS_KINDS:
-            raise ValueError(
-                f"unknown loss kind {kind!r}; valid: {', '.join(LOSS_KINDS)}"
-            )
+    # every kind is validated before the first fit runs
+    runs = [replace(cfg, loss=kind) for kind in kinds]
     rows = []
-    for kind in kinds:
-        run_cfg = FitConfig(
-            steps=cfg.steps,
-            learning_rate=cfg.learning_rate,
-            loss=kind,
-            rho=cfg.rho,
-            mode=cfg.mode,
-            scale=cfg.scale,
-            seed=cfg.seed,
-            scene=cfg.scene,
-            multitask=cfg.multitask,
-        )
+    for run_cfg in runs:
         steps90: list = []
         steps99: list = []
         finals = []
@@ -422,7 +384,7 @@ def compare_losses(
             finals.extend(v for v in report.final_iou if not math.isnan(v))
         rows.append(
             {
-                "loss": kind,
+                "loss": run_cfg.loss,
                 "n_objects": len(steps90),
                 "reached_iou90": sum(1 for v in steps90 if v is not None),
                 "reached_iou99": sum(1 for v in steps99 if v is not None),

@@ -9,11 +9,11 @@ corners come from inverting the corner-distance code at the cell::
     y1 = stride * (cell_y + 1 - t)      y2 = stride * (cell_y + b)
 
 Both stages work on column arrays and touch :class:`Detection` objects
-only at their edges. Decoding keeps a cell only when ``x2 > x1`` and
-``y2 > y1``; every other confident cell is dropped and counted in
-``DecodeResult.dropped_degenerate``. That covers zero or negative extent
-and non-finite distance logits alike, since any comparison with NaN is
-false.
+only at their edges. Decoding keeps a cell only when ``x2 > x1``,
+``y2 > y1`` and no class logit is NaN; every other confident cell is
+dropped and counted in ``DecodeResult.dropped_degenerate``. That covers
+zero or negative extent and non-finite distance logits alike, since any
+comparison with NaN is false, and keeps NaN scores out of the output.
 
 Greedy suppression is class-wise: a detection is removed only by a
 higher-ranked kept detection of the same class overlapping it with IoU
@@ -96,8 +96,8 @@ def decode_grid(
 
     Output is sorted by descending objectness, then (scale, cell_y,
     cell_x, class). Cells decoding to a degenerate box (zero or negative
-    extent, or a NaN corner) are dropped and counted rather than raising:
-    they are legitimate raw-output states.
+    extent, or a NaN corner) or with a NaN class logit are dropped and
+    counted rather than raising: they are legitimate raw-output states.
     """
     if len(grid.levels) != scale.num_scales:
         raise ValueError(
@@ -122,12 +122,13 @@ def decode_grid(
         y1 = stride * (cy + 1.0 - dists[:, 1])
         x2 = stride * (cx + dists[:, 2])
         y2 = stride * (cy + dists[:, 3])
-        good = (x2 > x1) & (y2 > y1)
+        class_scores = expit(arr[cx, cy, 5:])
+        good = (x2 > x1) & (y2 > y1) & ~np.isnan(class_scores).any(axis=1)
         dropped += int(np.count_nonzero(~good))
         cx, cy = cx[good], cy[good]
         parts.append((
             x1[good], y1[good], x2[good], y2[good], objectness[cx, cy],
-            expit(arr[cx, cy, 5:]), np.full(cx.size, scale_index), cx, cy,
+            class_scores[good], np.full(cx.size, scale_index), cx, cy,
         ))
     if not parts:
         return DecodeResult(detections=[], dropped_degenerate=dropped)

@@ -171,17 +171,6 @@ def export_coco(scenes: list[Scene]) -> dict:
     }
 
 
-def _scene_scale(scene: Scene, scale: ScaleConfig) -> ScaleConfig:
-    if (scene.image_w, scene.image_h) == (scale.image_w, scale.image_h):
-        return scale
-    return ScaleConfig(
-        strides=scale.strides,
-        gains=scale.gains,
-        image_w=int(scene.image_w),
-        image_h=int(scene.image_h),
-    )
-
-
 def dataset_stats(
     scenes: list[Scene],
     scale: ScaleConfig,
@@ -199,7 +188,7 @@ def dataset_stats(
     details = []
     n_objects = 0
     for scene in scenes:
-        cfg = _scene_scale(scene, scale)
+        cfg = scale.for_image(scene.image_w, scene.image_h)
         n_objects += len(scene.objects)
         if not scene.objects:
             continue

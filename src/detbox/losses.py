@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import RawPrediction, RegressionTarget, ScaleConfig, decode_distances, decode_jacobian
+from .codec import RegressionTarget, decode_distances, decode_jacobian
 
 LOSS_KINDS = ("sdiou", "mse", "iou", "giou", "diou", "ciou")
 
@@ -50,24 +50,19 @@ class DegenerateGeometryError(ValueError):
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Loss selection and weighting.
+    """Loss weighting.
 
     ``rho`` trades the overlap reward against the distance penalty in the
     primary score (1 keeps them balanced). The three weights scale the
     classification, objectness, and box terms of the composite loss.
     """
 
-    kind: str = "sdiou"
     rho: float = 1.0
     w_cls: float = 1.0
     w_obj: float = 1.0
     w_box: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(
-                f"unknown loss kind {self.kind!r}; valid: {', '.join(LOSS_KINDS)}"
-            )
         if self.rho < 0:
             raise ValueError(f"rho must be >= 0, got {self.rho}")
 
@@ -88,7 +83,7 @@ class SdiouParts:
 
 
 def _dist_array(x) -> np.ndarray:
-    if isinstance(x, (RegressionTarget, RawPrediction)):
+    if isinstance(x, RegressionTarget):
         return x.as_array()
     return np.asarray(x, dtype=float)
 
@@ -168,28 +163,6 @@ def sdiou_loss_grad(pred, truth, rho: float = 1.0) -> tuple[np.ndarray, np.ndarr
     numer = i - rho * s
     dscore = ((di - rho * ds) * c[..., None] - numer[..., None] * dc) / (c * c)[..., None]
     return 1.0 - score, -dscore
-
-
-def sdiou_grad(pred, truth, cfg: LossConfig = LossConfig()) -> np.ndarray:
-    """Gradient of the loss in the four predicted distances, shape (4,)."""
-    _, grad = sdiou_loss_grad(
-        _dist_array(pred).reshape(4), _dist_array(truth).reshape(4), cfg.rho
-    )
-    return grad
-
-
-def sdiou_logit_grad(
-    raw: RawPrediction,
-    truth: RegressionTarget,
-    scale: ScaleConfig,
-    cfg: LossConfig = LossConfig(),
-) -> np.ndarray:
-    """Gradient of the loss in the four raw logits, chained through decode."""
-    gain = scale.gains[raw.scale_index]
-    p = raw.as_array()
-    d = decode_distances(p, gain)
-    grad_d = sdiou_grad(d, truth, cfg)
-    return grad_d * decode_jacobian(p, gain)
 
 
 # --- baselines on boxes reconstructed in a shared cell frame ---------------
@@ -380,17 +353,6 @@ def regression_loss_grad(
     raise ValueError(f"unknown loss kind {kind!r}; valid: {', '.join(LOSS_KINDS)}")
 
 
-def baseline_loss(pred, truth, kind: str) -> float:
-    """Scalar comparison loss: mse over the distances, or 1 - score for the
-    IoU family on boxes reconstructed in the shared cell frame."""
-    if kind == "sdiou":
-        raise ValueError("sdiou is the primary loss; use sdiou() for its parts")
-    loss, _ = regression_loss_grad(
-        _dist_array(pred).reshape(4), _dist_array(truth).reshape(4), kind
-    )
-    return float(loss)
-
-
 def logit_loss_grad(
     logits: np.ndarray,
     truth: np.ndarray,
@@ -450,7 +412,7 @@ def multitask_loss(
     cls_labels: Sequence[np.ndarray],
     cfg: LossConfig = LossConfig(),
 ) -> MultitaskLoss:
-    """Per-scale sum of classification, objectness, and box terms.
+    """Per-scale sum of box, objectness, and classification terms.
 
     Classification and objectness use mean binary cross entropy from logits
     (empty arrays contribute 0); the box term arrives pre-reduced per scale.
@@ -464,9 +426,9 @@ def multitask_loss(
         obj = bce_with_logits(obj_logits[s], obj_labels[s])
         cls = bce_with_logits(cls_logits[s], cls_labels[s])
         term = (
-            cfg.w_cls * (float(np.mean(cls)) if cls.size else 0.0)
+            cfg.w_box * float(box_losses[s])
             + cfg.w_obj * (float(np.mean(obj)) if obj.size else 0.0)
-            + cfg.w_box * float(box_losses[s])
+            + cfg.w_cls * (float(np.mean(cls)) if cls.size else 0.0)
         )
         per_scale.append(term)
     return MultitaskLoss(per_scale=tuple(per_scale), total=float(sum(per_scale)))

@@ -63,7 +63,7 @@ def test_criterion_01_encoding_identities():
 
 
 def test_criterion_02_decode_round_trip():
-    """decode(encode_logit(t)) within 1e-9 over 1,000 targets per scale."""
+    """decode_distances(encode_logit_array(d)) within 1e-9 over 1,000 targets per scale."""
     t0 = time.time()
     scale = ScaleConfig()
     rng = np.random.default_rng(102)

@@ -7,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+from detbox import BoundingBox, PredictionGrid, ScaleConfig, decode_grid
 from detbox.cli import main
-from detbox.infer import detections_from_jsonl
+from detbox.infer import detections_from_jsonl, detections_to_jsonl
 
 from conftest import COCO_FIXTURE
+from test_infer import empty_grid, plant
 
 
 @pytest.fixture
@@ -247,6 +249,18 @@ class TestNmsCommand:
         out = tmp_path / "kept.jsonl"
         assert main(["nms", "--detections", str(src), "--output", str(out)]) == 0
         assert len(detections_from_jsonl(out.read_text())) == 2
+
+    def test_decoded_nan_class_logit_round_trips(self, tmp_path):
+        scale = ScaleConfig()
+        levels = empty_grid(scale)
+        plant(levels, scale, BoundingBox(241.5, 133.25, 58.0, 37.5), scale_index=1, class_id=2)
+        cell = plant(levels, scale, BoundingBox(400.5, 300.25, 40.0, 30.0), scale_index=0)
+        levels[0][cell[0], cell[1], 5] = np.nan
+        src = tmp_path / "dets.jsonl"
+        src.write_text(detections_to_jsonl(decode_grid(PredictionGrid(tuple(levels)), scale).detections))
+        out = tmp_path / "kept.jsonl"
+        assert main(["nms", "--detections", str(src), "--output", str(out)]) == 0
+        assert [d.class_id for d in detections_from_jsonl(out.read_text())] == [2]
 
 
 class TestConfigPrecedence:

@@ -6,13 +6,10 @@ import pytest
 from detbox import (
     BoundingBox,
     CodecError,
-    RawPrediction,
     RegressionTarget,
     ScaleConfig,
     center_cell,
-    decode,
     encode,
-    encode_logit,
     representable_range,
 )
 from detbox.codec import decode_distances, decode_jacobian, encode_logit_array
@@ -38,6 +35,21 @@ class TestScaleConfig:
             ScaleConfig(gains=(2.0, 4.0))
         with pytest.raises(CodecError):
             ScaleConfig(gains=(2.0, 0.0, 16.0))
+
+    def test_for_image_same_size_is_the_same_object(self, scale):
+        assert scale.for_image(640, 640) is scale
+        assert scale.for_image(640.0, 640.0) is scale
+
+    def test_for_image_keeps_strides_and_gains(self):
+        base = ScaleConfig(strides=(8, 24, 72), gains=(2.0, 4.0, 16.0), image_w=576, image_h=576)
+        sized = base.for_image(1152, 288)
+        assert (sized.strides, sized.gains) == (base.strides, base.gains)
+        assert (sized.image_w, sized.image_h) == (1152, 288)
+        assert sized.grid_size(2) == (16, 4)
+
+    def test_for_image_rejects_a_size_no_stride_divides(self, scale):
+        with pytest.raises(CodecError, match="does not divide image size 640x427"):
+            scale.for_image(640, 427)
 
 
 class TestEncode:
@@ -86,15 +98,15 @@ class TestEncode:
 
 class TestDecode:
     def test_zero_logits(self, scale):
-        t = decode(RawPrediction(0, 0, 0, 0, 0), scale)
-        assert (t.l, t.t, t.r, t.b) == (2.0, 2.0, 2.0, 2.0)
+        d = decode_distances(np.zeros(4), scale.gains[0])
+        assert d.tolist() == [2.0, 2.0, 2.0, 2.0]
 
     def test_saturation_bounds(self, scale):
-        for i, g in enumerate(scale.gains):
-            lo = decode(RawPrediction(-30, -30, -30, -30, i), scale)
-            hi = decode(RawPrediction(30, 30, 30, 30, i), scale)
-            assert 0 < lo.l < 1e-10
-            assert 4 * g - 1e-8 < hi.l < 4 * g
+        for g in scale.gains:
+            lo = decode_distances(np.full(4, -30.0), g)
+            hi = decode_distances(np.full(4, 30.0), g)
+            assert np.all((0 < lo) & (lo < 1e-10))
+            assert np.all((4 * g - 1e-8 < hi) & (hi < 4 * g))
 
     def test_strictly_monotone(self):
         p = np.linspace(-30, 30, 2001)
@@ -113,14 +125,14 @@ class TestDecode:
 
 class TestEncodeLogit:
     def test_inverse_of_zero_case(self, scale):
-        raw = encode_logit(RegressionTarget(2, 2, 2, 2, 0), scale)
-        assert raw.as_array() == pytest.approx([0, 0, 0, 0], abs=1e-12)
+        p = encode_logit_array(np.full(4, 2.0), scale.gains[0])
+        assert p == pytest.approx([0, 0, 0, 0], abs=1e-12)
 
     def test_boundary_rejected_with_component_name(self, scale):
         with pytest.raises(CodecError, match="r=8"):
-            encode_logit(RegressionTarget(2, 2, 8.0, 2, 0), scale)
+            encode_logit_array(np.array([2, 2, 8.0, 2]), scale.gains[0])
         with pytest.raises(CodecError, match="t="):
-            encode_logit(RegressionTarget(2, 0.0, 2, 2, 0), scale)
+            encode_logit_array(np.array([2, 0.0, 2, 2]), scale.gains[0])
 
     def test_round_trip(self, scale, rng):
         for i, g in enumerate(scale.gains):
@@ -134,8 +146,8 @@ class TestEncodeLogit:
             i = int(rng.integers(3))
             g = scale.gains[i]
             t = RegressionTarget(*rng.uniform(0.01, 4 * g - 0.01, size=4), i)
-            back = decode(encode_logit(t, scale), scale)
-            np.testing.assert_allclose(back.as_array(), t.as_array(), atol=1e-9)
+            back = decode_distances(encode_logit_array(t.as_array(), g), g)
+            np.testing.assert_allclose(back, t.as_array(), atol=1e-9)
 
 
 def test_representable_range(scale):

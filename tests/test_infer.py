@@ -103,6 +103,16 @@ class TestDecodeGrid:
         assert [d.class_id for d in res.detections] == [2]
         assert "nan" not in detections_to_jsonl(res.detections)
 
+    def test_nan_class_logit_dropped_and_counted(self, scale):
+        levels = empty_grid(scale)
+        plant(levels, scale, BoundingBox(241.5, 133.25, 58.0, 37.5), scale_index=1, class_id=2)
+        cell = plant(levels, scale, BoundingBox(400.5, 300.25, 40.0, 30.0), scale_index=0)
+        levels[0][cell[0], cell[1], 5 + 3] = np.nan
+        res = decode_grid(PredictionGrid(tuple(levels)), scale)
+        assert res.dropped_degenerate == 1
+        assert [d.class_id for d in res.detections] == [2]
+        assert "nan" not in detections_to_jsonl(res.detections)
+
     def test_threshold_filters_low_objectness(self, scale):
         levels = empty_grid(scale)
         box = BoundingBox(100.3, 100.7, 40, 40)

@@ -8,18 +8,14 @@ import pytest
 from detbox import (
     CornerBox,
     LossConfig,
-    RawPrediction,
     RegressionTarget,
     ScaleConfig,
-    baseline_loss,
     bce_with_logits,
     giou as giou_oracle,
     iou as iou_oracle,
     multitask_loss,
     regression_loss_grad,
     sdiou,
-    sdiou_grad,
-    sdiou_logit_grad,
     sdiou_loss,
     sdiou_scale_drift,
 )
@@ -117,14 +113,15 @@ class TestGradients:
     def test_zero_gradient_at_identity(self, rng):
         for _ in range(100):
             t = _random_truth(rng)
-            np.testing.assert_array_equal(sdiou_grad(t, t), np.zeros(4))
+            _, grad = regression_loss_grad(t, t)
+            np.testing.assert_array_equal(grad, np.zeros(4))
 
     def test_matches_finite_differences(self, rng):
         scale = ScaleConfig()
         worst = 0.0
         for _ in range(300):
             pred, truth, _ = sample_pair(rng, scale)
-            grad = sdiou_grad(pred, truth)
+            _, grad = regression_loss_grad(pred, truth)
             fd = central_diff(lambda d: float(sdiou_loss(d, truth)), pred, 1e-6)
             denom = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-8)
             worst = max(worst, np.linalg.norm(grad - fd) / denom)
@@ -133,7 +130,7 @@ class TestGradients:
     def test_clamped_region_kills_the_overlap_path(self):
         truth = np.array([1.0, 1.0, 1.0, 1.0])
         pred = np.array([0.1, 0.1, 0.1, 0.1])   # overlap extents clamp to zero
-        grad = sdiou_grad(pred, truth)
+        _, grad = regression_loss_grad(pred, truth)
         fd = central_diff(lambda d: float(sdiou_loss(d, truth)), pred, 1e-6)
         np.testing.assert_allclose(grad, fd, rtol=1e-5)
         # with the penalty off, only the cover path remains, and the cover
@@ -159,8 +156,8 @@ class TestGradients:
 class TestLogitGradients:
     def test_saturated_logits_vanish(self, scale):
         truth = RegressionTarget(3, 1.75, 3, 1.75, 0)
-        raw = RawPrediction(25.0, -25.0, 25.0, -25.0, 0)
-        grad = sdiou_logit_grad(raw, truth, scale)
+        logits = np.array([25.0, -25.0, 25.0, -25.0])
+        _, grad = logit_loss_grad(logits, truth, scale.gains[truth.scale_index])
         assert np.all(np.abs(grad) < 1e-8)
 
     def test_zero_at_decoded_truth(self, scale, rng):
@@ -194,10 +191,10 @@ class TestBaselines:
         for _ in range(50):
             t = _random_truth(rng)
             for kind in ("mse", "iou", "giou", "diou", "ciou"):
-                assert baseline_loss(t, t, kind) == pytest.approx(0.0, abs=1e-12)
+                assert regression_loss_grad(t, t, kind)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_mse_example(self):
-        assert baseline_loss((2, 1.75, 3, 1.75), (3, 1.75, 3, 1.75), "mse") == 0.25
+        assert regression_loss_grad((2, 1.75, 3, 1.75), (3, 1.75, 3, 1.75), "mse")[0] == 0.25
 
     def _reconstruct(self, d):
         return CornerBox(1 - d[0], 1 - d[1], d[2], d[3])
@@ -208,10 +205,11 @@ class TestBaselines:
             pred = _random_truth(rng)
             pb, tb = self._reconstruct(pred), self._reconstruct(truth)
             np.testing.assert_allclose(
-                baseline_loss(pred, truth, "iou"), 1 - iou_oracle(pb, tb), atol=1e-12
+                regression_loss_grad(pred, truth, "iou")[0], 1 - iou_oracle(pb, tb), atol=1e-12
             )
             np.testing.assert_allclose(
-                baseline_loss(pred, truth, "giou"), 1 - giou_oracle(pb, tb), atol=1e-12
+                regression_loss_grad(pred, truth, "giou")[0], 1 - giou_oracle(pb, tb),
+                atol=1e-12,
             )
 
     def test_diou_ciou_against_local_reference(self, rng):
@@ -236,7 +234,7 @@ class TestBaselines:
             pred = _random_truth(rng)
             for kind in ("diou", "ciou"):
                 np.testing.assert_allclose(
-                    baseline_loss(pred, truth, kind), reference(pred, truth, kind),
+                    regression_loss_grad(pred, truth, kind)[0], reference(pred, truth, kind),
                     atol=1e-9,
                 )
 
@@ -249,8 +247,6 @@ class TestBaselines:
             assert np.all(np.isfinite(grad))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="sdiou"):
-            baseline_loss((1, 1, 1, 1), (1, 1, 1, 1), "sdiou")
         with pytest.raises(ValueError, match="valid"):
             regression_loss_grad(np.ones(4), np.ones(4), "huber")
 
