@@ -7,10 +7,10 @@ from .assign import (
     AssignMode,
     AssignmentError,
     AssignmentRecord,
+    AssignmentTable,
     apply_scale_constraints,
     assign,
     center_collision_audit,
-    positives_per_object,
 )
 from .codec import (
     CodecError,
@@ -54,6 +54,7 @@ __all__ = [
     "AssignMode",
     "AssignmentError",
     "AssignmentRecord",
+    "AssignmentTable",
     "BoundingBox",
     "CocoFormatError",
     "CocoLoadResult",
@@ -95,7 +96,6 @@ __all__ = [
     "logit_loss_grad",
     "multitask_loss",
     "nms",
-    "positives_per_object",
     "regression_loss_grad",
     "representable_range",
     "sdiou",

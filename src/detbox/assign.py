@@ -11,17 +11,20 @@ Which cells an object claims depends only on its center's sub-cell offset
 and grid clipping, never on its width or height, so the positive-sample
 count per object is size-independent. Alternative strategies (segment
 midpoints, box corners) and per-scale size constraints are provided for
-ablation studies.
+ablation studies. :func:`assign` evaluates every candidate cell of a scene
+in one array pass and returns an :class:`AssignmentTable` of columns.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import defaultdict
+from dataclasses import dataclass, fields
+from typing import Iterator, Sequence
 
-from .codec import RegressionTarget, ScaleConfig, center_cell, encode
+import numpy as np
+
+from .codec import RegressionTarget, ScaleConfig, center_cell, encode, encode_distances
 from .geom import BoundingBox, iou, to_corner
 
 
@@ -29,14 +32,18 @@ class AssignmentError(ValueError):
     """Raised for objects or modes the assignment rules cannot handle."""
 
 
-LOCATION_STRATEGIES = (
-    "center",
-    "aug_center",
-    "h_centers",
-    "aug_center_plus_h_centers",
-    "four_corners",
-    "four_corners_plus_center",
-)
+# Candidate cell groups per strategy, in claiming order. Neighbors always
+# follow their center cell, so a neighbor on the midline, offset 0, is
+# dropped as a repeat of it.
+_GROUPS = {
+    "center": ("center",),
+    "aug_center": ("center", "neighbors"),
+    "h_centers": ("midpoints",),
+    "aug_center_plus_h_centers": ("center", "neighbors", "midpoints"),
+    "four_corners": ("corners",),
+    "four_corners_plus_center": ("corners", "center"),
+}
+LOCATION_STRATEGIES = tuple(_GROUPS)
 
 
 @dataclass(frozen=True)
@@ -88,146 +95,129 @@ class AssignmentRecord:
     quadrant: int = 0
 
 
-def _neighbor_cells(
-    box: BoundingBox, cell: tuple[int, int], stride: int
-) -> list[tuple[int, int]]:
-    # Strictly past the midline on each axis; on-midline adds no neighbor.
-    ax, ay = cell
-    cells = []
-    fx = box.cx - stride * ax
-    if fx < stride / 2:
-        cells.append((ax - 1, ay))
-    elif fx > stride / 2:
-        cells.append((ax + 1, ay))
-    fy = box.cy - stride * ay
-    if fy < stride / 2:
-        cells.append((ax, ay - 1))
-    elif fy > stride / 2:
-        cells.append((ax, ay + 1))
-    return cells
+@dataclass(frozen=True, eq=False)
+class AssignmentTable:
+    """All positive samples of a scene as columns, one row per record.
 
+    ``object_id``, ``class_id``, ``scale_index`` and ``quadrant`` are
+    ``(n,)`` ints, ``cell`` is ``(n, 2)`` ints and ``target`` is ``(n, 4)``
+    floats holding l, t, r, b. ``len()``, indexing and iteration give
+    :class:`AssignmentRecord` rows of plain Python scalars.
+    """
 
-def _h_center_cells(box: BoundingBox, stride: int) -> list[tuple[int, int]]:
-    # Midpoints of the segments from the center to the top-left and
-    # bottom-right corners.
-    return [
-        center_cell(box.cx - box.w / 4, box.cy - box.h / 4, stride),
-        center_cell(box.cx + box.w / 4, box.cy + box.h / 4, stride),
-    ]
+    object_id: np.ndarray
+    class_id: np.ndarray
+    scale_index: np.ndarray
+    cell: np.ndarray
+    target: np.ndarray
+    quadrant: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.object_id)
 
-def _corner_cells(box: BoundingBox, stride: int) -> list[tuple[int, int]]:
-    # Floor convention: a corner on a grid line belongs to the cell whose
-    # top-left point it is.
-    return [
-        center_cell(box.x1, box.y1, stride),
-        center_cell(box.x2, box.y1, stride),
-        center_cell(box.x1, box.y2, stride),
-        center_cell(box.x2, box.y2, stride),
-    ]
+    def __getitem__(self, i: int) -> AssignmentRecord:
+        return next(iter(self.select([i])))
 
+    def __iter__(self) -> Iterator[AssignmentRecord]:
+        columns = (getattr(self, f.name).tolist() for f in fields(self))
+        for o, c, s, cell, (l, t, r, b), q in zip(*columns):
+            yield AssignmentRecord(o, c, s, tuple(cell), RegressionTarget(l, t, r, b, s), q)
 
-def _candidate_cells(
-    box: BoundingBox, cell: tuple[int, int], stride: int, strategy: str
-) -> list[tuple[int, int]]:
-    if strategy == "center":
-        return [cell]
-    if strategy == "aug_center":
-        return [cell] + _neighbor_cells(box, cell, stride)
-    if strategy == "h_centers":
-        return _h_center_cells(box, stride)
-    if strategy == "aug_center_plus_h_centers":
-        return [cell] + _neighbor_cells(box, cell, stride) + _h_center_cells(box, stride)
-    if strategy == "four_corners":
-        return _corner_cells(box, stride)
-    if strategy == "four_corners_plus_center":
-        return _corner_cells(box, stride) + [cell]
-    raise AssignmentError(f"unknown location strategy {strategy!r}")
-
-
-def _quadrant(box: BoundingBox, cell: tuple[int, int], stride: int) -> int:
-    # 2x2 sub-quadrant of the record's cell nearest the object center.
-    qx = 0 if box.cx < stride * (cell[0] + 0.5) else 1
-    qy = 0 if box.cy < stride * (cell[1] + 0.5) else 1
-    return 2 * qy + qx
+    def select(self, rows) -> AssignmentTable:
+        """The table restricted to ``rows`` (a mask or index array)."""
+        return AssignmentTable(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 def assign(
     objects: Sequence[tuple[BoundingBox, int]],
     scale: ScaleConfig,
     mode: AssignMode = AssignMode(),
-) -> list[AssignmentRecord]:
+) -> AssignmentTable:
     """Emit the positive samples for a scene at every scale.
 
-    Cells are deduplicated per (object, scale); targets always come from
-    the corner-distance formula evaluated at the record's own cell. Center
-    cells carry provably positive targets; shifted cells (neighbors,
-    midpoints, corners) are encoded unchecked since sub-cell boxes can put
-    a boundary on the far side of the shifted cell.
+    Rows run by object, then scale, then candidate cell. Cells are
+    deduplicated per (object, scale), keeping the first occurrence, before
+    cells outside the grid are dropped; targets always come from the
+    corner-distance formula evaluated at the row's own cell. Center cells
+    carry provably positive targets; shifted cells (neighbors, midpoints,
+    corners) stay unchecked since sub-cell boxes can put a boundary on the
+    far side of the shifted cell.
 
     Raises :class:`AssignmentError` for any object whose center is not
-    strictly inside the image.
+    strictly inside the image, and :class:`~detbox.codec.CodecError` for a
+    center-cell distance that is not positive.
     """
-    records: list[AssignmentRecord] = []
-    for object_id, (box, class_id) in enumerate(objects):
-        if not (0 < box.cx < scale.image_w and 0 < box.cy < scale.image_h):
-            raise AssignmentError(
-                f"object {object_id} center ({box.cx}, {box.cy}) not strictly "
-                f"inside image {scale.image_w}x{scale.image_h}"
-            )
-        for scale_index, stride in enumerate(scale.strides):
-            nx, ny = scale.grid_size(scale_index)
-            ccell = center_cell(box.cx, box.cy, stride)
-            seen: set[tuple[int, int]] = set()
-            for cell in _candidate_cells(box, ccell, stride, mode.location_strategy):
-                if cell in seen:
-                    continue
-                seen.add(cell)
-                if not (0 <= cell[0] < nx and 0 <= cell[1] < ny):
-                    continue
-                target = encode(
-                    box, cell, scale, scale_index,
-                    require_positive=(cell == ccell),
-                )
-                quadrant = (
-                    _quadrant(box, cell, stride)
-                    if mode.predictions_per_cell == 4
-                    else 0
-                )
-                records.append(
-                    AssignmentRecord(
-                        object_id=object_id,
-                        class_id=class_id,
-                        scale_index=scale_index,
-                        cell=cell,
-                        target=target,
-                        quadrant=quadrant,
-                    )
-                )
+    boxes = np.array([(b.cx, b.cy, b.w, b.h) for b, _ in objects], dtype=float).reshape(-1, 4)
+    image = (scale.image_w, scale.image_h)
+    outside = np.flatnonzero(~((0 < boxes[:, :2]) & (boxes[:, :2] < image)).all(axis=1))
+    if outside.size:
+        i = int(outside[0])
+        raise AssignmentError(
+            f"object {i} center ({objects[i][0].cx}, {objects[i][0].cy}) not strictly "
+            f"inside image {scale.image_w}x{scale.image_h}"
+        )
+    cx, cy, w, h = boxes.T[..., None, None]                            # (objects, 1, 1)
+    corners = np.concatenate([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
+    s = np.array(scale.strides)[:, None]                               # (scales, 1)
+
+    def cells(px, py):
+        return np.floor(px / s), np.floor(py / s)
+
+    ax, ay = cells(cx, cy)                                             # (objects, scales, 1)
+    groups = {
+        "center": lambda: (ax, ay),
+        # strictly past the midline on each axis; on the midline the offset is 0
+        "neighbors": lambda: (
+            np.concatenate([ax + np.sign((cx - s * ax) - s / 2), ax], axis=-1),
+            np.concatenate([ay, ay + np.sign((cy - s * ay) - s / 2)], axis=-1),
+        ),
+        # midpoints of the segments from the center to the top-left and
+        # bottom-right corners
+        "midpoints": lambda: cells(cx + np.concatenate([-w, w], axis=-1) / 4,
+                                   cy + np.concatenate([-h, h], axis=-1) / 4),
+        # a corner on a grid line belongs to the cell whose top-left point it is
+        "corners": lambda: cells(corners[..., [0, 2, 0, 2]], corners[..., [1, 1, 3, 3]]),
+    }
+    xs, ys = (np.concatenate(c, axis=-1)
+              for c in zip(*(groups[g]() for g in _GROUPS[mode.location_strategy])))
+    same = (xs[..., :, None] == xs[..., None, :]) & (ys[..., :, None] == ys[..., None, :])
+    keep = ~np.tril(same, -1).any(axis=-1)
+    keep &= (xs >= 0) & (xs < scale.image_w // s) & (ys >= 0) & (ys < scale.image_h // s)
+
+    object_id, scale_index, _ = np.nonzero(keep)
+    cell = np.stack([xs[keep], ys[keep]], axis=-1).astype(np.int64)
+    stride = s[scale_index]
+    target = encode_distances(corners[object_id, 0], cell, stride[:, 0])
+    at_center = (cell == np.concatenate([ax, ay], axis=-1)[object_id, scale_index]).all(axis=1)
+    bad = np.flatnonzero(at_center & (target <= 0).any(axis=1))
+    if bad.size:  # encode raises the CodecError naming the cell and distances
+        r = bad[0]
+        encode(objects[object_id[r]][0], tuple(cell[r].tolist()), scale, int(scale_index[r]))
+
+    quadrant = np.zeros(len(cell), dtype=np.int64)
+    if mode.predictions_per_cell == 4:
+        # 2x2 sub-quadrant of the record's cell nearest the object center
+        quadrant += (boxes[object_id, :2] >= stride * (cell + 0.5)) @ np.array([1, 2])
+    classes = np.array([c for _, c in objects], dtype=np.int64)
+    table = AssignmentTable(object_id, classes[object_id], scale_index, cell, target, quadrant)
     if mode.scale_thresholds is not None:
-        records = apply_scale_constraints(records, mode.scale_thresholds, scale)
-    return records
-
-
-def record_box_size(record: AssignmentRecord, scale: ScaleConfig) -> tuple[float, float]:
-    """Recover the object's pixel (w, h) from a record's sum identities."""
-    s = scale.strides[record.scale_index]
-    t = record.target
-    return s * (t.l + t.r - 1.0), s * (t.t + t.b - 1.0)
+        table = apply_scale_constraints(table, mode.scale_thresholds, scale)
+    return table
 
 
 def apply_scale_constraints(
-    records: Iterable[AssignmentRecord],
+    table: AssignmentTable,
     thresholds: Sequence[float],
     scale: ScaleConfig,
-) -> list[AssignmentRecord]:
+) -> AssignmentTable:
     """Drop records whose object size falls outside its scale's bracket.
 
     A record at scale i survives iff ``thresholds[i] <= max(w, h) <=
-    thresholds[i+1]`` in pixels: an object strictly smaller than the lower
-    bound in both dimensions, or strictly larger than the upper bound in
-    either, becomes a negative at that scale. Identity when thresholds
-    match the full range; idempotent and never adds records.
+    thresholds[i+1]`` in pixels, with (w, h) recovered from the target's
+    sum identities: an object strictly smaller than the lower bound in
+    both dimensions, or strictly larger than the upper bound in either,
+    becomes a negative at that scale. Identity when thresholds match the
+    full range; idempotent and never adds records.
     """
     m = AssignMode(scale_thresholds=tuple(thresholds)).scale_thresholds
     assert m is not None
@@ -236,19 +226,10 @@ def apply_scale_constraints(
             f"need {scale.num_scales + 1} thresholds for {scale.num_scales} "
             f"scales, got {len(m)}"
         )
-    kept = []
-    for rec in records:
-        w, h = record_box_size(rec, scale)
-        size = max(w, h)
-        if size < m[rec.scale_index] or size > m[rec.scale_index + 1]:
-            continue
-        kept.append(rec)
-    return kept
-
-
-def positives_per_object(records: Iterable[AssignmentRecord]) -> dict[int, int]:
-    """Histogram of positive-sample counts keyed by object id."""
-    return dict(Counter(rec.object_id for rec in records))
+    s = np.array(scale.strides)[table.scale_index, None]
+    size = np.max(s * (table.target[:, :2] + table.target[:, 2:] - 1.0), axis=1)
+    lo, hi = np.array(m)[table.scale_index[:, None] + [0, 1]].T
+    return table.select(~((size < lo) | (size > hi)))
 
 
 def center_collision_audit(

@@ -132,6 +132,9 @@ class EffectiveConfig:
 
 
 def _resolve(args: argparse.Namespace) -> EffectiveConfig:
+    if getattr(args, "scene", None) and args.image_size is not None:
+        raise ValueError("--image-size sizes synthetic scenes only; with --scene "
+                         "every image's size comes from the scene file")
     file_cfg = {}
     if getattr(args, "config", None):
         try:
@@ -195,22 +198,9 @@ def _cmd_encode(args) -> int:
     rows = []
     for scene in result.scenes:
         scale = cfg.scale(int(scene.image_w), int(scene.image_h))
-        records = assign(list(scene.objects), scale, mode)
-        for rec in records:
-            rows.append(
-                [
-                    scene.source_id,
-                    rec.object_id,
-                    rec.class_id,
-                    rec.scale_index,
-                    rec.cell[0],
-                    rec.cell[1],
-                    rec.target.l,
-                    rec.target.t,
-                    rec.target.r,
-                    rec.target.b,
-                ]
-            )
+        t = assign(list(scene.objects), scale, mode)
+        columns = (t.object_id, t.class_id, t.scale_index, *t.cell.T, *t.target.T)
+        rows += ([scene.source_id, *row] for row in zip(*(c.tolist() for c in columns)))
     echo = cfg.echo(command="encode", mode=mode.location_strategy, scene=str(args.scene))
     header = ["scene", "object", "class", "scale", "cell_x", "cell_y", "l", "t", "r", "b"]
     _write_atomic(args.output, _csv_text(echo, header, rows))

@@ -118,32 +118,34 @@ def center_cell(cx: float, cy: float, stride: int) -> tuple[int, int]:
     return int(math.floor(cx / stride)), int(math.floor(cy / stride))
 
 
-def encode(
-    box,
-    cell: tuple[int, int],
-    scale: ScaleConfig,
-    scale_index: int,
-    *,
-    require_positive: bool = True,
-) -> RegressionTarget:
+def encode_distances(corners, cells, strides) -> np.ndarray:
+    """Vectorized corner-distance formula: ``(..., 4)`` (l, t, r, b) rows.
+
+    ``corners`` holds (x1, y1, x2, y2) pixel rows, ``cells`` the (x, y)
+    cell each row is measured from, and ``strides`` that cell's stride.
+    Nothing is checked: a cell far from its box gives non-positive
+    distances, while the sum identities hold for any cell.
+    """
+    corners = np.asarray(corners, dtype=float)
+    cells = np.asarray(cells)
+    s = np.asarray(strides)[..., None]
+    return np.concatenate([(cells + 1) - corners[..., :2] / s, corners[..., 2:] / s - cells], axis=-1)
+
+
+def encode(box, cell: tuple[int, int], scale: ScaleConfig, scale_index: int) -> RegressionTarget:
     """Encode a center-form box into corner distances relative to ``cell``.
 
     ``cell`` is normally the cell containing the box center; augmented
     assignment may substitute a neighboring cell, in which case individual
     distances shift by whole cells but the sum identities still hold.
 
-    With ``require_positive`` (the default), a cell so far from the box
-    that some distance is non-positive raises :class:`CodecError`; the
-    assignment layer disables the check for deliberately shifted cells,
-    whose targets can be legitimately non-positive for sub-cell boxes.
+    A cell so far from the box that some distance is non-positive raises
+    :class:`CodecError`; :func:`encode_distances` evaluates the formula
+    unchecked.
     """
     s = scale.strides[scale_index]
-    ax, ay = cell
-    l = (ax + 1) - box.x1 / s
-    t = (ay + 1) - box.y1 / s
-    r = box.x2 / s - ax
-    b = box.y2 / s - ay
-    if require_positive and min(l, t, r, b) <= 0:
+    l, t, r, b = encode_distances((box.x1, box.y1, box.x2, box.y2), cell, s).tolist()
+    if min(l, t, r, b) <= 0:
         raise CodecError(
             f"cell {cell} is not a valid assignment for box at "
             f"({box.cx}, {box.cy}) stride {s}: distances "

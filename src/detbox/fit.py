@@ -192,59 +192,37 @@ def fit_scene(scene: Scene, cfg: FitConfig = FitConfig()) -> FitReport:
     reproduce the report bit for bit.
     """
     scale = cfg.scale.for_image(scene.image_w, scene.image_h)
-    records = assign(list(scene.objects), scale, cfg.mode)
+    table = assign(list(scene.objects), scale, cfg.mode)
     n_objects = len(scene.objects)
     n_scales = scale.num_scales
 
-    usable = []
-    excluded_records = 0
-    for rec in records:
-        gain = scale.gains[rec.scale_index]
-        t = rec.target.as_array()
-        if np.all(t > 0.0) and np.all(t < 4.0 * gain):
-            usable.append(rec)
-        else:
-            excluded_records += 1
-
-    covered = {rec.object_id for rec in usable}
-    excluded_objects = tuple(i for i in range(n_objects) if i not in covered)
-
+    limit = 4.0 * np.array(scale.gains)[table.scale_index, None]
+    usable = table.select(np.all((table.target > 0.0) & (table.target < limit), axis=1))
     n_rec = len(usable)
-    targets = np.zeros((n_rec, 4))
-    gains = np.zeros(n_rec)
-    strides = np.zeros(n_rec)
-    cells = np.zeros((n_rec, 2))
-    obj_idx = np.zeros(n_rec, dtype=int)
-    scale_idx = np.zeros(n_rec, dtype=int)
-    key_of = {}
-    key_idx = np.zeros(n_rec, dtype=int)
-    key_scale = []
-    key_class = []
-    for k, rec in enumerate(usable):
-        targets[k] = rec.target.as_array()
-        gains[k] = scale.gains[rec.scale_index]
-        strides[k] = scale.strides[rec.scale_index]
-        cells[k] = rec.cell
-        obj_idx[k] = rec.object_id
-        scale_idx[k] = rec.scale_index
-        key = (rec.scale_index, rec.cell, rec.quadrant)
-        if key not in key_of:
-            key_of[key] = len(key_of)
-            key_scale.append(rec.scale_index)
-            key_class.append(rec.class_id)
-        key_idx[k] = key_of[key]
+    excluded_records = len(table) - n_rec
+    obj_idx = usable.object_id
+    scale_idx = usable.scale_index
+    excluded_objects = tuple(np.setdiff1d(np.arange(n_objects), obj_idx).tolist())
 
-    n_keys = len(key_of)
+    gains = np.array(scale.gains)[scale_idx]
+    strides = np.array(scale.strides)[scale_idx]
+    cells = usable.cell
+    # one logit set per (scale, cell, quadrant), numbered by first occurrence
+    keys = np.column_stack([scale_idx, cells, usable.quadrant])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    key_idx = np.argsort(np.argsort(first))[inverse.reshape(-1)]
+    key_scale = scale_idx[np.sort(first)]
+    key_class = usable.class_id[np.sort(first)]
+
+    n_keys = len(first)
     logits = np.zeros((n_keys, 4))
-    key_scale = np.array(key_scale, dtype=int)
 
     if cfg.multitask:
         obj_logits = np.zeros(n_keys)
-        n_classes = max((rec.class_id for rec in usable), default=0) + 1
+        n_classes = (int(usable.class_id.max()) if n_rec else 0) + 1
         cls_logits = np.zeros((n_keys, n_classes))
         cls_labels = np.zeros((n_keys, n_classes))
-        for row in range(n_keys):
-            cls_labels[row, key_class[row]] = 1.0
+        cls_labels[np.arange(n_keys), key_class] = 1.0
 
     truth_boxes = np.array(
         [to_corner(box).as_array() for box, _ in scene.objects]
@@ -252,8 +230,6 @@ def fit_scene(scene: Scene, cfg: FitConfig = FitConfig()) -> FitReport:
 
     def best_iou_per_object(d: np.ndarray) -> np.ndarray:
         best = np.full(n_objects, np.nan)
-        if n_rec == 0:
-            return best
         ious = iou_xyxy(_record_boxes(d, cells, strides), truth_boxes[obj_idx])
         acc = np.full(n_objects, -1.0)
         np.maximum.at(acc, obj_idx, ious)
@@ -274,31 +250,25 @@ def fit_scene(scene: Scene, cfg: FitConfig = FitConfig()) -> FitReport:
             [cls_labels[m] for m in key_masks],
         ).total
 
-    def decode_records() -> np.ndarray:
-        if not n_rec:
-            return np.zeros((0, 4))
-        return decode_distances(logits[key_idx], gains[:, None])
-
     # Step k's post-update decode is step k+1's input, and the last pass
     # only scores the final logits.
-    d = decode_records()
+    d = decode_distances(logits[key_idx], gains[:, None])
     iou_rows = [best_iou_per_object(d)]
     loss_trace = []
     for step in range(cfg.steps + 1):
-        loss_r, grad_d = regression_loss_grad(d, targets, cfg.loss, cfg.rho)
+        loss_r, grad_d = regression_loss_grad(d, usable.target, cfg.loss, cfg.rho)
         loss_trace.append(objective(loss_r))
         if step == cfg.steps:
             break
 
-        if n_rec:
-            if cfg.multitask:
-                # box gradients carry the per-scale mean reduction
-                counts = np.bincount(scale_idx, minlength=n_scales).astype(float)
-                grad_d = grad_d / counts[scale_idx, None]
-            grad_p = grad_d * decode_jacobian(logits[key_idx], gains[:, None])
-            g = np.zeros_like(logits)
-            np.add.at(g, key_idx, grad_p)
-            logits -= cfg.learning_rate * g
+        if cfg.multitask:
+            # box gradients carry the per-scale mean reduction
+            counts = np.bincount(scale_idx, minlength=n_scales).astype(float)
+            grad_d = grad_d / counts[scale_idx, None]
+        grad_p = grad_d * decode_jacobian(logits[key_idx], gains[:, None])
+        g = np.zeros_like(logits)
+        np.add.at(g, key_idx, grad_p)
+        logits -= cfg.learning_rate * g
 
         if cfg.multitask and n_keys:
             kcounts = np.bincount(key_scale, minlength=n_scales).astype(float)
@@ -310,19 +280,18 @@ def fit_scene(scene: Scene, cfg: FitConfig = FitConfig()) -> FitReport:
                 / (kcounts[key_scale, None] * cls_labels.shape[1])
             )
 
-        d = decode_records()
+        d = decode_distances(logits[key_idx], gains[:, None])
         iou_rows.append(best_iou_per_object(d))
 
     iou_trace = np.array(iou_rows).reshape(cfg.steps + 1, n_objects)
     final_iou = iou_trace[-1].copy()
 
     per_object_scale = np.full((n_objects, n_scales), np.nan)
-    if n_rec:
-        ious = iou_xyxy(_record_boxes(d, cells, strides), truth_boxes[obj_idx])
-        flat = np.full(n_objects * n_scales, -1.0)
-        np.maximum.at(flat, obj_idx * n_scales + scale_idx, ious)
-        grid = flat.reshape(n_objects, n_scales)
-        per_object_scale[grid >= 0.0] = grid[grid >= 0.0]
+    ious = iou_xyxy(_record_boxes(d, cells, strides), truth_boxes[obj_idx])
+    flat = np.full(n_objects * n_scales, -1.0)
+    np.maximum.at(flat, obj_idx * n_scales + scale_idx, ious)
+    grid = flat.reshape(n_objects, n_scales)
+    per_object_scale[grid >= 0.0] = grid[grid >= 0.0]
 
     with np.errstate(invalid="ignore"):
         included = ~np.isnan(final_iou)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assign import AssignMode, assign, center_collision_audit, positives_per_object
+from .assign import AssignMode, assign, center_collision_audit
 from .codec import ScaleConfig
 from .geom import BoundingBox
 
@@ -183,7 +183,7 @@ def dataset_stats(
     collision totals with their (scene, cell, objects) details.
     """
     counts: list[int] = []
-    per_scale_records = {i: 0 for i in range(scale.num_scales)}
+    per_scale_records = np.zeros(scale.num_scales, dtype=np.int64)
     collisions = {i: 0 for i in range(scale.num_scales)}
     details = []
     n_objects = 0
@@ -192,12 +192,10 @@ def dataset_stats(
         n_objects += len(scene.objects)
         if not scene.objects:
             continue
-        records = assign(list(scene.objects), cfg, mode)
-        hist = positives_per_object(records)
+        table = assign(list(scene.objects), cfg, mode)
         # objects filtered out at every scale still count as zero positives
-        counts.extend(hist.get(i, 0) for i in range(len(scene.objects)))
-        for rec in records:
-            per_scale_records[rec.scale_index] += 1
+        counts.extend(np.bincount(table.object_id, minlength=len(scene.objects)).tolist())
+        per_scale_records += np.bincount(table.scale_index, minlength=scale.num_scales)
         audit = center_collision_audit(list(scene.objects), cfg)
         for scale_index, hits in audit.items():
             collisions[scale_index] += len(hits)
@@ -215,7 +213,7 @@ def dataset_stats(
         "median": float(np.median(counts)) if counts else 0.0,
         "max": int(max(counts)) if counts else 0,
         "total": int(sum(counts)),
-        "per_scale": {str(k): int(v) for k, v in per_scale_records.items()},
+        "per_scale": {str(k): int(v) for k, v in enumerate(per_scale_records)},
     }
     return {
         "n_scenes": len(scenes),

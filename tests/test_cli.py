@@ -30,6 +30,12 @@ def worked_scene(tmp_path):
     return path
 
 
+def assert_image_size_rejected(argv, capsys):
+    """--image-size sizes synthetic scenes only; scene files carry their own."""
+    assert main(argv + ["--image-size", "320"]) == 2
+    assert "comes from the scene file" in capsys.readouterr().err
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# config: ")
@@ -71,6 +77,9 @@ class TestEncode:
 
     def test_missing_file_exits_2(self):
         assert main(["encode", "--scene", "/nonexistent/x.json"]) == 2
+
+    def test_image_size_flag_rejected(self, capsys):
+        assert_image_size_rejected(["encode", "--scene", str(COCO_FIXTURE)], capsys)
 
 
 class TestGradcheck:
@@ -137,6 +146,11 @@ class TestFit:
         assert doc["reports"][0]["scene"] == "1"
         assert doc["reports"][0]["final_iou"][0] > 0.9
 
+    def test_image_size_flag_rejected_with_scene(self, worked_scene, capsys):
+        assert_image_size_rejected(
+            ["fit", "--scene", str(worked_scene), "--steps", "1"], capsys
+        )
+
 
 class TestCompareLosses:
     def test_table_has_one_row_per_kind(self, tmp_path):
@@ -151,6 +165,11 @@ class TestCompareLosses:
         assert main(["compare-losses", "--losses", "sdiou,l2"]) == 2
         err = capsys.readouterr().err
         assert "valid" in err and "giou" in err
+
+    def test_image_size_flag_rejected_with_scene(self, worked_scene, capsys):
+        assert_image_size_rejected(
+            ["compare-losses", "--scene", str(worked_scene), "--steps", "1"], capsys
+        )
 
 
 class TestAssignStats:
@@ -181,6 +200,9 @@ class TestAssignStats:
     def test_missing_path_exits_2(self):
         assert main(["assign-stats", "--scene", "/nonexistent.json"]) == 2
 
+    def test_image_size_flag_rejected(self, capsys):
+        assert_image_size_rejected(["assign-stats", "--scene", str(COCO_FIXTURE)], capsys)
+
 
 class TestAudit:
     def test_reports_engineered_collision(self, tmp_path):
@@ -189,6 +211,9 @@ class TestAudit:
         doc = json.loads(out.read_text())
         details = doc["collisions"]["details"]
         assert {"scene": "1", "scale": 2, "cell": [3, 3], "objects": [4, 5]} in details
+
+    def test_image_size_flag_rejected(self, capsys):
+        assert_image_size_rejected(["audit", "--scene", str(COCO_FIXTURE)], capsys)
 
 
 def _det_line(x1, y1, x2, y2, score, class_id, scale=0):
