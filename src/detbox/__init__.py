@@ -36,7 +36,6 @@ from .infer import (
 from .ingest import CocoFormatError, CocoLoadResult, Scene, dataset_stats, export_coco, load_coco
 from .losses import (
     DegenerateGeometryError,
-    LossConfig,
     MultitaskLoss,
     SdiouParts,
     bce_with_logits,
@@ -66,7 +65,6 @@ __all__ = [
     "FitConfig",
     "FitReport",
     "GeometryError",
-    "LossConfig",
     "MultitaskLoss",
     "PredictionGrid",
     "RegressionTarget",

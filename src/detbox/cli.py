@@ -5,9 +5,16 @@ printed with nine significant digits, writes are atomic (temp file plus
 rename), and every file carries the effective configuration in its header
 (a ``# config:`` comment line for CSV/JSONL, a ``"config"`` key for JSON).
 
-Configuration precedence is flags, then an optional ``--config`` JSON
-file, then built-in defaults. Exit codes: 0 on success, 1 when a check
-ran and failed, 2 for usage or input errors.
+Each setting of :class:`EffectiveConfig` comes from its flag, else from the
+same key in an optional ``--config`` JSON object, else from the library's
+default. ``strides`` and ``gains`` take a comma string or a list,
+``image_size`` takes ``"WxH"``, ``"N"`` or ``[w, h]``.
+
+``image_size`` sizes synthetic scenes only. With ``--scene`` every image's
+size comes from the scene file, so an ``image_size`` from the flag or the
+config file is an error, and each scene's pyramid is the configured strides
+and gains sized by :meth:`ScaleConfig.for_image`. Exit codes: 0 on success,
+1 when a check ran and failed, 2 for usage or input errors.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .assign import LOCATION_STRATEGIES, AssignMode, AssignmentError, assign
@@ -26,19 +33,18 @@ from .codec import CodecError, ScaleConfig
 from .fit import FitConfig, SceneSpec, check_size_bounds, compare_losses, fit_scene, generate_scene
 from .geom import GeometryError
 from .gradcheck import run_gradcheck
-from .infer import detections_from_jsonl, detections_to_jsonl, nms
+from .infer import (
+    DEFAULT_CONF_THRESHOLD,
+    DEFAULT_NMS_THRESHOLD,
+    detections_from_jsonl,
+    detections_to_jsonl,
+    nms,
+)
 from .ingest import CocoFormatError, dataset_stats, load_coco
 from .losses import LOSS_KINDS
 
-_BUILTINS = {
-    "strides": (8, 16, 32),
-    "gains": (2.0, 4.0, 16.0),
-    "image_size": (640, 640),
-    "rho": 1.0,
-    "conf_threshold": 0.001,
-    "nms_threshold": 0.6,
-    "seed": 0,
-}
+_SCALE = ScaleConfig()
+_FIT = FitConfig()
 
 
 def _fmt(x) -> str:
@@ -78,92 +84,80 @@ def _write_atomic(path: str | None, text: str) -> None:
         raise
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in str(text).replace(" ", "").split(","))
+def _parse_list(kind):
+    """Parser for a comma string or a list of ``kind`` values."""
+
+    def parse(value) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            value = str(value).replace(" ", "").split(",")
+        return tuple(kind(v) for v in value)
+
+    return parse
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in str(text).replace(" ", "").split(","))
-
-
-def _parse_image_size(text: str) -> tuple[int, int]:
-    if isinstance(text, (list, tuple)):
-        w, h = text
+def _parse_image_size(value) -> tuple[int, int]:
+    if isinstance(value, (list, tuple)):
+        w, h = value
         return int(w), int(h)
-    parts = str(text).lower().split("x")
+    parts = str(value).lower().split("x")
     if len(parts) == 1:
         return int(parts[0]), int(parts[0])
     w, h = parts
     return int(w), int(h)
 
 
+def _setting(default, parse):
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass(frozen=True)
 class EffectiveConfig:
-    strides: tuple[int, ...]
-    gains: tuple[float, ...]
-    image_w: int
-    image_h: int
-    rho: float
-    conf_threshold: float
-    nms_threshold: float
-    seed: int
+    """The settings every subcommand resolves, defaulting to the library's."""
 
-    def scale(self, image_w: int | None = None, image_h: int | None = None) -> ScaleConfig:
-        return ScaleConfig(
-            strides=self.strides,
-            gains=self.gains,
-            image_w=image_w if image_w is not None else self.image_w,
-            image_h=image_h if image_h is not None else self.image_h,
-        )
+    strides: tuple[int, ...] = _setting(_SCALE.strides, _parse_list(int))
+    gains: tuple[float, ...] = _setting(_SCALE.gains, _parse_list(float))
+    image_size: tuple[int, int] = _setting((_SCALE.image_w, _SCALE.image_h), _parse_image_size)
+    rho: float = _setting(_FIT.rho, float)
+    conf_threshold: float = _setting(DEFAULT_CONF_THRESHOLD, float)
+    nms_threshold: float = _setting(DEFAULT_NMS_THRESHOLD, float)
+    seed: int = _setting(0, int)
+
+    def scale(self) -> ScaleConfig:
+        """The strides and gains on a square that every stride divides.
+
+        Every image, synthetic or from a scene file, is sized from it by
+        :meth:`ScaleConfig.for_image`.
+        """
+        side = math.lcm(*self.strides)
+        return ScaleConfig(self.strides, self.gains, side, side)
 
     def echo(self, **extra) -> dict:
-        base = {
-            "strides": list(self.strides),
-            "gains": list(self.gains),
-            "image_w": self.image_w,
-            "image_h": self.image_h,
-            "rho": self.rho,
-            "conf_threshold": self.conf_threshold,
-            "nms_threshold": self.nms_threshold,
-            "seed": self.seed,
-        }
-        base.update(extra)
-        return _json_ready(base)
+        base = asdict(self)
+        base["image_w"], base["image_h"] = base.pop("image_size")
+        return _json_ready({**base, **extra})
 
 
 def _resolve(args: argparse.Namespace) -> EffectiveConfig:
-    if getattr(args, "scene", None) and args.image_size is not None:
-        raise ValueError("--image-size sizes synthetic scenes only; with --scene "
-                         "every image's size comes from the scene file")
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as f:
                 file_cfg = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"config file {args.config}: {exc}") from exc
-
-    def pick(name, parse, builtin):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return parse(flag)
-        if name in file_cfg:
-            return parse(file_cfg[name])
-        return builtin
-
-    strides = pick("strides", lambda v: _parse_int_list(v) if isinstance(v, str) else tuple(int(x) for x in v), _BUILTINS["strides"])
-    gains = pick("gains", lambda v: _parse_float_list(v) if isinstance(v, str) else tuple(float(x) for x in v), _BUILTINS["gains"])
-    image_w, image_h = pick("image_size", _parse_image_size, _BUILTINS["image_size"])
-    return EffectiveConfig(
-        strides=strides,
-        gains=gains,
-        image_w=image_w,
-        image_h=image_h,
-        rho=pick("rho", float, _BUILTINS["rho"]),
-        conf_threshold=pick("conf_threshold", float, _BUILTINS["conf_threshold"]),
-        nms_threshold=pick("nms_threshold", float, _BUILTINS["nms_threshold"]),
-        seed=pick("seed", int, _BUILTINS["seed"]),
-    )
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {args.config}: expected a JSON object")
+    values = {}
+    for setting in fields(EffectiveConfig):
+        value = getattr(args, setting.name)
+        if value is None:
+            value = file_cfg.get(setting.name)
+        if value is not None:
+            values[setting.name] = setting.metadata["parse"](value)
+    if getattr(args, "scene", None) and "image_size" in values:
+        raise ValueError("--image-size and the config file's image_size size synthetic scenes "
+                         "only; with --scene every image's size comes from the scene file")
+    return EffectiveConfig(**values)
 
 
 def _csv_text(echo: dict, header: list[str], rows: list[list]) -> str:
@@ -182,10 +176,10 @@ def _json_text(echo: dict, payload: dict) -> str:
 
 def _mode_from_args(args) -> AssignMode:
     thresholds = None
-    if getattr(args, "thresholds", None):
-        thresholds = _parse_float_list(args.thresholds)
+    if args.thresholds:
+        thresholds = _parse_list(float)(args.thresholds)
     return AssignMode(
-        location_strategy=getattr(args, "mode", None) or "aug_center",
+        location_strategy=args.mode or "aug_center",
         scale_thresholds=thresholds,
         predictions_per_cell=getattr(args, "predictions", None) or 1,
     )
@@ -195,10 +189,10 @@ def _cmd_encode(args) -> int:
     cfg = _resolve(args)
     mode = _mode_from_args(args)
     result = load_coco(args.scene)
+    scale = cfg.scale()
     rows = []
     for scene in result.scenes:
-        scale = cfg.scale(int(scene.image_w), int(scene.image_h))
-        t = assign(list(scene.objects), scale, mode)
+        t = assign(list(scene.objects), scale.for_image(scene.image_w, scene.image_h), mode)
         columns = (t.object_id, t.class_id, t.scale_index, *t.cell.T, *t.target.T)
         rows += ([scene.source_id, *row] for row in zip(*(c.tolist() for c in columns)))
     echo = cfg.echo(command="encode", mode=mode.location_strategy, scene=str(args.scene))
@@ -209,21 +203,16 @@ def _cmd_encode(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     cfg = _resolve(args)
-    if args.samples <= 0:
-        raise ValueError(f"--samples must be > 0, got {args.samples}")
-    kind = args.loss or "sdiou"
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss {kind!r}; valid: {', '.join(LOSS_KINDS)}")
     result = run_gradcheck(
-        kind=kind,
+        kind=args.loss,
         samples=args.samples,
         seed=cfg.seed,
-        scale=cfg.scale(),
+        scale=cfg.scale().for_image(*cfg.image_size),
         rho=cfg.rho,
         tolerance=args.tolerance,
         h=args.fd_step,
     )
-    echo = cfg.echo(command="gradcheck", loss=kind, samples=args.samples,
+    echo = cfg.echo(command="gradcheck", loss=args.loss, samples=args.samples,
                     tolerance=args.tolerance, fd_step=args.fd_step)
     payload = {
         "samples": result.n_samples,
@@ -238,37 +227,33 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _scenes_from_args(args, cfg: EffectiveConfig, n_scenes: int):
-    if getattr(args, "scene", None):
+    if args.scene:
         return load_coco(args.scene).scenes
+    image_w, image_h = cfg.image_size
     spec = SceneSpec(
-        image_w=cfg.image_w,
-        image_h=cfg.image_h,
+        image_w=image_w,
+        image_h=image_h,
         n_objects=args.objects,
         size_min=args.size_min,
         size_max=args.size_max,
     )
-    check_size_bounds(spec, cfg.scale())
+    # sized here so that a size no stride divides is reported before any scene is fit
+    check_size_bounds(spec, cfg.scale().for_image(image_w, image_h))
     return [generate_scene(spec, cfg.seed + i) for i in range(n_scenes)]
+
+
+def _fit_config(args, cfg: EffectiveConfig, **extra) -> FitConfig:
+    return FitConfig(steps=args.steps, learning_rate=args.lr, rho=cfg.rho,
+                     mode=_mode_from_args(args), scale=cfg.scale(), **extra)
 
 
 def _cmd_fit(args) -> int:
     cfg = _resolve(args)
-    kind = args.loss or "sdiou"
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss {kind!r}; valid: {', '.join(LOSS_KINDS)}")
     scenes = _scenes_from_args(args, cfg, n_scenes=1)
-    fit_cfg = FitConfig(
-        steps=args.steps,
-        learning_rate=args.lr,
-        loss=kind,
-        rho=cfg.rho,
-        mode=_mode_from_args(args),
-        scale=cfg.scale(),
-        multitask=args.multitask,
-    )
+    fit_cfg = _fit_config(args, cfg, loss=args.loss, multitask=args.multitask)
     reports = [fit_scene(scene, fit_cfg) for scene in scenes]
     echo = cfg.echo(
-        command="fit", loss=kind, steps=args.steps, learning_rate=args.lr,
+        command="fit", loss=args.loss, steps=args.steps, learning_rate=args.lr,
         multitask=args.multitask,
     )
     payload = {
@@ -284,35 +269,18 @@ def _cmd_fit(args) -> int:
         for scene, report in zip(scenes, reports):
             for step in range(report.steps + 1):
                 ious = [v for v in report.iou_trace[step] if not math.isnan(v)]
-                rows.append(
-                    [
-                        scene.source_id,
-                        step,
-                        float(report.loss_trace[step]),
-                        float(sum(ious) / len(ious)) if ious else float("nan"),
-                        float(min(ious)) if ious else float("nan"),
-                        float(max(ious)) if ious else float("nan"),
-                    ]
-                )
+                stats = (sum(ious) / len(ious), min(ious), max(ious)) if ious else [math.nan] * 3
+                rows.append([scene.source_id, step, float(report.loss_trace[step]),
+                             *(float(v) for v in stats)])
         _write_atomic(args.trace, _csv_text(echo, header, rows))
     return 0
 
 
 def _cmd_compare_losses(args) -> int:
     cfg = _resolve(args)
-    kinds = tuple(str(args.losses).replace(" ", "").split(","))
-    for kind in kinds:
-        if kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss {kind!r}; valid: {', '.join(LOSS_KINDS)}")
+    kinds = _parse_list(str)(args.losses)
     scenes = _scenes_from_args(args, cfg, n_scenes=args.scenes)
-    fit_cfg = FitConfig(
-        steps=args.steps,
-        learning_rate=args.lr,
-        rho=cfg.rho,
-        mode=_mode_from_args(args),
-        scale=cfg.scale(),
-    )
-    rows = compare_losses(scenes, fit_cfg, kinds)
+    rows = compare_losses(scenes, _fit_config(args, cfg), kinds)
     echo = cfg.echo(
         command="compare-losses", losses=list(kinds), steps=args.steps,
         learning_rate=args.lr, scenes=len(scenes),
@@ -339,12 +307,7 @@ def _cmd_assign_stats(args) -> int:
     )
     payload = dict(
         stats,
-        skipped={
-            "nonpositive_size": result.skipped.nonpositive_size,
-            "center_outside": result.skipped.center_outside,
-            "iscrowd": result.skipped.iscrowd,
-            "total": result.skipped.total,
-        },
+        skipped=dict(asdict(result.skipped), total=result.skipped.total),
         n_annotations=result.n_annotations,
     )
     _write_atomic(args.output, _json_text(echo, payload))
@@ -379,15 +342,35 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--strides", help="comma-separated strides (default 8,16,32)")
     common.add_argument("--gains", help="comma-separated per-scale gains (default 2,4,16)")
-    common.add_argument("--image-size", dest="image_size", help="WxH (default 640x640)")
+    common.add_argument("--image-size", dest="image_size",
+                        help="WxH of synthetic scenes (default 640x640)")
     common.add_argument("--rho", type=float, help="overlap/penalty trade-off (default 1)")
     common.add_argument("--conf-threshold", dest="conf_threshold", type=float,
                         help="confidence filter (default 0.001)")
     common.add_argument("--nms-threshold", dest="nms_threshold", type=float,
                         help="suppression IoU threshold (default 0.6)")
     common.add_argument("--seed", type=int, help="random seed (default 0)")
-    common.add_argument("--config", help="JSON file with flag defaults")
+    common.add_argument("--config", help="JSON object of settings keyed like the flags "
+                                         "(image_size, conf_threshold, ...)")
     common.add_argument("--output", help="output file (default stdout)")
+
+    modes = argparse.ArgumentParser(add_help=False)
+    modes.add_argument("--mode", choices=LOCATION_STRATEGIES)
+    modes.add_argument("--thresholds", help="scale size gates, e.g. 0,32,64,inf")
+
+    # encode and assign-stats
+    assigning = argparse.ArgumentParser(add_help=False)
+    assigning.add_argument("--scene", required=True, help="COCO-format annotation file")
+    assigning.add_argument("--predictions", type=int, choices=(1, 4))
+
+    # fit and compare-losses
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--scene", help="COCO-format scene file (default: synthetic)")
+    fitting.add_argument("--objects", type=int, default=1)
+    fitting.add_argument("--size-min", dest="size_min", type=float, default=SceneSpec().size_min)
+    fitting.add_argument("--size-max", dest="size_max", type=float, default=SceneSpec().size_max)
+    fitting.add_argument("--steps", type=int, default=_FIT.steps)
+    fitting.add_argument("--lr", type=float, default=_FIT.learning_rate)
 
     parser = argparse.ArgumentParser(
         prog="detbox",
@@ -396,59 +379,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", parents=[common],
+    p = sub.add_parser("encode", parents=[common, modes, assigning],
                        help="print per-object, per-scale regression targets")
-    p.add_argument("--scene", required=True, help="COCO-format annotation file")
-    p.add_argument("--mode", choices=LOCATION_STRATEGIES)
-    p.add_argument("--thresholds", help="scale size gates, e.g. 0,32,64,inf")
-    p.add_argument("--predictions", type=int, choices=(1, 4))
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("gradcheck", parents=[common],
                        help="verify analytic gradients against finite differences")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--loss", choices=LOSS_KINDS)
+    p.add_argument("--loss", choices=LOSS_KINDS, default="sdiou")
     p.add_argument("--tolerance", type=float, default=1e-5)
     p.add_argument("--fd-step", dest="fd_step", type=float, default=1e-6,
                    help="central-difference step (overlap-family baselines "
                         "need ~1e-4 near their flat regions)")
     p.set_defaults(func=_cmd_gradcheck)
 
-    p = sub.add_parser("fit", parents=[common],
+    p = sub.add_parser("fit", parents=[common, modes, fitting],
                        help="gradient-descent fit of one scene's positive cells")
-    p.add_argument("--scene", help="COCO-format scene file (default: synthetic)")
-    p.add_argument("--objects", type=int, default=1)
-    p.add_argument("--size-min", dest="size_min", type=float, default=SceneSpec().size_min)
-    p.add_argument("--size-max", dest="size_max", type=float, default=SceneSpec().size_max)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--loss", choices=LOSS_KINDS)
-    p.add_argument("--mode", choices=LOCATION_STRATEGIES)
-    p.add_argument("--thresholds")
+    p.add_argument("--loss", choices=LOSS_KINDS, default=_FIT.loss)
     p.add_argument("--multitask", action="store_true")
     p.add_argument("--trace", help="also write the per-step loss trace CSV here")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("compare-losses", parents=[common],
+    p = sub.add_parser("compare-losses", parents=[common, modes, fitting],
                        help="convergence table across loss kinds")
-    p.add_argument("--scene", help="COCO-format scene file (default: synthetic)")
     p.add_argument("--scenes", type=int, default=10, help="synthetic scene count")
-    p.add_argument("--objects", type=int, default=1)
-    p.add_argument("--size-min", dest="size_min", type=float, default=SceneSpec().size_min)
-    p.add_argument("--size-max", dest="size_max", type=float, default=SceneSpec().size_max)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--losses", default="sdiou,mse,giou,ciou")
-    p.add_argument("--mode", choices=LOCATION_STRATEGIES)
-    p.add_argument("--thresholds")
     p.set_defaults(func=_cmd_compare_losses)
 
-    p = sub.add_parser("assign-stats", parents=[common],
+    p = sub.add_parser("assign-stats", parents=[common, modes, assigning],
                        help="positives-per-object and collision statistics")
-    p.add_argument("--scene", required=True, help="COCO-format annotation file")
-    p.add_argument("--mode", choices=LOCATION_STRATEGIES)
-    p.add_argument("--thresholds")
-    p.add_argument("--predictions", type=int, choices=(1, 4))
     p.set_defaults(func=_cmd_assign_stats)
 
     p = sub.add_parser("audit", parents=[common],

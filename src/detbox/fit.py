@@ -127,7 +127,6 @@ class FitReport:
     learning_rate: float
     loss_trace: np.ndarray            # (steps + 1,), index 0 = initialization
     iou_trace: np.ndarray             # (steps + 1, n_objects), best record per object
-    per_object_scale_iou: np.ndarray  # (n_objects, n_scales), NaN where no record
     final_iou: np.ndarray             # (n_objects,), best over scales, NaN if excluded
     steps_to_iou90: tuple
     steps_to_iou99: tuple
@@ -286,13 +285,6 @@ def fit_scene(scene: Scene, cfg: FitConfig = FitConfig()) -> FitReport:
     iou_trace = np.array(iou_rows).reshape(cfg.steps + 1, n_objects)
     final_iou = iou_trace[-1].copy()
 
-    per_object_scale = np.full((n_objects, n_scales), np.nan)
-    ious = iou_xyxy(_record_boxes(d, cells, strides), truth_boxes[obj_idx])
-    flat = np.full(n_objects * n_scales, -1.0)
-    np.maximum.at(flat, obj_idx * n_scales + scale_idx, ious)
-    grid = flat.reshape(n_objects, n_scales)
-    per_object_scale[grid >= 0.0] = grid[grid >= 0.0]
-
     with np.errstate(invalid="ignore"):
         included = ~np.isnan(final_iou)
         success = float(np.mean(final_iou[included] > 0.99)) if included.any() else 0.0
@@ -303,7 +295,6 @@ def fit_scene(scene: Scene, cfg: FitConfig = FitConfig()) -> FitReport:
         learning_rate=cfg.learning_rate,
         loss_trace=np.array(loss_trace),
         iou_trace=iou_trace,
-        per_object_scale_iou=per_object_scale,
         final_iou=final_iou,
         steps_to_iou90=tuple(_steps_to(iou_trace[:, i], 0.90) for i in range(n_objects)),
         steps_to_iou99=tuple(_steps_to(iou_trace[:, i], 0.99) for i in range(n_objects)),

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import ScaleConfig, decode_distances, encode, encode_logit_array
-from .geom import BoundingBox
+from .codec import ScaleConfig, decode_distances, encode_distances, encode_logit_array
 from .losses import logit_loss_grad, regression_loss_grad
 
 
@@ -64,9 +63,8 @@ def sample_pair(
         h = rng.uniform(0.2 * stride, min(6.0 * stride, 3.0 * gain * stride))
         cx = rng.uniform(w / 2 + 1, scale.image_w - w / 2 - 1)
         cy = rng.uniform(h / 2 + 1, scale.image_h - h / 2 - 1)
-        box = BoundingBox(cx, cy, w, h)
-        cell = (int(cx // stride), int(cy // stride))
-        truth = encode(box, cell, scale, scale_index).as_array()
+        corners = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+        truth = encode_distances(corners, (int(cx // stride), int(cy // stride)), stride)
         if np.any(truth >= 4.0 * gain):
             continue
         pred = decode_distances(rng.uniform(-2.5, 2.5, size=4), gain)

@@ -49,25 +49,6 @@ class DegenerateGeometryError(ValueError):
 
 
 @dataclass(frozen=True)
-class LossConfig:
-    """Loss weighting.
-
-    ``rho`` trades the overlap reward against the distance penalty in the
-    primary score (1 keeps them balanced). The three weights scale the
-    classification, objectness, and box terms of the composite loss.
-    """
-
-    rho: float = 1.0
-    w_cls: float = 1.0
-    w_obj: float = 1.0
-    w_box: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.rho < 0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
-
-
-@dataclass(frozen=True)
 class SdiouParts:
     """All intermediate quantities of the distance-space score."""
 
@@ -89,6 +70,8 @@ def _dist_array(x) -> np.ndarray:
 
 
 def _sdiou_core(pred: np.ndarray, truth: np.ndarray, rho: float):
+    if rho < 0:
+        raise ValueError(f"rho must be >= 0, got {rho}")
     diff = truth - pred
     s = np.sum(diff * diff, axis=-1)
     mn = np.minimum(truth, pred)
@@ -115,11 +98,11 @@ def sdiou_loss(pred, truth, rho: float = 1.0) -> np.ndarray:
     return 1.0 - score
 
 
-def sdiou(pred, truth, cfg: LossConfig = LossConfig()) -> SdiouParts:
+def sdiou(pred, truth, rho: float = 1.0) -> SdiouParts:
     """Score one prediction against one truth, exposing every term."""
     p = _dist_array(pred).reshape(4)
     t = _dist_array(truth).reshape(4)
-    s, _, _, wi, hi, wc, hc, i, c, score = _sdiou_core(p, t, cfg.rho)
+    s, _, _, wi, hi, wc, hc, i, c, score = _sdiou_core(p, t, rho)
     return SdiouParts(
         penalty=float(s),
         inter_w=float(wi),
@@ -410,7 +393,6 @@ def multitask_loss(
     obj_labels: Sequence[np.ndarray],
     cls_logits: Sequence[np.ndarray],
     cls_labels: Sequence[np.ndarray],
-    cfg: LossConfig = LossConfig(),
 ) -> MultitaskLoss:
     """Per-scale sum of box, objectness, and classification terms.
 
@@ -426,9 +408,9 @@ def multitask_loss(
         obj = bce_with_logits(obj_logits[s], obj_labels[s])
         cls = bce_with_logits(cls_logits[s], cls_labels[s])
         term = (
-            cfg.w_box * float(box_losses[s])
-            + cfg.w_obj * (float(np.mean(obj)) if obj.size else 0.0)
-            + cfg.w_cls * (float(np.mean(cls)) if cls.size else 0.0)
+            float(box_losses[s])
+            + (float(np.mean(obj)) if obj.size else 0.0)
+            + (float(np.mean(cls)) if cls.size else 0.0)
         )
         per_scale.append(term)
     return MultitaskLoss(per_scale=tuple(per_scale), total=float(sum(per_scale)))

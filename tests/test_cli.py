@@ -1,14 +1,18 @@
 """Subcommand behavior: worked values, exit codes, config echo, determinism."""
 
+import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import detbox
 from detbox import BoundingBox, PredictionGrid, ScaleConfig, decode_grid
-from detbox.cli import main
+from detbox.cli import build_parser, main
 from detbox.infer import detections_from_jsonl, detections_to_jsonl
 
 from conftest import COCO_FIXTURE
@@ -30,10 +34,14 @@ def worked_scene(tmp_path):
     return path
 
 
-def assert_image_size_rejected(argv, capsys):
-    """--image-size sizes synthetic scenes only; scene files carry their own."""
-    assert main(argv + ["--image-size", "320"]) == 2
-    assert "comes from the scene file" in capsys.readouterr().err
+def assert_image_size_rejected(argv, capsys, tmp_path):
+    """image_size sizes synthetic scenes only, whether it comes from the flag
+    or the config file; scene files carry their own."""
+    cfg = tmp_path / "size.json"
+    cfg.write_text(json.dumps({"image_size": "641x641"}))
+    for extra in (["--image-size", "320"], ["--config", str(cfg)]):
+        assert main(argv + extra) == 2
+        assert "comes from the scene file" in capsys.readouterr().err
 
 
 def read_csv(path):
@@ -78,8 +86,8 @@ class TestEncode:
     def test_missing_file_exits_2(self):
         assert main(["encode", "--scene", "/nonexistent/x.json"]) == 2
 
-    def test_image_size_flag_rejected(self, capsys):
-        assert_image_size_rejected(["encode", "--scene", str(COCO_FIXTURE)], capsys)
+    def test_image_size_flag_rejected(self, capsys, tmp_path):
+        assert_image_size_rejected(["encode", "--scene", str(COCO_FIXTURE)], capsys, tmp_path)
 
 
 class TestGradcheck:
@@ -102,6 +110,10 @@ class TestGradcheck:
         main(["gradcheck", "--samples", "50", "--seed", "5", "--output", str(a)])
         main(["gradcheck", "--samples", "50", "--seed", "5", "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_rho_exits_2(self, capsys):
+        assert main(["gradcheck", "--rho", "-1", "--samples", "20"]) == 2
+        assert "rho must be >= 0" in capsys.readouterr().err
 
     def test_impossible_tolerance_fails_with_1(self, tmp_path):
         code = main(["gradcheck", "--samples", "20", "--tolerance", "1e-18",
@@ -127,6 +139,10 @@ class TestFit:
     def test_unknown_loss_lists_valid_set(self, capsys):
         assert main(["fit", "--loss", "hinge"]) == 2
 
+    def test_negative_rho_exits_2(self, capsys):
+        assert main(["fit", "--rho", "-1", "--steps", "3"]) == 2
+        assert "rho must be >= 0" in capsys.readouterr().err
+
     def test_scale_flags_reach_the_harness(self, tmp_path):
         # a single-stride pyramid leaves at most 3 positive cells per object
         out = tmp_path / "fit.json"
@@ -146,9 +162,9 @@ class TestFit:
         assert doc["reports"][0]["scene"] == "1"
         assert doc["reports"][0]["final_iou"][0] > 0.9
 
-    def test_image_size_flag_rejected_with_scene(self, worked_scene, capsys):
+    def test_image_size_flag_rejected_with_scene(self, worked_scene, capsys, tmp_path):
         assert_image_size_rejected(
-            ["fit", "--scene", str(worked_scene), "--steps", "1"], capsys
+            ["fit", "--scene", str(worked_scene), "--steps", "1"], capsys, tmp_path
         )
 
 
@@ -166,9 +182,9 @@ class TestCompareLosses:
         err = capsys.readouterr().err
         assert "valid" in err and "giou" in err
 
-    def test_image_size_flag_rejected_with_scene(self, worked_scene, capsys):
+    def test_image_size_flag_rejected_with_scene(self, worked_scene, capsys, tmp_path):
         assert_image_size_rejected(
-            ["compare-losses", "--scene", str(worked_scene), "--steps", "1"], capsys
+            ["compare-losses", "--scene", str(worked_scene), "--steps", "1"], capsys, tmp_path
         )
 
 
@@ -200,8 +216,9 @@ class TestAssignStats:
     def test_missing_path_exits_2(self):
         assert main(["assign-stats", "--scene", "/nonexistent.json"]) == 2
 
-    def test_image_size_flag_rejected(self, capsys):
-        assert_image_size_rejected(["assign-stats", "--scene", str(COCO_FIXTURE)], capsys)
+    def test_image_size_flag_rejected(self, capsys, tmp_path):
+        assert_image_size_rejected(["assign-stats", "--scene", str(COCO_FIXTURE)], capsys,
+                                   tmp_path)
 
 
 class TestAudit:
@@ -212,8 +229,25 @@ class TestAudit:
         details = doc["collisions"]["details"]
         assert {"scene": "1", "scale": 2, "cell": [3, 3], "objects": [4, 5]} in details
 
-    def test_image_size_flag_rejected(self, capsys):
-        assert_image_size_rejected(["audit", "--scene", str(COCO_FIXTURE)], capsys)
+    def test_image_size_flag_rejected(self, capsys, tmp_path):
+        assert_image_size_rejected(["audit", "--scene", str(COCO_FIXTURE)], capsys, tmp_path)
+
+
+def test_scene_files_size_their_own_pyramids(tmp_path):
+    """Strides that divide every scene's size but not the synthetic 640x640."""
+    doc = {
+        "images": [{"id": 1, "width": 480, "height": 480}],
+        "annotations": [
+            {"id": 1, "image_id": 1, "category_id": 1, "bbox": [200, 210, 90, 70]}
+        ],
+        "categories": [{"id": 1}],
+    }
+    scene = tmp_path / "scene480.json"
+    scene.write_text(json.dumps(doc))
+    flags = ["--scene", str(scene), "--strides", "8,16,48", "--gains", "2,4,16",
+             "--output", str(tmp_path / "out")]
+    for command in (["encode"], ["assign-stats"], ["audit"], ["fit", "--steps", "2"]):
+        assert main(command + flags) == 0, command
 
 
 def _det_line(x1, y1, x2, y2, score, class_id, scale=0):
@@ -308,12 +342,75 @@ class TestConfigPrecedence:
         header2 = json.loads(out2.read_text().splitlines()[0][len("# config: "):])
         assert header2["nms_threshold"] == 0.7
 
+    @pytest.mark.parametrize("forms", [
+        {"strides": "8,16", "gains": [2, 4], "image_size": "320x256"},
+        {"strides": [8, 16], "gains": "2, 4", "image_size": [320, 256]},
+    ])
+    def test_every_key_reaches_the_fit_header(self, tmp_path, forms):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(forms, rho=0.5, conf_threshold=0.01,
+                                       nms_threshold=0.5, seed=7)))
+        out = tmp_path / "fit.json"
+
+        def header(*flags):
+            assert main(["fit", "--config", str(cfg), "--steps", "2", *flags,
+                         "--output", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            return doc["reports"][0]["scene"], {k: doc["config"][k] for k in (
+                "strides", "gains", "image_w", "image_h", "rho", "conf_threshold",
+                "nms_threshold", "seed")}
+
+        assert header() == ("synthetic-7", {
+            "strides": [8, 16], "gains": [2.0, 4.0], "image_w": 320, "image_h": 256,
+            "rho": 0.5, "conf_threshold": 0.01, "nms_threshold": 0.5, "seed": 7,
+        })
+        assert header("--strides", "8", "--gains", "2", "--image-size", "160", "--rho", "2",
+                      "--conf-threshold", "0.2", "--nms-threshold", "0.3", "--seed", "11") == (
+            "synthetic-11", {
+                "strides": [8], "gains": [2.0], "image_w": 160, "image_h": 160,
+                "rho": 2.0, "conf_threshold": 0.2, "nms_threshold": 0.3, "seed": 11,
+            })
+
+
+_COMMON_FLAGS = {"-h", "--help", "--strides", "--gains", "--image-size", "--rho",
+                 "--conf-threshold", "--nms-threshold", "--seed", "--config", "--output"}
+_CLI_SURFACE = {
+    "encode": _COMMON_FLAGS | {"--scene", "--mode", "--thresholds", "--predictions"},
+    "gradcheck": _COMMON_FLAGS | {"--samples", "--loss", "--tolerance", "--fd-step"},
+    "fit": _COMMON_FLAGS | {"--scene", "--objects", "--size-min", "--size-max", "--steps",
+                            "--lr", "--loss", "--mode", "--thresholds", "--multitask",
+                            "--trace"},
+    "compare-losses": _COMMON_FLAGS | {"--scene", "--scenes", "--objects", "--size-min",
+                                       "--size-max", "--steps", "--lr", "--losses", "--mode",
+                                       "--thresholds"},
+    "assign-stats": _COMMON_FLAGS | {"--scene", "--mode", "--thresholds", "--predictions"},
+    "audit": _COMMON_FLAGS | {"--scene"},
+    "nms": _COMMON_FLAGS | {"--detections"},
+}
+_REQUIRED = {"encode": {"--scene"}, "assign-stats": {"--scene"}, "audit": {"--scene"},
+             "nms": {"--detections"}}
+
+
+def test_cli_surface_is_pinned():
+    """Every subcommand accepts exactly these options, and requires these."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in p._actions for o in a.option_strings}
+               for name, p in sub.choices.items()}
+    required = {name: {o for a in p._actions if a.required for o in a.option_strings}
+                for name, p in sub.choices.items()}
+    assert options == _CLI_SURFACE
+    assert required == {name: _REQUIRED.get(name, set()) for name in _CLI_SURFACE}
+
 
 def test_module_entry_point(tmp_path):
     """The package runs as `python -m detbox`."""
+    # the child imports the same detbox as this process, installed or not
+    src = str(Path(detbox.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "detbox", "gradcheck", "--samples", "20"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert '"passed": true' in proc.stdout

@@ -7,7 +7,6 @@ import pytest
 
 from detbox import (
     CornerBox,
-    LossConfig,
     RegressionTarget,
     ScaleConfig,
     bce_with_logits,
@@ -91,8 +90,8 @@ class TestSdiouValues:
 
     def test_rho_scales_the_penalty(self):
         pred, truth = (2, 1.75, 3, 1.75), (3, 1.75, 3, 1.75)
-        l1 = sdiou(pred, truth, LossConfig(rho=1.0)).loss
-        l2 = sdiou(pred, truth, LossConfig(rho=2.0)).loss
+        l1 = sdiou(pred, truth, rho=1.0).loss
+        l2 = sdiou(pred, truth, rho=2.0).loss
         np.testing.assert_allclose(l2 - l1, 1.0 / 31.25, atol=1e-15)
 
     def test_degenerate_cover_rejected(self):
@@ -262,10 +261,10 @@ class TestMultitask:
         assert out.total == out.per_scale[0]
 
     def test_three_term_sum(self):
-        # pre-reduced terms add up plainly
-        out = multitask_loss([0.5], [np.zeros(0)], [np.zeros(0)], [np.zeros(0)], [np.zeros(0)],
-                             LossConfig(w_box=2.0))
-        assert out.total == 1.0
+        # box + mean objectness bce + mean class bce, unweighted
+        out = multitask_loss([0.5], [np.array([0.0])], [np.array([1.0])],
+                             [np.array([[0.0]])], [np.array([[0.0]])])
+        np.testing.assert_allclose(out.total, 0.5 + 2 * math.log(2), atol=1e-12)
 
     def test_saturated_logits_vanish(self):
         out = multitask_loss(
