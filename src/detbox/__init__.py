@@ -20,9 +20,10 @@ from .codec import (
     decode_distances,
     encode,
     encode_logit_array,
-    representable_range,
 )
-from .fit import FitConfig, FitReport, SceneSpec, compare_losses, fit_scene, generate_scene
+from .fit import (
+    FitConfig, FitReport, SceneSpec, compare_losses, fit_scene, fit_scenes, generate_scene,
+)
 from .geom import BoundingBox, CornerBox, GeometryError, giou, iou, to_center, to_corner
 from .infer import (
     Detection,
@@ -44,7 +45,6 @@ from .losses import (
     regression_loss_grad,
     sdiou,
     sdiou_loss,
-    sdiou_scale_drift,
 )
 
 __version__ = "0.1.0"
@@ -87,6 +87,7 @@ __all__ = [
     "encode_logit_array",
     "export_coco",
     "fit_scene",
+    "fit_scenes",
     "generate_scene",
     "giou",
     "iou",
@@ -95,10 +96,8 @@ __all__ = [
     "multitask_loss",
     "nms",
     "regression_loss_grad",
-    "representable_range",
     "sdiou",
     "sdiou_loss",
-    "sdiou_scale_drift",
     "to_center",
     "to_corner",
 ]

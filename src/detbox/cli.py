@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .assign import LOCATION_STRATEGIES, AssignMode, AssignmentError, assign
 from .codec import CodecError, ScaleConfig
-from .fit import FitConfig, SceneSpec, check_size_bounds, compare_losses, fit_scene, generate_scene
+from .fit import FitConfig, SceneSpec, check_size_bounds, compare_losses, fit_scenes, generate_scene
 from .geom import GeometryError
 from .gradcheck import run_gradcheck
 from .infer import (
@@ -152,8 +152,13 @@ def _resolve(args: argparse.Namespace) -> EffectiveConfig:
         value = getattr(args, setting.name)
         if value is None:
             value = file_cfg.get(setting.name)
-        if value is not None:
+        if value is None:
+            continue
+        try:
             values[setting.name] = setting.metadata["parse"](value)
+        except TypeError as exc:   # only a config file supplies non-string values
+            raise ValueError(f"config file {args.config}: {setting.name}: "
+                             f"wrong type for {value!r}") from exc
     if getattr(args, "scene", None) and "image_size" in values:
         raise ValueError("--image-size and the config file's image_size size synthetic scenes "
                          "only; with --scene every image's size comes from the scene file")
@@ -213,7 +218,7 @@ def _cmd_gradcheck(args) -> int:
         h=args.fd_step,
     )
     echo = cfg.echo(command="gradcheck", loss=args.loss, samples=args.samples,
-                    tolerance=args.tolerance, fd_step=args.fd_step)
+                    tolerance=args.tolerance, fd_step=result.fd_step)
     payload = {
         "samples": result.n_samples,
         "worst_rel_err_distance": result.worst_rel_err_distance,
@@ -251,7 +256,7 @@ def _cmd_fit(args) -> int:
     cfg = _resolve(args)
     scenes = _scenes_from_args(args, cfg, n_scenes=1)
     fit_cfg = _fit_config(args, cfg, loss=args.loss, multitask=args.multitask)
-    reports = [fit_scene(scene, fit_cfg) for scene in scenes]
+    reports = fit_scenes(scenes, fit_cfg)[0]
     echo = cfg.echo(
         command="fit", loss=args.loss, steps=args.steps, learning_rate=args.lr,
         multitask=args.multitask,
@@ -388,9 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--loss", choices=LOSS_KINDS, default="sdiou")
     p.add_argument("--tolerance", type=float, default=1e-5)
-    p.add_argument("--fd-step", dest="fd_step", type=float, default=1e-6,
-                   help="central-difference step (overlap-family baselines "
-                        "need ~1e-4 near their flat regions)")
+    p.add_argument("--fd-step", dest="fd_step", type=float,
+                   help="central-difference step (default 1e-4 for iou and giou, "
+                        "whose gradients get small enough for round-off to show, "
+                        "else 1e-6)")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("fit", parents=[common, modes, fitting],

@@ -185,10 +185,3 @@ def encode_logit_array(d: np.ndarray, gain) -> np.ndarray:
         )
     return logit(np.sqrt(d / gain) / 2.0)
 
-
-def representable_range(scale: ScaleConfig, scale_index: int) -> tuple[float, float]:
-    """Per-side pixel distance representable at a scale: (0, 4*gain*stride).
-
-    Useful for reporting which objects are geometrically learnable where.
-    """
-    return 0.0, 4.0 * scale.gains[scale_index] * scale.strides[scale_index]

@@ -7,6 +7,12 @@ decoded boxes toward the ground truth, isolating the loss geometry from
 optimizer tricks. Logits start at zero, so every decoded distance starts
 at its scale's gain.
 
+One engine, :func:`fit_scenes`, runs every fit. It assigns each scene once,
+concatenates the usable records of all scenes, keeps one logit copy per
+loss kind, and steps them all in a single loop that makes one loss call
+per kind and does the kind-independent work once over every row.
+:func:`fit_scene` and :func:`compare_losses` call it.
+
 Records whose targets fall outside the representable open interval
 (0, 4 * gain) at their scale cannot be reached by any logit and are
 excluded up front; an object excluded at every scale is reported, not
@@ -18,12 +24,12 @@ IoU over time, and how many update steps each object needed to cross the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import expit
 
-from .assign import AssignMode, assign
+from .assign import AssignMode, AssignmentTable, assign
 from .codec import ScaleConfig, decode_distances, decode_jacobian
 from .geom import BoundingBox, iou_xyxy, to_corner
 from .ingest import Scene
@@ -170,139 +176,143 @@ def check_size_bounds(spec: SceneSpec, scale: ScaleConfig) -> None:
 
 
 def _record_boxes(d: np.ndarray, cells: np.ndarray, strides: np.ndarray) -> np.ndarray:
-    x1 = strides * (cells[:, 0] + 1.0 - d[:, 0])
-    y1 = strides * (cells[:, 1] + 1.0 - d[:, 1])
-    x2 = strides * (cells[:, 0] + d[:, 2])
-    y2 = strides * (cells[:, 1] + d[:, 3])
+    x1 = strides * (cells[:, 0] + 1.0 - d[..., 0])
+    y1 = strides * (cells[:, 1] + 1.0 - d[..., 1])
+    x2 = strides * (cells[:, 0] + d[..., 2])
+    y2 = strides * (cells[:, 1] + d[..., 3])
     return np.stack([x1, y1, x2, y2], axis=-1)
 
 
-def _steps_to(trace_col: np.ndarray, tau: float):
-    hits = np.nonzero(trace_col >= tau)[0]
-    return int(hits[0]) if hits.size else None
+def _steps_to(trace: np.ndarray, tau: float) -> tuple:
+    """Per object (column), the first step whose IoU reaches ``tau``, or None."""
+    hit = trace >= tau
+    return tuple(int(i) if h else None for i, h in zip(hit.argmax(axis=0), hit.any(axis=0)))
 
 
-def fit_scene(scene: Scene, cfg: FitConfig = FitConfig()) -> FitReport:
-    """Run plain gradient descent on one scene's positive-cell logits.
+def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[FitReport]]:
+    """Fit every scene under every loss kind in one gradient-descent loop.
 
-    The objective is the chosen regression loss summed over all usable
-    assignment records (plus mean objectness/class cross-entropy terms per
-    scale in multitask mode). Deterministic: identical scene and config
-    reproduce the report bit for bit.
+    ``kinds`` defaults to ``(cfg.loss,)``. Returns one list of reports per
+    kind, in ``kinds`` order, with one report per scene. The objective is
+    the kind's loss summed over a scene's usable records (in multitask
+    mode, the per-scale sum of mean box loss and mean objectness and class
+    cross entropy). Each (scene, kind) pair rounds exactly as if fit alone.
     """
-    scale = cfg.scale.for_image(scene.image_w, scene.image_h)
-    table = assign(list(scene.objects), scale, cfg.mode)
-    n_objects = len(scene.objects)
-    n_scales = scale.num_scales
-
-    limit = 4.0 * np.array(scale.gains)[table.scale_index, None]
-    usable = table.select(np.all((table.target > 0.0) & (table.target < limit), axis=1))
-    n_rec = len(usable)
-    excluded_records = len(table) - n_rec
-    obj_idx = usable.object_id
-    scale_idx = usable.scale_index
-    excluded_objects = tuple(np.setdiff1d(np.arange(n_objects), obj_idx).tolist())
-
-    gains = np.array(scale.gains)[scale_idx]
-    strides = np.array(scale.strides)[scale_idx]
-    cells = usable.cell
-    # one logit set per (scale, cell, quadrant), numbered by first occurrence
-    keys = np.column_stack([scale_idx, cells, usable.quadrant])
+    kinds = (cfg.loss,) if kinds is None else tuple(kinds)
+    for kind in kinds:
+        replace(cfg, loss=kind)  # FitConfig rejects an unknown kind
+    if not scenes or not kinds:
+        return [[] for _ in kinds]
+    # every scene's pyramid has the configured strides and gains
+    gains, n_scales, n_kinds = np.array(cfg.scale.gains), cfg.scale.num_scales, len(kinds)
+    tables, n_excluded = [], []
+    for scene in scenes:
+        scale = cfg.scale.for_image(scene.image_w, scene.image_h)
+        table = assign(list(scene.objects), scale, cfg.mode)
+        limit = 4.0 * gains[table.scale_index, None]
+        tables.append(table.select(np.all((table.target > 0.0) & (table.target < limit), axis=1)))
+        n_excluded.append(len(table) - len(tables[-1]))
+    rec = AssignmentTable(*(np.concatenate([getattr(t, f.name) for t in tables])
+                            for f in fields(AssignmentTable)))
+    rec_off = np.cumsum([0, *map(len, tables)])
+    obj_off = np.cumsum([0, *(len(scene.objects) for scene in scenes)])
+    scene_of = np.repeat(np.arange(len(scenes)), np.diff(rec_off))
+    obj = rec.object_id + obj_off[scene_of]
+    group = scene_of * n_scales + rec.scale_index    # one group per (scene, scale)
+    # one logit set per (scene, scale, cell, quadrant), numbered by first occurrence
+    keys = np.column_stack([scene_of, rec.scale_index, rec.cell, rec.quadrant])
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    key_idx = np.argsort(np.argsort(first))[inverse.reshape(-1)]
-    key_scale = scale_idx[np.sort(first)]
-    key_class = usable.class_id[np.sort(first)]
-
-    n_keys = len(first)
-    logits = np.zeros((n_keys, 4))
-
-    if cfg.multitask:
-        obj_logits = np.zeros(n_keys)
-        n_classes = (int(usable.class_id.max()) if n_rec else 0) + 1
-        cls_logits = np.zeros((n_keys, n_classes))
-        cls_labels = np.zeros((n_keys, n_classes))
-        cls_labels[np.arange(n_keys), key_class] = 1.0
-
-    truth_boxes = np.array(
-        [to_corner(box).as_array() for box, _ in scene.objects]
-    ).reshape(n_objects, 4)
+    first_sorted = np.sort(first)
+    n_keys, n_objects = len(first), obj_off[-1]
+    truth = np.array([to_corner(b).as_array() for s in scenes for b, _ in s.objects])
+    truth = truth.reshape(-1, 4)[obj]
+    gain, stride = gains[rec.scale_index, None], np.array(cfg.scale.strides)[rec.scale_index]
+    # rows are (kind, record): kind k owns logit sets [k * n_keys, (k + 1) * n_keys)
+    by_kind = np.arange(n_kinds)[:, None]
+    row_key = by_kind * n_keys + np.argsort(np.argsort(first))[inverse.reshape(-1)]
+    row_obj = by_kind * n_objects + obj
 
     def best_iou_per_object(d: np.ndarray) -> np.ndarray:
-        best = np.full(n_objects, np.nan)
-        ious = iou_xyxy(_record_boxes(d, cells, strides), truth_boxes[obj_idx])
-        acc = np.full(n_objects, -1.0)
-        np.maximum.at(acc, obj_idx, ious)
-        best[acc >= 0.0] = acc[acc >= 0.0]
-        return best
+        acc = np.full(n_kinds * n_objects, -1.0)
+        np.maximum.at(acc, row_obj, iou_xyxy(_record_boxes(d, rec.cell, stride), truth))
+        return np.where(acc >= 0.0, acc, np.nan).reshape(n_kinds, n_objects)
 
-    rec_masks = [scale_idx == s for s in range(n_scales)]
-    key_masks = [key_scale == s for s in range(n_scales)]
+    if cfg.multitask:
+        n_groups, key_group = len(scenes) * n_scales, group[first_sorted]
+        # box gradients carry the per-(scene, scale) mean reduction
+        row_count = np.bincount(group, minlength=n_groups)[group, None]
+        key_count = np.bincount(key_group, minlength=n_groups).astype(float)[key_group]
+        rec_in = [np.flatnonzero(group == g) for g in range(n_groups)]
+        key_in = [np.flatnonzero(key_group == g) for g in range(n_groups)]
+        # objectness and class logits do not depend on the kind; class logits
+        # are padded to the widest scene's class count, and nothing reads the pad
+        n_classes = [int(t.class_id.max()) + 1 if len(t) else 1 for t in tables]
+        key_classes = np.array(n_classes)[scene_of[first_sorted]]
+        obj_logits = np.zeros(n_keys)
+        cls_logits = np.zeros((n_keys, max(n_classes)))
+        cls_labels = np.zeros_like(cls_logits)
+        cls_labels[np.arange(n_keys), rec.class_id[first_sorted]] = 1.0
+        cls_div = (key_count * key_classes)[:, None]
 
-    def objective(loss_r: np.ndarray) -> float:
+    def objective(loss: np.ndarray, i: int) -> float:
         if not cfg.multitask:
-            return float(np.sum(loss_r))
+            return float(np.sum(loss[rec_off[i]:rec_off[i + 1]]))
+        scales, cls = range(i * n_scales, (i + 1) * n_scales), slice(n_classes[i])
         return multitask_loss(
-            [float(np.mean(loss_r[m])) if np.any(m) else 0.0 for m in rec_masks],
-            [obj_logits[m] for m in key_masks],
-            [np.ones(np.count_nonzero(m)) for m in key_masks],
-            [cls_logits[m] for m in key_masks],
-            [cls_labels[m] for m in key_masks],
+            [float(np.mean(loss[rec_in[g]])) if rec_in[g].size else 0.0 for g in scales],
+            [obj_logits[key_in[g]] for g in scales],
+            [np.ones(key_in[g].size) for g in scales],
+            [cls_logits[key_in[g], cls] for g in scales],
+            [cls_labels[key_in[g], cls] for g in scales],
         ).total
 
+    logits = np.zeros((n_kinds * n_keys, 4))
+    loss_trace = np.empty((cfg.steps + 1, n_kinds, len(scenes)))
+    iou_trace = np.empty((cfg.steps + 1, n_kinds, n_objects))
     # Step k's post-update decode is step k+1's input, and the last pass
     # only scores the final logits.
-    d = decode_distances(logits[key_idx], gains[:, None])
-    iou_rows = [best_iou_per_object(d)]
-    loss_trace = []
+    d = decode_distances(logits[row_key], gain)
+    iou_trace[0] = best_iou_per_object(d)
+    grad_d = np.empty_like(d)
     for step in range(cfg.steps + 1):
-        loss_r, grad_d = regression_loss_grad(d, usable.target, cfg.loss, cfg.rho)
-        loss_trace.append(objective(loss_r))
+        for k, kind in enumerate(kinds):
+            loss, grad_d[k] = regression_loss_grad(d[k], rec.target, kind, cfg.rho)
+            loss_trace[step, k] = [objective(loss, i) for i in range(len(scenes))]
         if step == cfg.steps:
             break
 
-        if cfg.multitask:
-            # box gradients carry the per-scale mean reduction
-            counts = np.bincount(scale_idx, minlength=n_scales).astype(float)
-            grad_d = grad_d / counts[scale_idx, None]
-        grad_p = grad_d * decode_jacobian(logits[key_idx], gains[:, None])
+        grad = grad_d / row_count if cfg.multitask else grad_d
         g = np.zeros_like(logits)
-        np.add.at(g, key_idx, grad_p)
+        np.add.at(g, row_key, grad * decode_jacobian(logits[row_key], gain))
         logits -= cfg.learning_rate * g
+        if cfg.multitask:
+            obj_logits -= cfg.learning_rate * ((expit(obj_logits) - 1.0) / key_count)
+            cls_logits -= cfg.learning_rate * ((expit(cls_logits) - cls_labels) / cls_div)
 
-        if cfg.multitask and n_keys:
-            kcounts = np.bincount(key_scale, minlength=n_scales).astype(float)
-            obj_logits -= cfg.learning_rate * (
-                (expit(obj_logits) - 1.0) / kcounts[key_scale]
-            )
-            cls_logits -= cfg.learning_rate * (
-                (expit(cls_logits) - cls_labels)
-                / (kcounts[key_scale, None] * cls_labels.shape[1])
-            )
+        d = decode_distances(logits[row_key], gain)
+        iou_trace[step + 1] = best_iou_per_object(d)
 
-        d = decode_distances(logits[key_idx], gains[:, None])
-        iou_rows.append(best_iou_per_object(d))
+    reports = [[] for _ in kinds]
+    for k, kind in enumerate(kinds):
+        for i, table in enumerate(tables):
+            trace = iou_trace[:, k, obj_off[i]:obj_off[i + 1]].copy()
+            final = trace[-1].copy()
+            included = final[~np.isnan(final)]
+            excluded = np.setdiff1d(np.arange(obj_off[i + 1] - obj_off[i]), table.object_id)
+            reports[k].append(FitReport(
+                loss_kind=kind, steps=cfg.steps, learning_rate=cfg.learning_rate,
+                loss_trace=loss_trace[:, k, i].copy(), iou_trace=trace, final_iou=final,
+                steps_to_iou90=_steps_to(trace, 0.90), steps_to_iou99=_steps_to(trace, 0.99),
+                success_rate=float(np.mean(included > 0.99)) if included.size else 0.0,
+                excluded_objects=tuple(excluded.tolist()), n_records=len(table),
+                n_records_excluded=n_excluded[i],
+            ))
+    return reports
 
-    iou_trace = np.array(iou_rows).reshape(cfg.steps + 1, n_objects)
-    final_iou = iou_trace[-1].copy()
 
-    with np.errstate(invalid="ignore"):
-        included = ~np.isnan(final_iou)
-        success = float(np.mean(final_iou[included] > 0.99)) if included.any() else 0.0
-
-    return FitReport(
-        loss_kind=cfg.loss,
-        steps=cfg.steps,
-        learning_rate=cfg.learning_rate,
-        loss_trace=np.array(loss_trace),
-        iou_trace=iou_trace,
-        final_iou=final_iou,
-        steps_to_iou90=tuple(_steps_to(iou_trace[:, i], 0.90) for i in range(n_objects)),
-        steps_to_iou99=tuple(_steps_to(iou_trace[:, i], 0.99) for i in range(n_objects)),
-        success_rate=success,
-        excluded_objects=excluded_objects,
-        n_records=n_rec,
-        n_records_excluded=excluded_records,
-    )
+def fit_scene(scene: Scene, cfg: FitConfig = FitConfig()) -> FitReport:
+    """One scene under ``cfg.loss``: ``fit_scenes([scene], cfg)``'s one report."""
+    return fit_scenes([scene], cfg, (cfg.loss,))[0][0]
 
 
 def _median_steps(values: list) -> float:
@@ -330,27 +340,18 @@ def compare_losses(
     """
     if isinstance(scenes, Scene):
         scenes = [scenes]
-    # every kind is validated before the first fit runs
-    runs = [replace(cfg, loss=kind) for kind in kinds]
     rows = []
-    for run_cfg in runs:
-        steps90: list = []
-        steps99: list = []
-        finals = []
-        for scene in scenes:
-            report = fit_scene(scene, run_cfg)
-            steps90.extend(report.steps_to_iou90)
-            steps99.extend(report.steps_to_iou99)
-            finals.extend(v for v in report.final_iou if not math.isnan(v))
-        rows.append(
-            {
-                "loss": run_cfg.loss,
-                "n_objects": len(steps90),
-                "reached_iou90": sum(1 for v in steps90 if v is not None),
-                "reached_iou99": sum(1 for v in steps99 if v is not None),
-                "median_steps_to_iou90": _median_steps(steps90),
-                "median_steps_to_iou99": _median_steps(steps99),
-                "mean_final_iou": float(np.mean(finals)) if finals else float("nan"),
-            }
-        )
+    for kind, reports in zip(kinds, fit_scenes(scenes, cfg, kinds)):
+        steps90 = [v for report in reports for v in report.steps_to_iou90]
+        steps99 = [v for report in reports for v in report.steps_to_iou99]
+        finals = [v for report in reports for v in report.final_iou if not math.isnan(v)]
+        rows.append({
+            "loss": kind,
+            "n_objects": len(steps90),
+            "reached_iou90": sum(1 for v in steps90 if v is not None),
+            "reached_iou99": sum(1 for v in steps99 if v is not None),
+            "median_steps_to_iou90": _median_steps(steps90),
+            "median_steps_to_iou99": _median_steps(steps99),
+            "mean_final_iou": float(np.mean(finals)) if finals else float("nan"),
+        })
     return rows

@@ -6,6 +6,10 @@ with central differences on the loss value, both in distance space and
 chained through the logit decode. Samples landing within an exclusion
 margin of a min/max/clamp switching point are redrawn: the gradient is
 only defined piecewise there.
+
+The difference of an O(1) loss carries round-off of about 1e-16 / h, so
+the step is set per kind: iou and giou gradients get as small as ~1e-6,
+where a 1e-6 step leaves that round-off above the 1e-5 tolerance.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import numpy as np
 from .codec import ScaleConfig, decode_distances, encode_distances, encode_logit_array
 from .losses import logit_loss_grad, regression_loss_grad
 
+FD_STEPS = {"sdiou": 1e-6, "mse": 1e-6, "iou": 1e-4, "giou": 1e-4, "diou": 1e-6, "ciou": 1e-6}
+
 
 @dataclass(frozen=True)
 class GradcheckResult:
@@ -25,6 +31,7 @@ class GradcheckResult:
     worst_rel_err_distance: float
     worst_rel_err_logit: float
     tolerance: float
+    fd_step: float
 
     @property
     def worst_rel_err(self) -> float:
@@ -93,11 +100,15 @@ def run_gradcheck(
     scale: ScaleConfig = ScaleConfig(),
     rho: float = 1.0,
     tolerance: float = 1e-5,
-    h: float = 1e-6,
+    h: float | None = None,
 ) -> GradcheckResult:
-    """Compare analytic and finite-difference gradients over random pairs."""
+    """Compare analytic and finite-difference gradients over random pairs.
+
+    ``h`` defaults to the kind's step in :data:`FD_STEPS`.
+    """
     if samples <= 0:
         raise ValueError(f"samples must be > 0, got {samples}")
+    h = FD_STEPS.get(kind, 1e-6) if h is None else h
     rng = np.random.default_rng(seed)
     worst_d = 0.0
     worst_p = 0.0
@@ -123,4 +134,5 @@ def run_gradcheck(
         worst_rel_err_distance=worst_d,
         worst_rel_err_logit=worst_p,
         tolerance=tolerance,
+        fd_step=h,
     )

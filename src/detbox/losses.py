@@ -354,18 +354,6 @@ def logit_loss_grad(
     return loss, grad_d * decode_jacobian(p, gain)
 
 
-def sdiou_scale_drift(pred, truth, factors: Sequence[float], rho: float = 1.0) -> list[float]:
-    """Score drift when all eight distances are multiplied by each factor.
-
-    The unit offsets in the overlap/cover extents break exact scale
-    invariance; this measures how far the score moves, for reporting.
-    """
-    p = _dist_array(pred)
-    t = _dist_array(truth)
-    base = 1.0 - float(sdiou_loss(p, t, rho))
-    return [abs((1.0 - float(sdiou_loss(k * p, k * t, rho))) - base) for k in factors]
-
-
 # --- composite objective ----------------------------------------------------
 
 

@@ -22,7 +22,7 @@ from detbox import (
     center_cell,
     dataset_stats,
     encode,
-    fit_scene,
+    fit_scenes,
     generate_scene,
     load_coco,
     sdiou_loss,
@@ -116,14 +116,11 @@ def test_criterion_05_fitting_convergence():
     t0 = time.time()
     spec = SceneSpec()
     scenes = [generate_scene(spec, seed=i) for i in range(100)]
+    by_kind = fit_scenes(scenes, FitConfig(steps=500, learning_rate=0.1), ("sdiou", "giou"))
     results = {}
-    for kind in ("sdiou", "giou"):
-        cfg = FitConfig(steps=500, learning_rate=0.1, loss=kind)
-        finals, steps90 = [], []
-        for scene in scenes:
-            report = fit_scene(scene, cfg)
-            finals.append(float(report.final_iou[0]))
-            steps90.append(report.steps_to_iou90[0])
+    for kind, reports in zip(("sdiou", "giou"), by_kind):
+        finals = [float(report.final_iou[0]) for report in reports]
+        steps90 = [report.steps_to_iou90[0] for report in reports]
         results[kind] = (finals, steps90)
 
     n_converged = sum(v > 0.99 for v in results["sdiou"][0])

@@ -13,7 +13,9 @@ import pytest
 import detbox
 from detbox import BoundingBox, PredictionGrid, ScaleConfig, decode_grid
 from detbox.cli import build_parser, main
+from detbox.gradcheck import FD_STEPS
 from detbox.infer import detections_from_jsonl, detections_to_jsonl
+from detbox.losses import LOSS_KINDS
 
 from conftest import COCO_FIXTURE
 from test_infer import empty_grid, plant
@@ -119,6 +121,26 @@ class TestGradcheck:
         code = main(["gradcheck", "--samples", "20", "--tolerance", "1e-18",
                      "--output", str(tmp_path / "gc.json")])
         assert code == 1
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_every_kind_passes_at_default_flags(self, tmp_path, kind):
+        out = tmp_path / "gc.json"
+        assert main(["gradcheck", "--loss", kind, "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["samples"] == 1000
+        assert doc["config"]["fd_step"] == FD_STEPS[kind]
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_one_flipped_gradient_sign_still_fails(self, tmp_path, monkeypatch, kind):
+        original = detbox.gradcheck.regression_loss_grad
+
+        def flipped(pred, truth, loss_kind, rho):
+            loss, grad = original(pred, truth, loss_kind, rho)
+            return loss, grad * np.array([1.0, 1.0, -1.0, 1.0])
+
+        monkeypatch.setattr(detbox.gradcheck, "regression_loss_grad", flipped)
+        assert main(["gradcheck", "--loss", kind, "--samples", "50",
+                     "--output", str(tmp_path / "gc.json")]) == 1
 
 
 class TestFit:
@@ -370,6 +392,15 @@ class TestConfigPrecedence:
                 "strides": [8], "gains": [2.0], "image_w": 160, "image_h": 160,
                 "rho": 2.0, "conf_threshold": 0.2, "nms_threshold": 0.3, "seed": 11,
             })
+
+    @pytest.mark.parametrize("key,value", [("rho", [1]), ("strides", [[8]])])
+    def test_wrong_json_type_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["gradcheck", "--samples", "5", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key}: wrong type" in err
+        assert "Traceback" not in err
 
 
 _COMMON_FLAGS = {"-h", "--help", "--strides", "--gains", "--image-size", "--rho",

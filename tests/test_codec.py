@@ -10,7 +10,6 @@ from detbox import (
     ScaleConfig,
     center_cell,
     encode,
-    representable_range,
 )
 from detbox.codec import decode_distances, decode_jacobian, encode_distances, encode_logit_array
 
@@ -150,7 +149,3 @@ class TestEncodeLogit:
             back = decode_distances(encode_logit_array(t.as_array(), g), g)
             np.testing.assert_allclose(back, t.as_array(), atol=1e-9)
 
-
-def test_representable_range(scale):
-    assert representable_range(scale, 0) == (0.0, 64.0)
-    assert representable_range(scale, 2) == (0.0, 2048.0)

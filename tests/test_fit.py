@@ -14,9 +14,11 @@ from detbox import (
     SceneSpec,
     compare_losses,
     fit_scene,
+    fit_scenes,
     generate_scene,
 )
 from detbox.fit import check_size_bounds
+from detbox.losses import LOSS_KINDS
 
 
 class TestGenerateScene:
@@ -163,6 +165,96 @@ class TestCompareLosses:
         scene = generate_scene(SceneSpec(), seed=0)
         rows = compare_losses(scene, FitConfig(steps=1), kinds=("sdiou",))
         assert rows[0]["median_steps_to_iou90"] == math.inf
+
+
+def _assert_same_report(a, b):
+    assert a.loss_kind == b.loss_kind
+    assert a.loss_trace.tobytes() == b.loss_trace.tobytes()
+    assert a.iou_trace.shape == b.iou_trace.shape
+    assert a.iou_trace.tobytes() == b.iou_trace.tobytes()
+    assert a.final_iou.tobytes() == b.final_iou.tobytes()
+    assert (a.steps_to_iou90, a.steps_to_iou99) == (b.steps_to_iou90, b.steps_to_iou99)
+    assert a.excluded_objects == b.excluded_objects
+    assert (a.n_records, a.n_records_excluded) == (b.n_records, b.n_records_excluded)
+    assert a.success_rate == b.success_rate
+
+
+def _hexes(reports):
+    return ([float(r.loss_trace[-1]).hex() for r in reports],
+            [float(v).hex() for r in reports for v in r.final_iou])
+
+
+# Final loss and final IoU per scene of the two-scene batch below, as the
+# one-scene-at-a-time loop computed them before the batched engine.
+_GOLDEN = {
+    "sdiou": (["0x1.1efc5c9badae8p+3", "0x1.18fd98e02e88ep+2"],
+              ["0x1.fd9b09b091870p-1", "0x1.fdce8af626258p-1", "0x1.f7ce8d96a91acp-1"]),
+    "mse": (["0x1.4cfa55f07031ap+4", "0x1.59627f8cfc785p+3"],
+            ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"]),
+    "iou": (["0x1.08653554e08c5p+3", "0x1.08e1058989727p+2"],
+            ["0x1.bc7696657db44p-1", "0x1.fa51481c2110ep-1", "0x1.fc95210348ca9p-1"]),
+    "giou": (["0x1.010ff6f30bae2p+3", "0x1.0b0e98d15c260p+2"],
+             ["0x1.fb5c90a8ea974p-1", "0x1.fe390ddb126bcp-1", "0x1.f7412f29cd994p-1"]),
+    "diou": (["0x1.f565ef571a6c0p+2", "0x1.084fa43944352p+2"],
+             ["0x1.f999c86876045p-1", "0x1.fb7e607da5e00p-1", "0x1.fc6313ad549bap-1"]),
+    "ciou": (["0x1.f9aab711c6343p+2", "0x1.0987337abed06p+2"],
+             ["0x1.f7ce77941966ap-1", "0x1.fad0932f94757p-1", "0x1.f92bba6c592bcp-1"]),
+    "multitask": (["0x1.4d08cb628f82ap+2", "0x1.07e672095a84ep+2"],
+                  ["0x1.fce578c4c37fbp-1", "0x1.fc66b22a78ec0p-1", "0x1.ff6aea188a084p-1"]),
+}
+
+
+class TestFitScenes:
+    # two scales whose decode ranges stop at 64 and 128 px, so wide boxes
+    # lose records at the fine scale and a 400 px box at both
+    SCALE = ScaleConfig(strides=(8, 16), gains=(2.0, 2.0))
+
+    def _batch(self, seed):
+        rng = np.random.default_rng(seed)
+        scenes = [
+            generate_scene(SceneSpec(n_objects=int(rng.integers(1, 5)), size_min=20,
+                                     size_max=180), int(rng.integers(1 << 30)))
+            for _ in range(3)
+        ]
+        return scenes + [
+            Scene(640, 640, ((BoundingBox(320, 320, 400, 400), 0),
+                             (BoundingBox(100.6, 100.2, 30, 30), 4)), "excluded"),
+            Scene(640, 640, (), "empty"),
+            Scene(320, 480, ((BoundingBox(100, 100, 50, 70), 1),
+                             (BoundingBox(104, 98, 40, 90), 2)), "shared-cells"),
+        ]
+
+    @pytest.mark.parametrize("multitask", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_one_scene_one_kind_fits(self, seed, multitask):
+        scenes = self._batch(seed)
+        cfg = FitConfig(steps=40, scale=self.SCALE, multitask=multitask)
+        batched = fit_scenes(scenes, cfg, LOSS_KINDS)
+        assert [len(reports) for reports in batched] == [len(scenes)] * len(LOSS_KINDS)
+        for kind, reports in zip(LOSS_KINDS, batched):
+            for scene, report in zip(scenes, reports):
+                _assert_same_report(report, fit_scene(scene, FitConfig(
+                    steps=40, scale=self.SCALE, multitask=multitask, loss=kind)))
+        excluded = batched[0][3]
+        assert excluded.excluded_objects == (0,) and excluded.n_records_excluded > 0
+        assert batched[0][4].iou_trace.shape == (41, 0)
+
+    def test_golden_final_values(self):
+        scenes = [generate_scene(SceneSpec(n_objects=2), seed=31),
+                  generate_scene(SceneSpec(), seed=32)]
+        by_kind = fit_scenes(scenes, FitConfig(steps=120), LOSS_KINDS)
+        for kind, reports in zip(LOSS_KINDS, by_kind):
+            assert _hexes(reports) == _GOLDEN[kind], kind
+        multitask = fit_scenes(scenes, FitConfig(steps=120, multitask=True))
+        assert _hexes(multitask[0]) == _GOLDEN["multitask"]
+
+    def test_kinds_default_to_the_config_and_are_checked_first(self):
+        scene = generate_scene(SceneSpec(), seed=0)
+        (report,), = fit_scenes([scene], FitConfig(steps=3, loss="giou"))
+        assert report.loss_kind == "giou"
+        assert fit_scenes([], FitConfig(), ("sdiou", "mse")) == [[], []]
+        with pytest.raises(ValueError, match="valid"):
+            fit_scenes([scene], FitConfig(), ("sdiou", "huber"))
 
 
 class TestConfigValidation:

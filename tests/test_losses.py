@@ -16,7 +16,6 @@ from detbox import (
     regression_loss_grad,
     sdiou,
     sdiou_loss,
-    sdiou_scale_drift,
 )
 from detbox.codec import decode_distances, encode_logit_array
 from detbox.gradcheck import central_diff, sample_pair
@@ -103,7 +102,12 @@ class TestSdiouValues:
         for size in (2.0, 4.0, 8.0, 16.0):
             truth = np.array([size, size, size, size])
             pred = 1.15 * truth
-            drifts.append(max(sdiou_scale_drift(pred, truth, (2, 4, 8))))
+            # the unit offsets in the overlap and cover extents break exact
+            # scale invariance: scaling all eight distances moves the score
+            base = 1.0 - float(sdiou_loss(pred, truth))
+            drifts.append(max(
+                abs((1.0 - float(sdiou_loss(k * pred, k * truth))) - base) for k in (2, 4, 8)
+            ))
         print("scale drift by base size:", [f"{d:.5f}" for d in drifts])
         assert all(b < a for a, b in zip(drifts, drifts[1:]))
 
