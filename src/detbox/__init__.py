@@ -24,7 +24,7 @@ from .codec import (
 from .fit import (
     FitConfig, FitReport, SceneSpec, compare_losses, fit_scene, fit_scenes, generate_scene,
 )
-from .geom import BoundingBox, CornerBox, GeometryError, giou, iou, to_center, to_corner
+from .geom import BoundingBox, CornerBox, GeometryError, giou, iou, to_corner
 from .infer import (
     Detection,
     DecodeResult,
@@ -98,6 +98,5 @@ __all__ = [
     "regression_loss_grad",
     "sdiou",
     "sdiou_loss",
-    "to_center",
     "to_corner",
 ]

@@ -47,10 +47,6 @@ class BoundingBox:
     def y2(self) -> float:
         return self.cy + self.h / 2
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
 
 @dataclass(frozen=True)
 class CornerBox:
@@ -86,13 +82,6 @@ class CornerBox:
 def to_corner(box: BoundingBox) -> CornerBox:
     """Exact center-form to corner-form conversion."""
     return CornerBox(box.x1, box.y1, box.x2, box.y2)
-
-
-def to_center(box: CornerBox) -> BoundingBox:
-    """Corner-form to center-form; rejects degenerate boxes."""
-    return BoundingBox(
-        (box.x1 + box.x2) / 2, (box.y1 + box.y2) / 2, box.w, box.h
-    )
 
 
 def _require_area(box: CornerBox, name: str) -> None:

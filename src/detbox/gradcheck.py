@@ -7,6 +7,11 @@ chained through the logit decode. Samples landing within an exclusion
 margin of a min/max/clamp switching point are redrawn: the gradient is
 only defined piecewise there.
 
+Sampling stays sequential, so a seed always draws the same pairs. The
+checks then run batched: the samples stack as ``(n, 1, 4)`` rows, and each
+side of a central difference is one loss call on ``(n, 4, 4)`` rows, each
+moving one component. A NaN error counts as infinite and fails the check.
+
 The difference of an O(1) loss carries round-off of about 1e-16 / h, so
 the step is set per kind: iou and giou gradients get as small as ~1e-6,
 where a 1e-6 step leaves that round-off above the 1e-5 tolerance.
@@ -14,6 +19,7 @@ where a 1e-6 step leaves that round-off above the 1e-5 tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +48,13 @@ class GradcheckResult:
         return self.worst_rel_err < self.tolerance
 
 
-def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
-    scale = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1e-8)
-    return float(np.linalg.norm(a - b)) / scale
+def _worst_rel_err(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest relative error over ``(n, 4)`` rows; a NaN error is infinite."""
+    # a (1, 4) @ (4, 1) product rounds each row as np.linalg.norm's dot
+    # rounds one 4-vector; np.linalg.norm(axis=-1) sums in another order
+    na, nb, nd = (np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) for x in (a, b, a - b))
+    err = nd / np.maximum(np.maximum(na, nb), 1e-8)
+    return float(np.max(np.where(np.isnan(err), np.inf, err)))
 
 
 def _near_switch(pred: np.ndarray, truth: np.ndarray, margin: float) -> bool:
@@ -66,8 +76,9 @@ def sample_pair(
         scale_index = int(rng.integers(scale.num_scales))
         stride = scale.strides[scale_index]
         gain = scale.gains[scale_index]
-        w = rng.uniform(0.2 * stride, min(6.0 * stride, 3.0 * gain * stride))
-        h = rng.uniform(0.2 * stride, min(6.0 * stride, 3.0 * gain * stride))
+        top = min(6.0 * stride, 3.0 * gain * stride)   # capped to fit the image below
+        w = rng.uniform(0.2 * stride, min(top, scale.image_w - 2))
+        h = rng.uniform(0.2 * stride, min(top, scale.image_h - 2))
         cx = rng.uniform(w / 2 + 1, scale.image_w - w / 2 - 1)
         cy = rng.uniform(h / 2 + 1, scale.image_h - h / 2 - 1)
         corners = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
@@ -82,15 +93,14 @@ def sample_pair(
 
 
 def central_diff(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of a scalar function, one axis at a time."""
-    g = np.zeros_like(x)
-    for k in range(x.size):
-        hi = x.copy()
-        lo = x.copy()
-        hi[k] += h
-        lo[k] -= h
-        g[k] = (fn(hi) - fn(lo)) / (2.0 * h)
-    return g
+    """Central finite differences of a loss over ``(..., 4)`` rows.
+
+    ``fn`` maps ``(..., 4)`` rows to their losses. Each side is one call on
+    ``x -+ h * eye(4)``, whose row ``k`` moves component ``k``: a ``(4,)``
+    point gives a ``(4,)`` gradient and an ``(n, 1, 4)`` batch ``(n, 4)``.
+    """
+    step = h * np.eye(4)
+    return (fn(x + step) - fn(x - step)) / (2.0 * h)
 
 
 def run_gradcheck(
@@ -104,35 +114,30 @@ def run_gradcheck(
 ) -> GradcheckResult:
     """Compare analytic and finite-difference gradients over random pairs.
 
-    ``h`` defaults to the kind's step in :data:`FD_STEPS`.
+    ``h`` defaults to the kind's step in :data:`FD_STEPS`; a zero or
+    non-finite step raises :class:`ValueError`.
     """
     if samples <= 0:
         raise ValueError(f"samples must be > 0, got {samples}")
     h = FD_STEPS.get(kind, 1e-6) if h is None else h
+    if h == 0 or not math.isfinite(h):
+        raise ValueError(f"fd step must be finite and nonzero, got {h}")
     rng = np.random.default_rng(seed)
-    worst_d = 0.0
-    worst_p = 0.0
-    for _ in range(samples):
-        pred, truth, scale_index = sample_pair(rng, scale)
-        gain = scale.gains[scale_index]
+    preds, truths, scale_index = zip(*(sample_pair(rng, scale) for _ in range(samples)))
+    pred, truth = np.stack(preds)[:, None], np.stack(truths)[:, None]   # (n, 1, 4)
+    gain = np.asarray(scale.gains)[list(scale_index)][:, None, None]
 
-        _, grad = regression_loss_grad(pred, truth, kind, rho)
-        fd = central_diff(
-            lambda d: float(regression_loss_grad(d, truth, kind, rho)[0]), pred, h
-        )
-        worst_d = max(worst_d, _rel_err(grad, fd))
+    _, grad = regression_loss_grad(pred, truth, kind, rho)
+    fd = central_diff(lambda d: regression_loss_grad(d, truth, kind, rho)[0], pred, h)
 
-        logits = encode_logit_array(pred, gain)
-        _, grad_p = logit_loss_grad(logits, truth, gain, kind, rho)
-        fd_p = central_diff(
-            lambda p: float(logit_loss_grad(p, truth, gain, kind, rho)[0]), logits, h
-        )
-        worst_p = max(worst_p, _rel_err(grad_p, fd_p))
+    logits = encode_logit_array(pred, gain)
+    _, grad_p = logit_loss_grad(logits, truth, gain, kind, rho)
+    fd_p = central_diff(lambda p: logit_loss_grad(p, truth, gain, kind, rho)[0], logits, h)
     return GradcheckResult(
         kind=kind,
         n_samples=samples,
-        worst_rel_err_distance=worst_d,
-        worst_rel_err_logit=worst_p,
+        worst_rel_err_distance=_worst_rel_err(grad[:, 0], fd),
+        worst_rel_err_logit=_worst_rel_err(grad_p[:, 0], fd_p),
         tolerance=tolerance,
         fd_step=h,
     )

@@ -23,6 +23,14 @@ origin. All losses come with exact gradients in the four distances and,
 chained through the logit decode, in the four raw outputs; every gradient
 path is verified against central finite differences in the test suite.
 
+Every loss broadcasts ``(..., 4)`` prediction rows against truth rows, and
+its gradient has the broadcast shape. The IoU family works on reaches, how
+far each side of a box lies outward from the cell's top-left corner:
+``(l - 1, t - 1)`` back and ``(r, b)`` forward. Held as ``(side, axis,
+rows)`` arrays, both sides share one formula (an extent is the sum of its
+two reaches, the overlap takes the shorter reach, the hull the longer),
+and a gradient in reaches is the gradient in the distances.
+
 Gradient conventions at non-smooth points: min/max ties follow the
 ground-truth argument (zero prediction gradient), and a clamped overlap
 extent contributes nothing. Ties sit on measure-zero sets; the checks
@@ -125,22 +133,12 @@ def sdiou_loss_grad(pred, truth, rho: float = 1.0) -> tuple[np.ndarray, np.ndarr
     t = _dist_array(truth)
     s, wi_raw, hi_raw, wi, hi, wc, hc, i, c, score = _sdiou_core(p, t, rho)
 
-    takes_min = (p < t).astype(float)   # prediction drives the min
-    takes_max = (p > t).astype(float)   # prediction drives the max
-    gate_w = (wi_raw > 0.0).astype(float)
-    gate_h = (hi_raw > 0.0).astype(float)
-
-    di = np.empty_like(p)
-    di[..., 0] = 2.0 * wi * gate_w * takes_min[..., 0]
-    di[..., 2] = 2.0 * wi * gate_w * takes_min[..., 2]
-    di[..., 1] = 2.0 * hi * gate_h * takes_min[..., 1]
-    di[..., 3] = 2.0 * hi * gate_h * takes_min[..., 3]
-
-    dc = np.empty_like(p)
-    dc[..., 0] = 2.0 * wc * takes_max[..., 0]
-    dc[..., 2] = 2.0 * wc * takes_max[..., 2]
-    dc[..., 1] = 2.0 * hc * takes_max[..., 1]
-    dc[..., 3] = 2.0 * hc * takes_max[..., 3]
+    # the prediction moves an extent only through the components where it
+    # drives the min (overlap) or the max (cover)
+    inter = np.stack([wi * (wi_raw > 0.0), hi * (hi_raw > 0.0)] * 2, axis=-1)
+    cover = np.stack([wc, hc] * 2, axis=-1)
+    di = 2.0 * inter * (p < t)
+    dc = 2.0 * cover * (p > t)
 
     ds = 2.0 * (p - t)
     numer = i - rho * s
@@ -149,171 +147,76 @@ def sdiou_loss_grad(pred, truth, rho: float = 1.0) -> tuple[np.ndarray, np.ndarr
 
 
 # --- baselines on boxes reconstructed in a shared cell frame ---------------
-#
-# With the cell's top-left corner at the origin, distances invert to
-# x1 = 1 - l, y1 = 1 - t, x2 = r, y2 = b (grid units). Gradients in the
-# corners map back to distances with sign flips on x1 and y1.
 
-
-def _frame_corners(d: np.ndarray) -> tuple[np.ndarray, ...]:
-    return 1.0 - d[..., 0], 1.0 - d[..., 1], d[..., 2], d[..., 3]
-
-
-def _corner_grad_to_dist(gx1, gy1, gx2, gy2) -> np.ndarray:
-    return np.stack([-gx1, -gy1, gx2, gy2], axis=-1)
-
-
-def _iou_with_grad(p: np.ndarray, t: np.ndarray):
-    """Overlap score and pieces shared by the whole IoU family.
-
-    The predicted box may be degenerate (non-positive width or height while
-    mid-optimization); extents are clamped so the score stays defined, with
-    zero gradient through inactive branches.
-    """
-    px1, py1, px2, py2 = _frame_corners(p)
-    tx1, ty1, tx2, ty2 = _frame_corners(t)
-
-    iw = np.minimum(px2, tx2) - np.maximum(px1, tx1)
-    ih = np.minimum(py2, ty2) - np.maximum(py1, ty1)
-    iw_p = np.maximum(iw, 0.0)
-    ih_p = np.maximum(ih, 0.0)
-    inter = iw_p * ih_p
-
-    pw = px2 - px1
-    ph = py2 - py1
-    pw_p = np.maximum(pw, 0.0)
-    ph_p = np.maximum(ph, 0.0)
-    area_p = pw_p * ph_p
-    area_t = (tx2 - tx1) * (ty2 - ty1)
-    union = area_p + area_t - inter
-    iou = inter / union
-
-    # d(inter)/d(pred corners)
-    gw = (iw > 0.0).astype(float)
-    gh = (ih > 0.0).astype(float)
-    d_inter_x1 = -gw * (px1 > tx1).astype(float) * ih_p
-    d_inter_x2 = gw * (px2 < tx2).astype(float) * ih_p
-    d_inter_y1 = -gh * (py1 > ty1).astype(float) * iw_p
-    d_inter_y2 = gh * (py2 < ty2).astype(float) * iw_p
-
-    # d(pred area)/d(pred corners)
-    aw = (pw > 0.0).astype(float)
-    ah = (ph > 0.0).astype(float)
-    d_area_x1 = -aw * ph_p
-    d_area_x2 = aw * ph_p
-    d_area_y1 = -ah * pw_p
-    d_area_y2 = ah * pw_p
-
-    d_union_x1 = d_area_x1 - d_inter_x1
-    d_union_x2 = d_area_x2 - d_inter_x2
-    d_union_y1 = d_area_y1 - d_inter_y1
-    d_union_y2 = d_area_y2 - d_inter_y2
-
-    u2 = union * union
-    d_iou_x1 = (d_inter_x1 * union - inter * d_union_x1) / u2
-    d_iou_x2 = (d_inter_x2 * union - inter * d_union_x2) / u2
-    d_iou_y1 = (d_inter_y1 * union - inter * d_union_y1) / u2
-    d_iou_y2 = (d_inter_y2 * union - inter * d_union_y2) / u2
-
-    hull_w = np.maximum(px2, tx2) - np.minimum(px1, tx1)
-    hull_h = np.maximum(py2, ty2) - np.minimum(py1, ty1)
-    d_hw_x1 = -(px1 < tx1).astype(float)
-    d_hw_x2 = (px2 > tx2).astype(float)
-    d_hh_y1 = -(py1 < ty1).astype(float)
-    d_hh_y2 = (py2 > ty2).astype(float)
-
-    return {
-        "corners_p": (px1, py1, px2, py2),
-        "corners_t": (tx1, ty1, tx2, ty2),
-        "pw": pw, "ph": ph,
-        "iou": iou,
-        "union": union,
-        "d_iou": (d_iou_x1, d_iou_y1, d_iou_x2, d_iou_y2),
-        "d_union": (d_union_x1, d_union_y1, d_union_x2, d_union_y2),
-        "hull_w": hull_w, "hull_h": hull_h,
-        "d_hull_w": (d_hw_x1, d_hw_x2),
-        "d_hull_h": (d_hh_y1, d_hh_y2),
-    }
+_ORIGIN = np.array([1.0, 1.0, 0.0, 0.0])    # reach = distance - origin
 
 
 def _iou_family_loss_grad(p: np.ndarray, t: np.ndarray, kind: str):
-    z = _iou_with_grad(p, t)
-    score = z["iou"]
-    gx1, gy1, gx2, gy2 = z["d_iou"]
+    """One IoU kind's loss and gradient; a non-positive predicted extent clamps to 0."""
+    # C-ordered (side, axis, rows) reaches; .T reverses both row axes alike
+    # once their ranks match, so ufuncs broadcast them, and .T restores them
+    ndim = max(p.ndim, t.ndim)
+    rows = (x.reshape((1,) * (ndim - x.ndim) + x.shape) for x in (p, t))
+    rp, rt = ((x - _ORIGIN).T.copy().reshape(2, 2, *x.shape[-2::-1]) for x in rows)
 
-    if kind in ("giou",):
+    inner = np.minimum(rp, rt)
+    ext_i = inner[0] + inner[1]
+    inner_p = np.maximum(ext_i, 0.0)
+    inter = inner_p[0] * inner_p[1]
+    ext_p = rp[0] + rp[1]
+    ext_pp = np.maximum(ext_p, 0.0)
+    ext_t = rt[0] + rt[1]
+    union = ext_pp[0] * ext_pp[1] + ext_t[0] * ext_t[1] - inter
+    iou = inter / union
+
+    # A reach drives the overlap while it falls short of the truth's; the
+    # [::-1] views give each axis the other axis's extent.
+    d_inter = (ext_i > 0.0) * (rp < rt) * inner_p[::-1]
+    d_union = (ext_p > 0.0) * ext_pp[::-1] - d_inter
+    d_iou = (d_inter * union - inter * d_union) / (union * union)
+    score, g = iou, d_iou
+
+    if kind != "iou":
+        # the hull grows with a reach beyond the truth's
+        hull = np.maximum(rp, rt)
+        ext_h = hull[0] + hull[1]
+        d_hull = rp > rt
+
+    if kind == "giou":
         # iou - (hull - union)/hull == iou - 1 + union/hull
-        hull = z["hull_w"] * z["hull_h"]
-        dhx1 = z["d_hull_w"][0] * z["hull_h"]
-        dhx2 = z["d_hull_w"][1] * z["hull_h"]
-        dhy1 = z["d_hull_h"][0] * z["hull_w"]
-        dhy2 = z["d_hull_h"][1] * z["hull_w"]
-        ux1, uy1, ux2, uy2 = z["d_union"]
-        h2 = hull * hull
-        score = score - 1.0 + z["union"] / hull
-        gx1 = gx1 + (ux1 * hull - z["union"] * dhx1) / h2
-        gx2 = gx2 + (ux2 * hull - z["union"] * dhx2) / h2
-        gy1 = gy1 + (uy1 * hull - z["union"] * dhy1) / h2
-        gy2 = gy2 + (uy2 * hull - z["union"] * dhy2) / h2
+        area = ext_h[0] * ext_h[1]
+        d_area = d_hull * ext_h[::-1]
+        score = score - 1.0 + union / area
+        g = g + (d_union * area - union * d_area) / (area * area)
 
     if kind in ("diou", "ciou"):
-        px1, py1, px2, py2 = z["corners_p"]
-        tx1, ty1, tx2, ty2 = z["corners_t"]
-        dx = (px1 + px2) / 2 - (tx1 + tx2) / 2
-        dy = (py1 + py2) / 2 - (ty1 + ty2) / 2
-        dist2 = dx * dx + dy * dy
-        diag2 = z["hull_w"] ** 2 + z["hull_h"] ** 2
-        dd2x1 = 2.0 * z["hull_w"] * z["d_hull_w"][0]
-        dd2x2 = 2.0 * z["hull_w"] * z["d_hull_w"][1]
-        dd2y1 = 2.0 * z["hull_h"] * z["d_hull_h"][0]
-        dd2y2 = 2.0 * z["hull_h"] * z["d_hull_h"][1]
-        g2 = diag2 * diag2
+        gap = (rp[1] - rp[0]) / 2 - (rt[1] - rt[0]) / 2   # a back reach pulls it back
+        dist2 = gap[0] * gap[0] + gap[1] * gap[1]
+        diag2 = ext_h[0] * ext_h[0] + ext_h[1] * ext_h[1]
+        d_diag2 = 2.0 * ext_h * d_hull
         score = score - dist2 / diag2
-        gx1 = gx1 - (dx * diag2 - dist2 * dd2x1) / g2
-        gx2 = gx2 - (dx * diag2 - dist2 * dd2x2) / g2
-        gy1 = gy1 - (dy * diag2 - dist2 * dd2y1) / g2
-        gy2 = gy2 - (dy * diag2 - dist2 * dd2y2) / g2
+        g = g - (np.multiply.outer([-1.0, 1.0], gap) * diag2 - dist2 * d_diag2) / (diag2 * diag2)
 
     if kind == "ciou":
         # Aspect-ratio consistency term, differentiated exactly, including
         # through its adaptive weight.
-        pw_c = np.maximum(z["pw"], _ASPECT_EPS)
-        ph_c = np.maximum(z["ph"], _ASPECT_EPS)
-        tw = z["corners_t"][2] - z["corners_t"][0]
-        th = z["corners_t"][3] - z["corners_t"][1]
-        q = np.arctan(tw / th) - np.arctan(pw_c / ph_c)
+        ext_c = np.maximum(ext_p, _ASPECT_EPS)
+        q = np.arctan(ext_t[0] / ext_t[1]) - np.arctan(ext_c[0] / ext_c[1])
         v = (4.0 / np.pi**2) * q * q
+        # dq/d(reach) = -(dw*h - w*dh) / (w^2 + h^2), alike on both sides
+        grows = (ext_p > _ASPECT_EPS) * ext_c[::-1]
+        grows[1] *= -1.0
+        dq = -grows / (ext_c[0] * ext_c[0] + ext_c[1] * ext_c[1])
+        dv = (8.0 / np.pi**2) * q * dq
 
-        gpw = (z["pw"] > _ASPECT_EPS).astype(float)
-        gph = (z["ph"] > _ASPECT_EPS).astype(float)
-        denom = pw_c * pw_c + ph_c * ph_c
-        # dq/d(corner) = -(dpw*ph - pw*dph)/denom
-        dq_x1 = -(-gpw * ph_c) / denom
-        dq_x2 = -(gpw * ph_c) / denom
-        dq_y1 = -(pw_c * gph) / denom      # dph/dy1 = -1
-        dq_y2 = -(-pw_c * gph) / denom     # dph/dy2 = +1
-        coef = (8.0 / np.pi**2) * q
-        dv_x1, dv_y1 = coef * dq_x1, coef * dq_y1
-        dv_x2, dv_y2 = coef * dq_x2, coef * dq_y2
-
-        iou_val = z["iou"]
-        iou_gx1, iou_gy1, iou_gx2, iou_gy2 = z["d_iou"]
-        big = (1.0 - iou_val) + v + _COVER_EPS
+        big = (1.0 - iou) + v + _COVER_EPS
         alpha = v / big
-        b2 = big * big
-
-        def d_alpha(dv, iou_g):
-            return (dv * big - v * (dv - iou_g)) / b2
-
+        d_alpha = (dv * big - v * (dv - d_iou)) / (big * big)
         score = score - alpha * v
-        gx1 = gx1 - (d_alpha(dv_x1, iou_gx1) * v + alpha * dv_x1)
-        gy1 = gy1 - (d_alpha(dv_y1, iou_gy1) * v + alpha * dv_y1)
-        gx2 = gx2 - (d_alpha(dv_x2, iou_gx2) * v + alpha * dv_x2)
-        gy2 = gy2 - (d_alpha(dv_y2, iou_gy2) * v + alpha * dv_y2)
+        g = g - (d_alpha * v + alpha * dv)
 
-    loss = 1.0 - score
-    grad = -_corner_grad_to_dist(gx1, gy1, gx2, gy2)
-    return loss, grad
+    loss = np.subtract(1.0, score.T, order="C")
+    return loss, np.negative(g.reshape(4, *g.shape[2:]).T, order="C")
 
 
 def _mse_loss_grad(p: np.ndarray, t: np.ndarray):

@@ -142,6 +142,33 @@ class TestGradcheck:
         assert main(["gradcheck", "--loss", kind, "--samples", "50",
                      "--output", str(tmp_path / "gc.json")]) == 1
 
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_nan_gradient_fails(self, tmp_path, monkeypatch, kind):
+        original = detbox.gradcheck.regression_loss_grad
+
+        def nan_grad(pred, truth, loss_kind, rho):
+            loss, grad = original(pred, truth, loss_kind, rho)
+            return loss, np.full_like(grad, np.nan)
+
+        monkeypatch.setattr(detbox.gradcheck, "regression_loss_grad", nan_grad)
+        out = tmp_path / "gc.json"
+        assert main(["gradcheck", "--loss", kind, "--samples", "20", "--output", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["passed"] is False
+        assert doc["worst_rel_err_distance"] == "inf"
+
+    @pytest.mark.parametrize("step", ["0", "nan", "inf"])
+    def test_degenerate_fd_step_exits_2(self, capsys, step):
+        assert main(["gradcheck", "--samples", "5", "--fd-step", step]) == 2
+        assert "fd step must be finite and nonzero" in capsys.readouterr().err
+
+    def test_small_image_passes(self, tmp_path):
+        # 96 pixels cannot hold the 6-stride boxes drawn on larger images
+        out = tmp_path / "gc.json"
+        assert main(["gradcheck", "--image-size", "96", "--samples", "200",
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["image_w"] == 96
+
 
 class TestFit:
     def test_default_single_object_converges(self, tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from detbox import BoundingBox, CornerBox, GeometryError, giou, iou, to_center, to_corner
+from detbox import BoundingBox, CornerBox, GeometryError, giou, iou, to_corner
 from detbox.geom import iou_xyxy
 
 from conftest import random_box
@@ -18,11 +18,11 @@ def test_to_corner_examples():
 def test_center_corner_round_trip(rng):
     for _ in range(200):
         box = random_box(rng)
-        back = to_center(to_corner(box))
-        assert abs(back.cx - box.cx) < 1e-12
-        assert abs(back.cy - box.cy) < 1e-12
-        assert abs(back.w - box.w) < 1e-12
-        assert abs(back.h - box.h) < 1e-12
+        corner = to_corner(box)
+        assert abs((corner.x1 + corner.x2) / 2 - box.cx) < 1e-12
+        assert abs((corner.y1 + corner.y2) / 2 - box.cy) < 1e-12
+        assert abs(corner.w - box.w) < 1e-12
+        assert abs(corner.h - box.h) < 1e-12
 
 
 def test_degenerate_boxes_rejected():

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from detbox import (
     CornerBox,
@@ -19,7 +22,7 @@ from detbox import (
 )
 from detbox.codec import decode_distances, encode_logit_array
 from detbox.gradcheck import central_diff, sample_pair
-from detbox.losses import DegenerateGeometryError, logit_loss_grad
+from detbox.losses import LOSS_KINDS, DegenerateGeometryError, logit_loss_grad
 
 
 def _random_truth(rng, gain=2.0):
@@ -125,7 +128,7 @@ class TestGradients:
         for _ in range(300):
             pred, truth, _ = sample_pair(rng, scale)
             _, grad = regression_loss_grad(pred, truth)
-            fd = central_diff(lambda d: float(sdiou_loss(d, truth)), pred, 1e-6)
+            fd = central_diff(lambda d: sdiou_loss(d, truth), pred, 1e-6)
             denom = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-8)
             worst = max(worst, np.linalg.norm(grad - fd) / denom)
         assert worst < 1e-5
@@ -134,7 +137,7 @@ class TestGradients:
         truth = np.array([1.0, 1.0, 1.0, 1.0])
         pred = np.array([0.1, 0.1, 0.1, 0.1])   # overlap extents clamp to zero
         _, grad = regression_loss_grad(pred, truth)
-        fd = central_diff(lambda d: float(sdiou_loss(d, truth)), pred, 1e-6)
+        fd = central_diff(lambda d: sdiou_loss(d, truth), pred, 1e-6)
         np.testing.assert_allclose(grad, fd, rtol=1e-5)
         # with the penalty off, only the cover path remains, and the cover
         # ignores predictions below the truth entirely
@@ -149,7 +152,7 @@ class TestGradients:
                 pred, truth, _ = sample_pair(rng, scale)
                 _, grad = regression_loss_grad(pred, truth, kind)
                 fd = central_diff(
-                    lambda d: float(regression_loss_grad(d, truth, kind)[0]), pred, 1e-4
+                    lambda d: regression_loss_grad(d, truth, kind)[0], pred, 1e-4
                 )
                 denom = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-8)
                 worst = max(worst, np.linalg.norm(grad - fd) / denom)
@@ -182,7 +185,7 @@ class TestLogitGradients:
             logits = encode_logit_array(pred, gain)
             _, grad = logit_loss_grad(logits, truth, gain)
             fd = central_diff(
-                lambda p: float(logit_loss_grad(p, truth, gain)[0]), logits, 1e-6
+                lambda p: logit_loss_grad(p, truth, gain)[0], logits, 1e-6
             )
             denom = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-8)
             worst = max(worst, np.linalg.norm(grad - fd) / denom)
@@ -252,6 +255,37 @@ class TestBaselines:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="valid"):
             regression_loss_grad(np.ones(4), np.ones(4), "huber")
+
+
+@st.composite
+def _kernel_batches(draw):
+    """(pred, truth), both (n, 4, 4): truths keep a positive extent; preds
+    tie with truth row 0, lie flat, invert or miss the truth entirely."""
+    n = draw(st.integers(1, 4))
+    truth = draw(arrays(float, (n, 4, 4), elements=st.floats(0.55, 8.0)))
+    pred = draw(arrays(float, (n, 4, 4), elements=st.floats(-3.0, 8.0)))
+    pred = np.where(draw(arrays(bool, (n, 4, 4))), truth[:, :1], pred)
+    flat = draw(arrays(bool, (n, 4, 2)))
+    pred[..., 2:] = np.where(flat, 1.0 - pred[..., :2], pred[..., 2:])   # zero extent
+    return pred, truth
+
+
+class TestBatchedKernels:
+    """One call over broadcast rows of either rank equals one (4,) call per row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=_kernel_batches(), kind=st.sampled_from(LOSS_KINDS))
+    def test_batched_call_equals_row_calls(self, batch, kind):
+        pred, truth = batch
+        pairs = ((pred[:, :1], truth), (pred[:, :1], truth[0, 0]), (pred, truth[:, :1]),
+                 (pred[0, 0], truth[:, 0]))
+        for p, t in pairs:
+            loss, grad = regression_loss_grad(p, t, kind)
+            p_rows, t_rows = np.broadcast_arrays(p, t)
+            rows = [regression_loss_grad(p_rows[i], t_rows[i], kind) for i in np.ndindex(loss.shape)]
+            assert loss.shape == p_rows.shape[:-1] and grad.shape == p_rows.shape
+            assert loss.tobytes() == np.array([r[0] for r in rows]).reshape(loss.shape).tobytes()
+            assert np.array_equal(grad, np.array([r[1] for r in rows]).reshape(grad.shape))
 
 
 class TestMultitask:
