@@ -27,6 +27,7 @@ from .fit import (
 from .geom import BoundingBox, CornerBox, GeometryError, giou, iou, to_corner
 from .infer import (
     Detection,
+    DetectionTable,
     DecodeResult,
     PredictionGrid,
     decode_grid,
@@ -62,6 +63,7 @@ __all__ = [
     "DecodeResult",
     "DegenerateGeometryError",
     "Detection",
+    "DetectionTable",
     "FitConfig",
     "FitReport",
     "GeometryError",

@@ -25,8 +25,11 @@ import math
 import os
 import sys
 import tempfile
+import zipfile
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+
+import numpy as np
 
 from .assign import LOCATION_STRATEGIES, AssignMode, AssignmentError, assign
 from .codec import CodecError, ScaleConfig
@@ -36,6 +39,8 @@ from .gradcheck import run_gradcheck
 from .infer import (
     DEFAULT_CONF_THRESHOLD,
     DEFAULT_NMS_THRESHOLD,
+    PredictionGrid,
+    decode_grid,
     detections_from_jsonl,
     detections_to_jsonl,
     nms,
@@ -343,6 +348,27 @@ def _cmd_nms(args) -> int:
     return 0
 
 
+def _cmd_detect(args) -> int:
+    cfg = _resolve(args)
+    archive = np.load(args.grid)
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"grid {args.grid}: not an np.savez archive")
+    with archive:
+        names = [f"arr_{i}" for i in range(len(archive.files))]
+        if set(archive.files) != set(names):
+            raise ValueError(f"grid {args.grid}: levels must be {names}, got {archive.files}")
+        grid = PredictionGrid(tuple(archive[name] for name in names))
+    decoded = decode_grid(grid, cfg.scale().for_image(*cfg.image_size), cfg.conf_threshold)
+    kept = nms(decoded.detections, cfg.nms_threshold)
+    print(f"detbox detect: cells_in={sum(a[..., 0].size for a in grid.levels)} "
+          f"dropped_degenerate={decoded.dropped_degenerate} "
+          f"dets_out={len(decoded.detections)} kept={len(kept)}", file=sys.stderr)
+    echo = cfg.echo(command="detect", grid=str(args.grid))
+    _write_atomic(args.output, "# config: " + json.dumps(echo, sort_keys=True) + "\n"
+                  + detections_to_jsonl(kept))
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--strides", help="comma-separated strides (default 8,16,32)")
@@ -426,6 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detections", required=True, help="line-JSON detections")
     p.set_defaults(func=_cmd_nms)
 
+    p = sub.add_parser("detect", parents=[common], help="decode a dense grid, then suppress")
+    p.add_argument("--grid", required=True, help="np.savez file of the levels, in scale order")
+    p.set_defaults(func=_cmd_detect)
+
     return parser
 
 
@@ -437,7 +467,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CocoFormatError, CodecError, AssignmentError, GeometryError, ValueError, OSError) as exc:
+    except (CocoFormatError, CodecError, AssignmentError, GeometryError, ValueError, OSError,
+            zipfile.BadZipFile) as exc:
         print(f"detbox {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

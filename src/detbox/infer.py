@@ -8,12 +8,12 @@ corners come from inverting the corner-distance code at the cell::
     x1 = stride * (cell_x + 1 - l)      x2 = stride * (cell_x + r)
     y1 = stride * (cell_y + 1 - t)      y2 = stride * (cell_y + b)
 
-Both stages work on column arrays and touch :class:`Detection` objects
-only at their edges. Decoding keeps a cell only when ``x2 > x1``,
-``y2 > y1`` and no class logit is NaN; every other confident cell is
-dropped and counted in ``DecodeResult.dropped_degenerate``. That covers
-zero or negative extent and non-finite distance logits alike, since any
-comparison with NaN is false, and keeps NaN scores out of the output.
+Both stages work on the columns of a :class:`DetectionTable`, whose
+:class:`Detection` rows are built only when read. Decoding keeps a cell
+only when ``x2 > x1``, ``y2 > y1`` and no class logit is NaN; every other
+confident cell is dropped and counted in ``DecodeResult.dropped_degenerate``.
+That covers zero or negative extent and non-finite distance logits alike,
+since any comparison with NaN is false, and keeps NaN scores out.
 
 Greedy suppression is class-wise: a detection is removed only by a
 higher-ranked kept detection of the same class overlapping it with IoU
@@ -29,7 +29,8 @@ suppresses anything.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -70,20 +71,76 @@ class PredictionGrid:
         object.__setattr__(
             self, "levels", tuple(np.asarray(a, dtype=float) for a in self.levels)
         )
+        if any(a.ndim != 3 for a in self.levels):
+            raise ValueError(f"levels must be 3-d, got shapes {[a.shape for a in self.levels]}")
         channels = {a.shape[-1] for a in self.levels}
         if len(channels) != 1:
             raise ValueError(f"levels disagree on channel count: {sorted(channels)}")
         if next(iter(channels)) < 6:
             raise ValueError("need at least 6 channels: 4 distances, objectness, 1 class")
 
-    @property
-    def num_classes(self) -> int:
-        return self.levels[0].shape[-1] - 5
+
+@dataclass(frozen=True, eq=False)
+class DetectionTable(Sequence):
+    """Detections as columns, with ``class_id`` and ``best`` (the best class
+    score) computed once here. Indexing and iteration give :class:`Detection`
+    rows of Python scalars, built on first read and cached, so an index
+    always gives the same object. Equality with a sequence compares rows."""
+
+    boxes: np.ndarray           # (n, 4) x1, y1, x2, y2
+    objectness: np.ndarray
+    class_scores: np.ndarray    # (n, m)
+    scale_index: np.ndarray
+    cell: np.ndarray            # (n, 2) cell_x, cell_y
+    _rows: list = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "class_id", self.class_scores.argmax(axis=1))
+        object.__setattr__(self, "best", self.class_scores.max(axis=1))
+        object.__setattr__(self, "_rows", [None] * len(self.objectness))
+
+    @classmethod
+    def from_rows(cls, detections: Sequence[Detection]) -> DetectionTable:
+        """The columns of ``detections``, which become the table's rows.
+        Score vectors of unequal lengths, as JSONL gives, are padded with
+        -inf, which keeps each row's argmax and max."""
+        scores = [np.ravel(d.class_scores) for d in detections]
+        padded = np.full((len(scores), max((s.size for s in scores), default=1)), -np.inf)
+        for row, s in zip(padded, scores):
+            row[:s.size] = s
+        boxes = [(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in detections]
+        table = cls(np.array(boxes, dtype=float).reshape(-1, 4),
+                    np.array([d.objectness for d in detections], dtype=float), padded,
+                    np.array([d.scale_index for d in detections]),
+                    np.array([d.cell for d in detections]).reshape(-1, 2))
+        table._rows[:] = detections
+        return table
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> Detection:
+        return self.rows([range(len(self))[i]])[0]
+
+    def __iter__(self):
+        return iter(self.rows(range(len(self))))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def rows(self, index) -> list[Detection]:
+        """The rows at ``index`` (ints >= 0), the missing ones built in one pass."""
+        missing = [i for i in index if self._rows[i] is None]
+        columns = (self.boxes[missing].tolist(), self.objectness[missing].tolist(),
+                   self.scale_index[missing].tolist(), self.cell[missing].tolist())
+        for i, box, o, k, (cx, cy) in zip(missing, *columns):
+            self._rows[i] = Detection(CornerBox(*box), o, self.class_scores[i], k, (cx, cy))
+        return [self._rows[i] for i in index]
 
 
 @dataclass(frozen=True)
 class DecodeResult:
-    detections: list[Detection]
+    detections: DetectionTable
     dropped_degenerate: int = 0
 
 
@@ -115,60 +172,25 @@ def decode_grid(
         stride = scale.strides[scale_index]
         objectness = expit(arr[..., 4])
         cx, cy = np.nonzero(objectness >= conf_threshold)
-        if cx.size == 0:
-            continue
-        dists = decode_distances(arr[cx, cy, :4], scale.gains[scale_index])
-        x1 = stride * (cx + 1.0 - dists[:, 0])
-        y1 = stride * (cy + 1.0 - dists[:, 1])
-        x2 = stride * (cx + dists[:, 2])
-        y2 = stride * (cy + dists[:, 3])
+        d = decode_distances(arr[cx, cy, :4], scale.gains[scale_index])
+        boxes = stride * np.stack([cx + 1.0 - d[:, 0], cy + 1.0 - d[:, 1], cx + d[:, 2],
+                                   cy + d[:, 3]], axis=1)
         class_scores = expit(arr[cx, cy, 5:])
-        good = (x2 > x1) & (y2 > y1) & ~np.isnan(class_scores).any(axis=1)
+        good = ((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
+                & ~np.isnan(class_scores).any(axis=1))
         dropped += int(np.count_nonzero(~good))
         cx, cy = cx[good], cy[good]
-        parts.append((
-            x1[good], y1[good], x2[good], y2[good], objectness[cx, cy],
-            class_scores[good], np.full(cx.size, scale_index), cx, cy,
-        ))
-    if not parts:
-        return DecodeResult(detections=[], dropped_degenerate=dropped)
-    x1, y1, x2, y2, obj, class_scores, level, cx, cy = (np.concatenate(c) for c in zip(*parts))
-    order = np.lexsort((class_scores.argmax(axis=1), cx, cy, level, -obj))
-    x1, y1, x2, y2, obj, level, cx, cy = (
-        c[order].tolist() for c in (x1, y1, x2, y2, obj, level, cx, cy)
-    )
-    detections = [
-        Detection(
-            box=CornerBox(*corners),
-            objectness=o,
-            class_scores=scores,
-            scale_index=k,
-            cell=(i, j),
-        )
-        for *corners, o, scores, k, i, j in zip(
-            x1, y1, x2, y2, obj, class_scores[order], level, cx, cy
-        )
-    ]
-    return DecodeResult(detections=detections, dropped_degenerate=dropped)
-
-
-def _best_classes(detections: list[Detection]) -> tuple[np.ndarray, np.ndarray]:
-    """``class_id`` and the best class score of every detection, computed
-    per group of equally shaped score vectors instead of per detection."""
-    class_id = np.empty(len(detections), dtype=np.intp)
-    best = np.empty(len(detections))
-    groups: dict[tuple, list[int]] = {}
-    for i, d in enumerate(detections):
-        groups.setdefault(np.shape(d.class_scores), []).append(i)
-    for rows in groups.values():
-        table = np.stack([detections[i].class_scores for i in rows]).reshape(len(rows), -1)
-        class_id[rows] = table.argmax(axis=1)
-        best[rows] = table.max(axis=1)
-    return class_id, best
+        parts.append((boxes[good], objectness[cx, cy], class_scores[good],
+                      np.full(cx.size, scale_index), np.stack([cx, cy], axis=1)))
+    columns = [np.concatenate(c) for c in zip(*parts)]
+    boxes, obj, class_scores, level, cell = columns
+    order = np.lexsort((class_scores.argmax(axis=1), cell[:, 0], cell[:, 1], level, -obj))
+    table = DetectionTable(*(c[order] for c in columns))
+    return DecodeResult(detections=table, dropped_degenerate=dropped)
 
 
 def nms(
-    detections: list[Detection],
+    detections: Sequence[Detection],
     iou_threshold: float = DEFAULT_NMS_THRESHOLD,
 ) -> list[Detection]:
     """Greedy per-class suppression; returns survivors by descending score.
@@ -176,24 +198,28 @@ def nms(
     A detection is suppressed when some already-kept detection of the same
     class overlaps it with IoU strictly above the threshold. Boxes of
     different classes never interact, and a zero-area box overlaps nothing.
-    The survivors are the input objects themselves, in rank order.
+    The survivors come in rank order: for a :class:`DetectionTable` they are
+    its cached rows, built here only for the survivors; for any other
+    sequence they are the input objects themselves.
     """
-    n = len(detections)
-    class_id, best = _best_classes(detections)
-    score = np.array([d.objectness for d in detections], dtype=float) * best
-    boxes = np.array([(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in detections], dtype=float)
-    level = np.array([d.scale_index for d in detections])
-    cell = np.array([d.cell for d in detections]).reshape(n, 2)
-    order = np.lexsort((class_id, cell[:, 0], cell[:, 1], level, -score))
+    table = detections
+    if not isinstance(table, DetectionTable):
+        table = DetectionTable.from_rows(detections)
+    score = table.objectness * table.best
+    order = np.lexsort((table.class_id, table.cell[:, 0], table.cell[:, 1],
+                        table.scale_index, -score))
     # One greedy pass per class, not torchvision's trick of offsetting each
     # class's coordinates: the offset changes how the IoU rounds, so pairs
     # near the threshold could flip against the scalar referee.
-    ranked_class = class_id[order]
+    ranked_class = table.class_id[order]
     by_class = np.argsort(ranked_class, kind="stable")
     bounds = np.flatnonzero(np.diff(ranked_class[by_class])) + 1
     kept: list[int] = []
     for members in np.split(by_class, bounds):
-        member_boxes = boxes[order[members]]
+        if members.size == 1:
+            kept.append(int(members[0]))
+            continue
+        member_boxes = table.boxes[order[members]]
         alive = np.ones(members.size, dtype=bool)
         for i in range(members.size):
             if not alive[i]:
@@ -204,7 +230,7 @@ def nms(
                 overlap = iou_xyxy(member_boxes[i], member_boxes[rest])
                 alive[rest[overlap > iou_threshold]] = False
     kept.sort()
-    return [detections[i] for i in order[kept]]
+    return table.rows(order[kept])
 
 
 def _fmt(x: float) -> str:

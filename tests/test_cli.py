@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import detbox
-from detbox import BoundingBox, PredictionGrid, ScaleConfig, decode_grid
+from detbox import BoundingBox, PredictionGrid, ScaleConfig, decode_grid, nms
 from detbox.cli import build_parser, main
 from detbox.gradcheck import FD_STEPS
 from detbox.infer import detections_from_jsonl, detections_to_jsonl
@@ -371,6 +371,63 @@ class TestNmsCommand:
         assert [d.class_id for d in detections_from_jsonl(out.read_text())] == [2]
 
 
+def _detect_grid(tmp_path):
+    """Two overlapping same-class boxes, one other class, one degenerate cell."""
+    scale = ScaleConfig()
+    levels = empty_grid(scale)
+    box = BoundingBox(241.5, 133.25, 58.0, 37.5)
+    plant(levels, scale, box, scale_index=1, class_id=2)
+    plant(levels, scale, box, scale_index=2, objectness=5.0, class_id=2)
+    plant(levels, scale, BoundingBox(400.5, 300.25, 40.0, 30.0), scale_index=0,
+          objectness=4.0, class_id=1)
+    levels[0][4, 4, :4] = -12.0
+    levels[0][4, 4, 4] = 9.0
+    path = tmp_path / "grid.npz"
+    np.savez(path, *levels)
+    return path, levels, scale
+
+
+class TestDetectCommand:
+    def test_output_equals_the_python_api(self, tmp_path, capsys):
+        path, levels, scale = _detect_grid(tmp_path)
+        out = tmp_path / "kept.jsonl"
+        assert main(["detect", "--grid", str(path), "--nms-threshold", "0.5",
+                     "--output", str(out)]) == 0
+        decoded = decode_grid(PredictionGrid(tuple(levels)), scale, 0.001)
+        kept = nms(decoded.detections, 0.5)
+        echo = {"command": "detect", "conf_threshold": 0.001, "gains": [2.0, 4.0, 16.0],
+                "grid": str(path), "image_h": 640, "image_w": 640, "nms_threshold": 0.5,
+                "rho": 1.0, "seed": 0, "strides": [8, 16, 32]}
+        header = "# config: " + json.dumps(echo, sort_keys=True) + "\n"
+        assert out.read_text() == header + detections_to_jsonl(kept)
+        assert [d.class_id for d in kept] == [2, 1]
+        err = capsys.readouterr().err
+        assert err == "detbox detect: cells_in=8400 dropped_degenerate=1 dets_out=3 kept=2\n"
+
+    def test_conf_threshold_applies_to_objectness(self, tmp_path):
+        path, _, _ = _detect_grid(tmp_path)
+        out = tmp_path / "kept.jsonl"
+        assert main(["detect", "--grid", str(path), "--conf-threshold", "0.99",
+                     "--output", str(out)]) == 0
+        assert [d.class_id for d in detections_from_jsonl(out.read_text())] == [2]
+
+    @pytest.mark.parametrize("bad", ["missing_key", "level_count", "shape", "not_npz"])
+    def test_bad_grid_exits_2(self, tmp_path, capsys, bad):
+        _, levels, _ = _detect_grid(tmp_path)
+        path = tmp_path / "bad.npz"
+        if bad == "missing_key":
+            np.savez(path, arr_0=levels[0], arr_1=levels[1], arr_3=levels[2])
+        elif bad == "level_count":
+            np.savez(path, *levels[:2])
+        elif bad == "shape":
+            np.savez(path, levels[0][:-1], *levels[1:])
+        else:
+            path.write_text("not an archive")
+        assert main(["detect", "--grid", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("detbox detect: error:") and "Traceback" not in err
+
+
 class TestConfigPrecedence:
     def test_file_overrides_builtin_and_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -444,9 +501,10 @@ _CLI_SURFACE = {
     "assign-stats": _COMMON_FLAGS | {"--scene", "--mode", "--thresholds", "--predictions"},
     "audit": _COMMON_FLAGS | {"--scene"},
     "nms": _COMMON_FLAGS | {"--detections"},
+    "detect": _COMMON_FLAGS | {"--grid"},
 }
 _REQUIRED = {"encode": {"--scene"}, "assign-stats": {"--scene"}, "audit": {"--scene"},
-             "nms": {"--detections"}}
+             "nms": {"--detections"}, "detect": {"--grid"}}
 
 
 def test_cli_surface_is_pinned():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from detbox import (
     BoundingBox,
@@ -17,7 +18,7 @@ from detbox import (
     encode,
     nms,
 )
-from detbox.codec import center_cell, encode_logit_array
+from detbox.codec import center_cell, decode_distances, encode_logit_array
 from detbox.geom import iou, to_corner
 
 from conftest import random_box
@@ -280,6 +281,66 @@ class TestNmsAgainstReference:
         got = nms(dets, threshold)
         want = reference_nms(dets, threshold)
         assert [id(d) for d in got] == [id(d) for d in want]
+
+
+SMALL = ScaleConfig(strides=(8, 16), gains=(2.0, 4.0), image_w=32, image_h=32)
+
+
+def row_by_row_decode(levels, scale, conf_threshold):
+    """Decode one confident cell at a time into a :class:`Detection`, as
+    ``decode_grid`` built its rows before it filled a table."""
+    rows = []
+    for k, arr in enumerate(levels):
+        stride = scale.strides[k]
+        for i, j in zip(*np.nonzero(expit(arr[..., 4]) >= conf_threshold)):
+            l, t, r, b = decode_distances(arr[i, j, :4], scale.gains[k])
+            x1, y1 = stride * (i + 1.0 - l), stride * (j + 1.0 - t)
+            x2, y2 = stride * (i + r), stride * (j + b)
+            scores = expit(arr[i, j, 5:])
+            if x2 > x1 and y2 > y1 and not np.isnan(scores).any():
+                box = CornerBox(float(x1), float(y1), float(x2), float(y2))
+                rows.append(Detection(box, float(expit(arr[i, j, 4])), scores, k, (int(i), int(j))))
+    rows.sort(key=lambda d: (-d.objectness, d.scale_index, d.cell[1], d.cell[0]))
+    return rows
+
+
+@st.composite
+def tied_grids(draw):
+    """Logits from small sets, so objectness and class scores tie exactly,
+    with NaN class and distance logits, collapsed boxes and empty levels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = []
+    for k in range(SMALL.num_scales):
+        arr = np.empty((*SMALL.grid_size(k), M + 5))
+        arr[..., :4] = rng.choice([-12.0, -1.0, 0.0, 0.5, 1.5, np.nan], size=arr[..., :4].shape,
+                                  p=[0.05, 0.2, 0.3, 0.2, 0.2, 0.05])
+        arr[..., 4] = rng.choice([-40.0, -3.0, 0.0, 2.0], size=arr.shape[:2])
+        if draw(st.booleans()):
+            arr[..., 4] = -40.0
+        arr[..., 5:] = rng.choice([0.0, 1.0, 2.0, np.nan], size=arr[..., 5:].shape,
+                                  p=[0.4, 0.3, 0.28, 0.02])
+        levels.append(arr)
+    return levels
+
+
+class TestTableAgainstObjects:
+    @settings(max_examples=200, deadline=None)
+    @given(levels=tied_grids(), threshold=st.sampled_from([0.0, 0.5, 1.01]))
+    def test_table_path_equals_object_path(self, levels, threshold):
+        decoded = decode_grid(PredictionGrid(tuple(levels)), SMALL)
+        by_table = nms(decoded.detections, threshold)
+        rows = list(decoded.detections)
+        by_list = nms(rows, threshold)
+        assert isinstance(by_table, list)
+        assert [id(d) for d in by_table] == [id(d) for d in by_list]
+        assert [id(d) for d in by_table] == [id(d) for d in reference_nms(rows, threshold)]
+
+        want = row_by_row_decode(levels, SMALL, 0.001)
+        assert len(rows) == len(want)
+        for got, ref in zip(rows, want):
+            assert got.box == ref.box and got.objectness == ref.objectness
+            assert np.array_equal(got.class_scores, ref.class_scores)
+            assert (got.scale_index, got.cell) == (ref.scale_index, ref.cell)
 
 
 class TestWireFormat:

@@ -20,8 +20,9 @@ from detbox import (
     sdiou,
     sdiou_loss,
 )
+from detbox import gradcheck
 from detbox.codec import decode_distances, encode_logit_array
-from detbox.gradcheck import central_diff, sample_pair
+from detbox.gradcheck import central_diff, run_gradcheck, sample_pair
 from detbox.losses import LOSS_KINDS, DegenerateGeometryError, logit_loss_grad
 
 
@@ -132,6 +133,12 @@ class TestGradients:
             denom = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-8)
             worst = max(worst, np.linalg.norm(grad - fd) / denom)
         assert worst < 1e-5
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_gradcheck_in_chunks_equals_one_batch(self, monkeypatch, kind):
+        whole = run_gradcheck(kind, samples=50, seed=8)
+        monkeypatch.setattr(gradcheck, "CHUNK_SAMPLES", 7)
+        assert run_gradcheck(kind, samples=50, seed=8) == whole
 
     def test_clamped_region_kills_the_overlap_path(self):
         truth = np.array([1.0, 1.0, 1.0, 1.0])
