@@ -121,11 +121,11 @@ def giou(a: CornerBox, b: CornerBox) -> float:
 
 
 def iou_xyxy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise IoU over (..., 4) corner-form arrays.
-
-    Vectorized fast path for inner loops; agrees with :func:`iou` on
-    non-degenerate inputs (cross-checked in the test suite). Degenerate
-    rows yield 0 instead of raising.
+    """Elementwise IoU over (..., 4) corner-form arrays, broadcasting over
+    paired rows: (n, 4) with (n, 4), or (k, 1, 4) with (n, 4) for a (k, n)
+    table, with the same arithmetic per pair. Agrees with :func:`iou` on
+    non-degenerate inputs (cross-checked in the test suite); degenerate rows
+    yield 0 instead of raising.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -9,7 +9,9 @@ corners come from inverting the corner-distance code at the cell::
     y1 = stride * (cell_y + 1 - t)      y2 = stride * (cell_y + b)
 
 Both stages work on the columns of a :class:`DetectionTable`, whose
-:class:`Detection` rows are built only when read. Decoding keeps a cell
+:class:`Detection` rows are built only when read. The confidence filter
+runs ``expit`` only on logits near ``logit(conf_threshold)``, with the
+outcome of a full mask. Decoding keeps a cell
 only when ``x2 > x1``, ``y2 > y1`` and no class logit is NaN; every other
 confident cell is dropped and counted in ``DecodeResult.dropped_degenerate``.
 That covers zero or negative extent and non-finite distance logits alike,
@@ -19,11 +21,10 @@ Greedy suppression is class-wise: a detection is removed only by a
 higher-ranked kept detection of the same class overlapping it with IoU
 strictly above the threshold. Ranking is objectness times the best class
 probability, with ties broken by (scale, cell_y, cell_x, class) for
-determinism. Each kept box suppresses its still-alive successors of its
-class through one row of :func:`geom.iou_xyxy`, whose arithmetic matches
-the scalar referee :func:`geom.iou` bit for bit on boxes of positive area.
-The IoU with a zero-area box is 0, so such a box is kept and never
-suppresses anything.
+determinism. :func:`nms` scores same-class pairs with :func:`geom.iou_xyxy`,
+whose arithmetic matches the scalar referee :func:`geom.iou` bit for bit
+on boxes of positive area, and resolves greedy with array steps. The IoU
+with a zero-area box is 0, so such a box is kept and suppresses nothing.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from .codec import ScaleConfig, decode_distances
 from .geom import CornerBox, iou_xyxy
 
 DEFAULT_CONF_THRESHOLD = 0.001
 DEFAULT_NMS_THRESHOLD = 0.6
+PAIR_CHUNK = 8192     # IoU pairs per iou_xyxy call in nms: bounds its memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +162,9 @@ def decode_grid(
         raise ValueError(
             f"grid has {len(grid.levels)} levels, scale config {scale.num_scales}"
         )
+    # expit decides on logits >= floor: its rounding moves the boundary up to
+    # 0.41 below the logit (measured); the clip keeps floor low outside [0, 1).
+    floor = logit(np.clip(conf_threshold, 0.0, 1 - 2**-52)) - 1.0
     parts = []
     dropped = 0
     for scale_index, arr in enumerate(grid.levels):
@@ -170,8 +175,9 @@ def decode_grid(
                 f"for stride {scale.strides[scale_index]}"
             )
         stride = scale.strides[scale_index]
-        objectness = expit(arr[..., 4])
-        cx, cy = np.nonzero(objectness >= conf_threshold)
+        cx, cy = np.nonzero(arr[..., 4] >= floor)
+        confident = expit(arr[cx, cy, 4]) >= conf_threshold
+        cx, cy = cx[confident], cy[confident]
         d = decode_distances(arr[cx, cy, :4], scale.gains[scale_index])
         boxes = stride * np.stack([cx + 1.0 - d[:, 0], cy + 1.0 - d[:, 1], cx + d[:, 2],
                                    cy + d[:, 3]], axis=1)
@@ -180,7 +186,7 @@ def decode_grid(
                 & ~np.isnan(class_scores).any(axis=1))
         dropped += int(np.count_nonzero(~good))
         cx, cy = cx[good], cy[good]
-        parts.append((boxes[good], objectness[cx, cy], class_scores[good],
+        parts.append((boxes[good], expit(arr[cx, cy, 4]), class_scores[good],
                       np.full(cx.size, scale_index), np.stack([cx, cy], axis=1)))
     columns = [np.concatenate(c) for c in zip(*parts)]
     boxes, obj, class_scores, level, cell = columns
@@ -201,6 +207,12 @@ def nms(
     The survivors come in rank order: for a :class:`DetectionTable` they are
     its cached rows, built here only for the survivors; for any other
     sequence they are the input objects themselves.
+
+    Boxes go in blocks with at most PAIR_CHUNK same-class pairs, scored by
+    one :func:`geom.iou_xyxy` call. Rounds of array steps suppress what a
+    kept box overlaps and keep boxes whose overlapping predecessors are all
+    suppressed, until every box is decided; then the block's kept boxes
+    suppress what they overlap beyond it, PAIR_CHUNK pairs per call.
     """
     table = detections
     if not isinstance(table, DetectionTable):
@@ -208,29 +220,40 @@ def nms(
     score = table.objectness * table.best
     order = np.lexsort((table.class_id, table.cell[:, 0], table.cell[:, 1],
                         table.scale_index, -score))
-    # One greedy pass per class, not torchvision's trick of offsetting each
+    # Class by class, in rank order; not torchvision's trick of offsetting each
     # class's coordinates: the offset changes how the IoU rounds, so pairs
     # near the threshold could flip against the scalar referee.
-    ranked_class = table.class_id[order]
-    by_class = np.argsort(ranked_class, kind="stable")
-    bounds = np.flatnonzero(np.diff(ranked_class[by_class])) + 1
-    kept: list[int] = []
-    for members in np.split(by_class, bounds):
-        if members.size == 1:
-            kept.append(int(members[0]))
-            continue
-        member_boxes = table.boxes[order[members]]
-        alive = np.ones(members.size, dtype=bool)
-        for i in range(members.size):
-            if not alive[i]:
-                continue
-            kept.append(int(members[i]))
-            rest = i + 1 + np.flatnonzero(alive[i + 1:])
-            if rest.size:
-                overlap = iou_xyxy(member_boxes[i], member_boxes[rest])
-                alive[rest[overlap > iou_threshold]] = False
-    kept.sort()
-    return table.rows(order[kept])
+    by_class = np.argsort(table.class_id[order], kind="stable")
+    boxes, class_id = table.boxes[order[by_class]], table.class_id[order[by_class]]
+    suppressed = np.zeros(len(order), dtype=bool)
+    start = 0   # every box before start is decided
+    while (live := start + np.flatnonzero(~suppressed[start:])).size:
+        # A block of the first live boxes, with at most PAIR_CHUNK same-class
+        # pairs (i, j), i < j, among them; the first box has none.
+        live_class = class_id[live]
+        before = np.arange(live.size) - np.searchsorted(live_class, live_class)
+        ends = np.cumsum(before)
+        rows = np.searchsorted(ends, PAIR_CHUNK, side="right")
+        j = np.repeat(np.arange(rows), before[:rows])
+        i = j - before[j] + np.arange(j.size) - (ends - before)[j]
+        over = iou_xyxy(boxes[live[i]], boxes[live[j]]) > iou_threshold
+        i, j = i[over], j[over]
+        kept, dropped = np.zeros((2, rows), dtype=bool)
+        while not (kept | dropped).all():
+            dropped[j[kept[i]]] = True
+            blocked = np.bincount(j[~dropped[i]], minlength=rows) > 0
+            kept |= ~(dropped | blocked)
+        suppressed[live[:rows][dropped]] = True
+        # Only the last class goes on past the block; its kept boxes suppress there.
+        last = live_class[rows - 1]
+        heads = boxes[live[:rows][kept & (live_class[:rows] == last)], None]
+        tail = live[rows:np.searchsorted(live_class, last, side="right")]
+        step = max(1, PAIR_CHUNK // len(heads))
+        for s in range(0, tail.size, step):
+            part = tail[s:s + step]
+            suppressed[part[(iou_xyxy(heads, boxes[part]) > iou_threshold).any(axis=0)]] = True
+        start = live[rows - 1] + 1
+    return table.rows(order[np.sort(by_class[~suppressed])])
 
 
 def _fmt(x: float) -> str:
@@ -266,6 +289,8 @@ def detections_from_jsonl(text: str) -> list[Detection]:
             rec = json.loads(line)
             box = CornerBox(rec["x1"], rec["y1"], rec["x2"], rec["y2"])
             class_id = int(rec["class"])
+            if class_id < 0:
+                raise ValueError(f"negative class {class_id}")
             scores = np.zeros(class_id + 1)
             scores[class_id] = 1.0
             out.append(

@@ -358,6 +358,14 @@ class TestNmsCommand:
         assert main(["nms", "--detections", str(src), "--output", str(out)]) == 0
         assert len(detections_from_jsonl(out.read_text())) == 2
 
+    def test_negative_class_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "dets.jsonl"
+        src.write_text(_det_line(0, 0, 10, 10, 0.9, -1) + "\n")
+        out = tmp_path / "kept.jsonl"
+        assert main(["nms", "--detections", str(src), "--output", str(out)]) == 2
+        assert "bad detection on line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_decoded_nan_class_logit_round_trips(self, tmp_path):
         scale = ScaleConfig()
         levels = empty_grid(scale)

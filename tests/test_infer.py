@@ -1,25 +1,30 @@
 """Grid decoding, greedy suppression, and the detection wire format."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from detbox import (
     BoundingBox,
     CornerBox,
     Detection,
+    DetectionTable,
     PredictionGrid,
     ScaleConfig,
     decode_grid,
     detections_from_jsonl,
     detections_to_jsonl,
     encode,
+    infer,
     nms,
 )
 from detbox.codec import center_cell, decode_distances, encode_logit_array
-from detbox.geom import iou, to_corner
+from detbox.geom import iou, iou_xyxy, to_corner
 
 from conftest import random_box
 
@@ -282,6 +287,81 @@ class TestNmsAgainstReference:
         want = reference_nms(dets, threshold)
         assert [id(d) for d in got] == [id(d) for d in want]
 
+    @settings(max_examples=300, deadline=None)
+    @given(dets=detection_sets(), threshold=st.sampled_from([0.0, 0.5, 1.01]),
+           chunk=st.sampled_from([1, 3, 7]))
+    def test_matches_reference_in_small_chunks(self, dets, threshold, chunk):
+        # blocks of a few boxes: classes run on past a block, and overlap
+        # chains inside one take several rounds to resolve
+        with mock.patch.object(infer, "PAIR_CHUNK", chunk):
+            got = nms(dets, threshold)
+        want = reference_nms(dets, threshold)
+        assert [id(d) for d in got] == [id(d) for d in want]
+
+    @pytest.mark.parametrize("chunk", [1, 2, infer.PAIR_CHUNK])
+    def test_suppressed_box_suppresses_nothing(self, chunk):
+        # a chain: each box overlaps its neighbours with IoU 0.54 and the
+        # next but one with 0.25. a suppresses b, b would have suppressed
+        # c, so c is kept, suppresses d, and so on down the chain.
+        chain = [make_det(3 * k, 0, 3 * k + 10, 10, 0.9 - 0.1 * k, class_id=1) for k in range(7)]
+        with mock.patch.object(infer, "PAIR_CHUNK", chunk):
+            assert nms(chain[::-1], 0.5) == chain[::2]
+        assert reference_nms(chain[::-1], 0.5) == chain[::2]
+
+
+def greedy_loop_nms(table, threshold):
+    """Table indices kept by the plain greedy loop: one pass per class in
+    rank order, one iou_xyxy row per kept box against its live successors."""
+    score = table.objectness * table.best
+    order = np.lexsort((table.class_id, table.cell[:, 0], table.cell[:, 1],
+                        table.scale_index, -score))
+    kept = []
+    for c in np.unique(table.class_id):
+        members = order[table.class_id[order] == c]
+        alive = np.ones(members.size, dtype=bool)
+        for i in range(members.size):
+            if alive[i]:
+                kept.append(members[i])
+                rest = i + 1 + np.flatnonzero(alive[i + 1:])
+                overlap = iou_xyxy(table.boxes[members[i]], table.boxes[members[rest]])
+                alive[rest[overlap > threshold]] = False
+    rank = np.empty(order.size, dtype=int)
+    rank[order] = np.arange(order.size)
+    return sorted(kept, key=lambda k: rank[k])
+
+
+def crowded_table(kind, n=5000, seed=0):
+    rng = np.random.default_rng(seed)
+    if kind == "identical":
+        boxes = np.tile([100.0, 120.0, 180.0, 230.0], (n, 1))
+    else:
+        corner = rng.uniform(0, 600, (n, 2))
+        boxes = np.concatenate([corner, corner + rng.uniform(12, 320, (n, 2))], axis=1)
+    classes = 80 if kind == "80 classes" else 1
+    class_scores = np.zeros((n, classes))
+    class_scores[np.arange(n), rng.integers(classes, size=n)] = rng.choice([0.5, 1.0], n)
+    return DetectionTable(boxes, rng.choice([0.25, 0.5, 0.75, 1.0], n), class_scores,
+                          rng.integers(3, size=n), rng.integers(80, size=(n, 2)))
+
+
+class TestNmsAtScale:
+    @pytest.mark.parametrize("kind", ["one class", "identical", "80 classes"])
+    def test_5000_detections_in_bounded_memory(self, kind):
+        table = crowded_table(kind)
+        tracemalloc.start()
+        try:
+            kept = nms(table, 0.6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all same-class pairs at once would need gigabytes here
+        assert peak < 32 * 2**20
+        rows = list(table)
+        position = {id(d): i for i, d in enumerate(rows)}
+        assert [position[id(d)] for d in kept] == greedy_loop_nms(table, 0.6)
+        subset = rows[::5]
+        assert [id(d) for d in nms(subset, 0.6)] == [id(d) for d in reference_nms(subset, 0.6)]
+
 
 SMALL = ScaleConfig(strides=(8, 16), gains=(2.0, 4.0), image_w=32, image_h=32)
 
@@ -321,6 +401,67 @@ def tied_grids(draw):
                                   p=[0.4, 0.3, 0.28, 0.02])
         levels.append(arr)
     return levels
+
+
+def expit_boundary(c):
+    """The least float o with expit(o) >= c, by bisection over the floats in
+    order (expit is monotone); None when no float qualifies."""
+    def key(x):
+        i = int(np.float64(x).view(np.int64))
+        return i if i >= 0 else -(i & (2**63 - 1))
+
+    def value(k):
+        return np.int64(k if k >= 0 else -k | -2**63).view(np.float64)
+
+    if not expit(np.inf) >= c:
+        return None
+    lo, hi = key(-np.inf), key(np.inf)
+    if expit(-np.inf) >= c:
+        return -np.inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if expit(value(mid)) >= c else (mid, hi)
+    return value(hi)
+
+
+def near_floats(x, ulps=3):
+    """x and the floats up to ``ulps`` steps either side of it."""
+    out, down, up = [x], x, x
+    for _ in range(ulps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [float(down), float(up)]
+    return out
+
+
+THRESHOLDS = [0.0, 1.0, 1.5, np.nan, -0.5, 0.001, 0.5, 0.999999, 1 - 2**-53, 5e-324, 1e-310]
+
+
+class TestDecodePrefilter:
+    @settings(max_examples=200, deadline=None)
+    @given(threshold=st.sampled_from(THRESHOLDS) | st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_selects_what_a_full_expit_mask_selects(self, threshold, seed):
+        near = {-np.inf, np.inf, np.nan, 0.0, 40.0, -800.0}
+        near.update(near_floats(float(logit(threshold))))
+        boundary = expit_boundary(threshold)
+        if boundary is not None:
+            near.update(near_floats(float(boundary)))
+        rng = np.random.default_rng(seed)
+        levels = []
+        for k in range(SMALL.num_scales):
+            arr = np.empty((*SMALL.grid_size(k), M + 5))
+            arr[..., :4] = rng.choice([-12.0, 0.0, 0.5, 1.5, np.nan], size=arr[..., :4].shape,
+                                      p=[0.1, 0.3, 0.3, 0.25, 0.05])
+            arr[..., 4] = rng.choice(sorted(near, key=str), size=arr.shape[:2])
+            arr[..., 5:] = rng.choice([0.0, 2.0, np.nan], size=arr[..., 5:].shape,
+                                      p=[0.5, 0.48, 0.02])
+            levels.append(arr)
+        res = decode_grid(PredictionGrid(tuple(levels)), SMALL, threshold)
+        want = row_by_row_decode(levels, SMALL, threshold)
+        passed = sum(int(np.count_nonzero(expit(a[..., 4]) >= threshold)) for a in levels)
+        assert [(d.scale_index, d.cell, d.objectness) for d in res.detections] == \
+            [(d.scale_index, d.cell, d.objectness) for d in want]
+        assert res.dropped_degenerate == passed - len(want)
 
 
 class TestTableAgainstObjects:
@@ -365,4 +506,10 @@ class TestWireFormat:
     def test_bad_line_reports_position(self):
         text = '{"x1":0,"y1":0,"x2":1,"y2":1,"score":0.5,"class":0,"scale":0}\n{"x1":0}\n'
         with pytest.raises(ValueError, match="line 2"):
+            detections_from_jsonl(text)
+
+    def test_negative_class_is_a_bad_line(self):
+        text = ('{"x1":0,"y1":0,"x2":1,"y2":1,"score":0.5,"class":0,"scale":0}\n'
+                '{"x1":0,"y1":0,"x2":1,"y2":1,"score":0.5,"class":-1,"scale":0}\n')
+        with pytest.raises(ValueError, match="bad detection on line 2"):
             detections_from_jsonl(text)
