@@ -9,8 +9,8 @@ at its scale's gain.
 
 One engine, :func:`fit_scenes`, runs every fit. It assigns each scene once,
 concatenates the usable records of all scenes, keeps one logit copy per
-loss kind, and steps them all in a single loop that makes one loss call
-per kind and does the kind-independent work once over every row.
+loss kind, and steps them all in a single loop. Each step makes one loss
+call over every kind's rows and does the rest once over every row.
 :func:`fit_scene` and :func:`compare_losses` call it.
 
 Records whose targets fall outside the representable open interval
@@ -116,8 +116,8 @@ class FitConfig:
     def __post_init__(self) -> None:
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.loss not in LOSS_KINDS:
             raise ValueError(
                 f"unknown loss kind {self.loss!r}; valid: {', '.join(LOSS_KINDS)}"
@@ -175,14 +175,6 @@ def check_size_bounds(spec: SceneSpec, scale: ScaleConfig) -> None:
     )
 
 
-def _record_boxes(d: np.ndarray, cells: np.ndarray, strides: np.ndarray) -> np.ndarray:
-    x1 = strides * (cells[:, 0] + 1.0 - d[..., 0])
-    y1 = strides * (cells[:, 1] + 1.0 - d[..., 1])
-    x2 = strides * (cells[:, 0] + d[..., 2])
-    y2 = strides * (cells[:, 1] + d[..., 3])
-    return np.stack([x1, y1, x2, y2], axis=-1)
-
-
 def _steps_to(trace: np.ndarray, tau: float) -> tuple:
     """Per object (column), the first step whose IoU reaches ``tau``, or None."""
     hit = trace >= tau
@@ -230,12 +222,20 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
     # rows are (kind, record): kind k owns logit sets [k * n_keys, (k + 1) * n_keys)
     by_kind = np.arange(n_kinds)[:, None]
     row_key = by_kind * n_keys + np.argsort(np.argsort(first))[inverse.reshape(-1)]
-    row_obj = by_kind * n_objects + obj
+    # one bincount bin per (logit set, component) adds gradients in row order
+    bins = (row_key[..., None] * 4 + np.arange(4)).ravel()
+    # rows sorted stably by (kind, object), so an object's best IoU is a max over a run
+    row_obj = (by_kind * n_objects + obj).ravel()
+    by_obj = np.argsort(row_obj, kind="stable")
+    owners, starts = np.unique(row_obj[by_obj], return_index=True)
+    # a box is stride * (corner + d * side): x1 = stride * (x + 1 - l), ..., y2 = stride * (y + b)
+    corner, side = np.concatenate([rec.cell + 1.0, rec.cell], axis=1), np.array([-1.0, -1, 1, 1])
 
     def best_iou_per_object(d: np.ndarray) -> np.ndarray:
-        acc = np.full(n_kinds * n_objects, -1.0)
-        np.maximum.at(acc, row_obj, iou_xyxy(_record_boxes(d, rec.cell, stride), truth))
-        return np.where(acc >= 0.0, acc, np.nan).reshape(n_kinds, n_objects)
+        best = np.full(n_kinds * n_objects, np.nan)   # NaN for an object without records
+        iou = iou_xyxy(stride[:, None] * (corner + d * side), truth).ravel()
+        best[owners] = np.maximum.reduceat(iou[by_obj], starts)
+        return best.reshape(n_kinds, n_objects)
 
     if cfg.multitask:
         n_groups, key_group = len(scenes) * n_scales, group[first_sorted]
@@ -254,37 +254,35 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
         cls_labels[np.arange(n_keys), rec.class_id[first_sorted]] = 1.0
         cls_div = (key_count * key_classes)[:, None]
 
-    def objective(loss: np.ndarray, i: int) -> float:
+    def objective(loss: np.ndarray, i: int):
+        """Scene i's objective under each kind, from the (kinds, rows) losses."""
         if not cfg.multitask:
-            return float(np.sum(loss[rec_off[i]:rec_off[i + 1]]))
+            return loss[:, rec_off[i]:rec_off[i + 1]].sum(axis=1)
         scales, cls = range(i * n_scales, (i + 1) * n_scales), slice(n_classes[i])
-        return multitask_loss(
-            [float(np.mean(loss[rec_in[g]])) if rec_in[g].size else 0.0 for g in scales],
+        return [multitask_loss(
+            [float(np.mean(k_loss[rec_in[g]])) if rec_in[g].size else 0.0 for g in scales],
             [obj_logits[key_in[g]] for g in scales],
             [np.ones(key_in[g].size) for g in scales],
             [cls_logits[key_in[g], cls] for g in scales],
             [cls_labels[key_in[g], cls] for g in scales],
-        ).total
+        ).total for k_loss in loss]
 
     logits = np.zeros((n_kinds * n_keys, 4))
-    loss_trace = np.empty((cfg.steps + 1, n_kinds, len(scenes)))
+    loss_trace = np.empty((cfg.steps + 1, len(scenes), n_kinds))
     iou_trace = np.empty((cfg.steps + 1, n_kinds, n_objects))
     # Step k's post-update decode is step k+1's input, and the last pass
     # only scores the final logits.
     d = decode_distances(logits[row_key], gain)
     iou_trace[0] = best_iou_per_object(d)
-    grad_d = np.empty_like(d)
     for step in range(cfg.steps + 1):
-        for k, kind in enumerate(kinds):
-            loss, grad_d[k] = regression_loss_grad(d[k], rec.target, kind, cfg.rho)
-            loss_trace[step, k] = [objective(loss, i) for i in range(len(scenes))]
+        loss, grad_d = regression_loss_grad(d, rec.target, kinds, cfg.rho)
+        loss_trace[step] = [objective(loss, i) for i in range(len(scenes))]
         if step == cfg.steps:
             break
 
         grad = grad_d / row_count if cfg.multitask else grad_d
-        g = np.zeros_like(logits)
-        np.add.at(g, row_key, grad * decode_jacobian(logits[row_key], gain))
-        logits -= cfg.learning_rate * g
+        g = np.bincount(bins, (grad * decode_jacobian(logits[row_key], gain)).ravel(), logits.size)
+        logits -= cfg.learning_rate * g.reshape(logits.shape)
         if cfg.multitask:
             obj_logits -= cfg.learning_rate * ((expit(obj_logits) - 1.0) / key_count)
             cls_logits -= cfg.learning_rate * ((expit(cls_logits) - cls_labels) / cls_div)
@@ -301,7 +299,7 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
             excluded = np.setdiff1d(np.arange(obj_off[i + 1] - obj_off[i]), table.object_id)
             reports[k].append(FitReport(
                 loss_kind=kind, steps=cfg.steps, learning_rate=cfg.learning_rate,
-                loss_trace=loss_trace[:, k, i].copy(), iou_trace=trace, final_iou=final,
+                loss_trace=loss_trace[:, i, k].copy(), iou_trace=trace, final_iou=final,
                 steps_to_iou90=_steps_to(trace, 0.90), steps_to_iou99=_steps_to(trace, 0.99),
                 success_rate=float(np.mean(included > 0.99)) if included.size else 0.0,
                 excluded_objects=tuple(excluded.tolist()), n_records=len(table),

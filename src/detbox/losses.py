@@ -78,26 +78,23 @@ def _dist_array(x) -> np.ndarray:
 
 
 def _sdiou_core(pred: np.ndarray, truth: np.ndarray, rho: float):
-    if rho < 0:
+    if not 0 <= rho < np.inf:
         raise ValueError(f"rho must be >= 0, got {rho}")
     diff = truth - pred
     s = np.sum(diff * diff, axis=-1)
     mn = np.minimum(truth, pred)
     mx = np.maximum(truth, pred)
-    wi_raw = mn[..., 0] + mn[..., 2] - 1.0
-    hi_raw = mn[..., 1] + mn[..., 3] - 1.0
-    wi = np.maximum(wi_raw, 0.0)
-    hi = np.maximum(hi_raw, 0.0)
-    wc = mx[..., 0] + mx[..., 2] - 1.0
-    hc = mx[..., 1] + mx[..., 3] - 1.0
-    i = wi * wi + hi * hi
-    c = wc * wc + hc * hc
+    # (width, height) pairs of the overlap, before and after its clamp, and the cover
+    inner_raw = mn[..., :2] + mn[..., 2:] - 1.0
+    inner = np.maximum(inner_raw, 0.0)
+    cover = mx[..., :2] + mx[..., 2:] - 1.0
+    i, c = (sq[..., 0] + sq[..., 1] for sq in (inner * inner, cover * cover))
     if np.any(c <= _COVER_EPS):
         raise DegenerateGeometryError(
             "covering diagonal is zero: both boxes have collapsed to points"
         )
     score = (i - rho * s) / c
-    return s, wi_raw, hi_raw, wi, hi, wc, hc, i, c, score
+    return s, inner_raw, inner, cover, i, c, score
 
 
 def sdiou_loss(pred, truth, rho: float = 1.0) -> np.ndarray:
@@ -110,7 +107,7 @@ def sdiou(pred, truth, rho: float = 1.0) -> SdiouParts:
     """Score one prediction against one truth, exposing every term."""
     p = _dist_array(pred).reshape(4)
     t = _dist_array(truth).reshape(4)
-    s, _, _, wi, hi, wc, hc, i, c, score = _sdiou_core(p, t, rho)
+    s, _, (wi, hi), (wc, hc), i, c, score = _sdiou_core(p, t, rho)
     return SdiouParts(
         penalty=float(s),
         inter_w=float(wi),
@@ -131,14 +128,13 @@ def sdiou_loss_grad(pred, truth, rho: float = 1.0) -> tuple[np.ndarray, np.ndarr
     """
     p = _dist_array(pred)
     t = _dist_array(truth)
-    s, wi_raw, hi_raw, wi, hi, wc, hc, i, c, score = _sdiou_core(p, t, rho)
+    s, inner_raw, inner, cover, i, c, score = _sdiou_core(p, t, rho)
 
     # the prediction moves an extent only through the components where it
     # drives the min (overlap) or the max (cover)
-    inter = np.stack([wi * (wi_raw > 0.0), hi * (hi_raw > 0.0)] * 2, axis=-1)
-    cover = np.stack([wc, hc] * 2, axis=-1)
-    di = 2.0 * inter * (p < t)
-    dc = 2.0 * cover * (p > t)
+    live = inner * (inner_raw > 0.0)
+    di = 2.0 * np.concatenate([live, live], axis=-1) * (p < t)
+    dc = 2.0 * np.concatenate([cover, cover], axis=-1) * (p > t)
 
     ds = 2.0 * (p - t)
     numer = i - rho * s
@@ -151,13 +147,19 @@ def sdiou_loss_grad(pred, truth, rho: float = 1.0) -> tuple[np.ndarray, np.ndarr
 _ORIGIN = np.array([1.0, 1.0, 0.0, 0.0])    # reach = distance - origin
 
 
-def _iou_family_loss_grad(p: np.ndarray, t: np.ndarray, kind: str):
-    """One IoU kind's loss and gradient; a non-positive predicted extent clamps to 0."""
+def _iou_family_loss_grad(p: np.ndarray, t: np.ndarray, kind):
+    """IoU-family losses and gradients; a non-positive predicted extent clamps to 0.
+
+    ``kind`` is one kind, or a tuple that names ``p``'s leading axis. Each
+    term is computed once over all rows, and each kind reads its own slices.
+    """
+    kinds = {kind} if isinstance(kind, str) else set(kind)
     # C-ordered (side, axis, rows) reaches; .T reverses both row axes alike
     # once their ranks match, so ufuncs broadcast them, and .T restores them
     ndim = max(p.ndim, t.ndim)
-    rows = (x.reshape((1,) * (ndim - x.ndim) + x.shape) for x in (p, t))
-    rp, rt = ((x - _ORIGIN).T.copy().reshape(2, 2, *x.shape[-2::-1]) for x in rows)
+    origin = _ORIGIN.reshape(4, *(1,) * (ndim - 1))
+    rows = (x.reshape((1,) * (ndim - x.ndim) + x.shape).T for x in (p, t))
+    rp, rt = (np.subtract(x, origin, order="C").reshape(2, 2, *x.shape[1:]) for x in rows)
 
     inner = np.minimum(rp, rt)
     ext_i = inner[0] + inner[1]
@@ -174,30 +176,30 @@ def _iou_family_loss_grad(p: np.ndarray, t: np.ndarray, kind: str):
     d_inter = (ext_i > 0.0) * (rp < rt) * inner_p[::-1]
     d_union = (ext_p > 0.0) * ext_pp[::-1] - d_inter
     d_iou = (d_inter * union - inter * d_union) / (union * union)
-    score, g = iou, d_iou
+    terms = {"iou": (iou, d_iou)}   # (score, gradient) per kind
 
-    if kind != "iou":
+    if kinds - {"iou"}:
         # the hull grows with a reach beyond the truth's
         hull = np.maximum(rp, rt)
         ext_h = hull[0] + hull[1]
         d_hull = rp > rt
 
-    if kind == "giou":
+    if "giou" in kinds:
         # iou - (hull - union)/hull == iou - 1 + union/hull
         area = ext_h[0] * ext_h[1]
         d_area = d_hull * ext_h[::-1]
-        score = score - 1.0 + union / area
-        g = g + (d_union * area - union * d_area) / (area * area)
+        terms["giou"] = (iou - 1.0 + union / area,
+                         d_iou + (d_union * area - union * d_area) / (area * area))
 
-    if kind in ("diou", "ciou"):
+    if kinds & {"diou", "ciou"}:
         gap = (rp[1] - rp[0]) / 2 - (rt[1] - rt[0]) / 2   # a back reach pulls it back
         dist2 = gap[0] * gap[0] + gap[1] * gap[1]
         diag2 = ext_h[0] * ext_h[0] + ext_h[1] * ext_h[1]
         d_diag2 = 2.0 * ext_h * d_hull
-        score = score - dist2 / diag2
-        g = g - (np.multiply.outer([-1.0, 1.0], gap) * diag2 - dist2 * d_diag2) / (diag2 * diag2)
+        terms["diou"] = (iou - dist2 / diag2, d_iou - (
+            np.multiply.outer([-1.0, 1.0], gap) * diag2 - dist2 * d_diag2) / (diag2 * diag2))
 
-    if kind == "ciou":
+    if "ciou" in kinds:
         # Aspect-ratio consistency term, differentiated exactly, including
         # through its adaptive weight.
         ext_c = np.maximum(ext_p, _ASPECT_EPS)
@@ -212,9 +214,15 @@ def _iou_family_loss_grad(p: np.ndarray, t: np.ndarray, kind: str):
         big = (1.0 - iou) + v + _COVER_EPS
         alpha = v / big
         d_alpha = (dv * big - v * (dv - d_iou)) / (big * big)
-        score = score - alpha * v
-        g = g - (d_alpha * v + alpha * dv)
+        score, g = terms["diou"]
+        terms["ciou"] = (score - alpha * v, g - (d_alpha * v + alpha * dv))
 
+    if isinstance(kind, str):
+        score, g = terms[kind]
+    else:   # the kind axis is last in this layout
+        score, g = np.empty_like(iou), np.empty_like(d_iou)
+        for k, name in enumerate(kind):
+            score[..., k], g[..., k] = terms[name][0][..., k], terms[name][1][..., k]
     loss = np.subtract(1.0, score.T, order="C")
     return loss, np.negative(g.reshape(4, *g.shape[2:]).T, order="C")
 
@@ -224,19 +232,48 @@ def _mse_loss_grad(p: np.ndarray, t: np.ndarray):
     return np.mean(diff * diff, axis=-1), diff / 2.0
 
 
+def _positions(kinds: tuple, names: tuple) -> int | slice | list | None:
+    """Where ``names`` sit in ``kinds``: one index, a slice over one run, or a list."""
+    idx = [i for i, k in enumerate(kinds) if k in names]
+    if len(idx) < 2:
+        return idx[0] if idx else None
+    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
+
+
+_KERNELS = {   # kinds -> kernel; only the IoU family's kernel reads its kinds
+    ("sdiou",): lambda p, t, kinds, rho: sdiou_loss_grad(p, t, rho),
+    ("mse",): lambda p, t, kinds, rho: _mse_loss_grad(p, t),
+    LOSS_KINDS[2:]: lambda p, t, kinds, rho: _iou_family_loss_grad(p, t, kinds),
+}
+
+
 def regression_loss_grad(
-    pred, truth, kind: str = "sdiou", rho: float = 1.0
+    pred, truth, kind="sdiou", rho: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unified (loss, gradient) dispatch over (..., 4) distance arrays."""
+    """Unified (loss, gradient) dispatch over (..., 4) distance arrays.
+
+    ``kind`` is one loss kind, or a tuple of kinds (any order, repeats
+    allowed) that names ``pred``'s leading axis, which ``truth`` has too or
+    broadcasts over. A tuple makes one call per kernel: sdiou, mse and the
+    IoU family. Each kind's slices get the bits of a call with it alone.
+    """
     p = _dist_array(pred)
     t = _dist_array(truth)
-    if kind == "sdiou":
-        return sdiou_loss_grad(p, t, rho)
-    if kind == "mse":
-        return _mse_loss_grad(p, t)
-    if kind in ("iou", "giou", "diou", "ciou"):
-        return _iou_family_loss_grad(p, t, kind)
-    raise ValueError(f"unknown loss kind {kind!r}; valid: {', '.join(LOSS_KINDS)}")
+    if bad := [k for k in ([kind] if isinstance(kind, str) else kind) if k not in LOSS_KINDS]:
+        raise ValueError(f"unknown loss kind {bad[0]!r}; valid: {', '.join(LOSS_KINDS)}")
+    if isinstance(kind, str):
+        return next(run for names, run in _KERNELS.items() if kind in names)(p, t, kind, rho)
+    kinds = tuple(kind)
+    if p.ndim < 2 or len(p) != len(kinds):
+        raise ValueError(f"{len(kinds)} kinds for prediction rows of shape {p.shape}")
+    shape = np.broadcast_shapes(p.shape, t.shape)
+    loss, grad = np.empty(shape[:-1]), np.empty(shape)
+    for names, run in _KERNELS.items():
+        if (at := _positions(kinds, names)) is not None:
+            own = tuple(kinds[i] for i in at) if isinstance(at, list) else kinds[at]
+            t_at = t[at] if t.ndim == p.ndim and len(t) > 1 else t
+            loss[at], grad[at] = run(p[at], t_at, own, rho)
+    return loss, grad
 
 
 def logit_loss_grad(

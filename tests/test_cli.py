@@ -170,6 +170,20 @@ class TestGradcheck:
         assert json.loads(out.read_text())["config"]["image_w"] == 96
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--lr", "nan", "--steps", "3"], "learning_rate must be finite and > 0"),
+    (["compare-losses", "--lr", "inf", "--scenes", "1", "--steps", "3"],
+     "learning_rate must be finite and > 0"),
+    (["fit", "--rho", "nan", "--steps", "3"], "rho must be >= 0"),
+    (["gradcheck", "--rho", "nan", "--samples", "5"], "rho must be >= 0"),
+], ids=["fit-lr-nan", "compare-losses-lr-inf", "fit-rho-nan", "gradcheck-rho-nan"])
+def test_non_finite_setting_exits_2(argv, message, capsys):
+    # a NaN or infinite step never converges, and a NaN rho is no verdict on the gradients
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 class TestFit:
     def test_default_single_object_converges(self, tmp_path):
         out = tmp_path / "fit.json"

@@ -1,6 +1,7 @@
 """Gradient-descent harness: determinism, fixed points, convergence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,15 +230,19 @@ class TestFitScenes:
     def test_matches_one_scene_one_kind_fits(self, seed, multitask):
         scenes = self._batch(seed)
         cfg = FitConfig(steps=40, scale=self.SCALE, multitask=multitask)
-        batched = fit_scenes(scenes, cfg, LOSS_KINDS)
-        assert [len(reports) for reports in batched] == [len(scenes)] * len(LOSS_KINDS)
-        for kind, reports in zip(LOSS_KINDS, batched):
-            for scene, report in zip(scenes, reports):
-                _assert_same_report(report, fit_scene(scene, FitConfig(
-                    steps=40, scale=self.SCALE, multitask=multitask, loss=kind)))
-        excluded = batched[0][3]
-        assert excluded.excluded_objects == (0,) and excluded.n_records_excluded > 0
-        assert batched[0][4].iou_trace.shape == (41, 0)
+        alone = {kind: [fit_scene(scene, replace(cfg, loss=kind)) for scene in scenes]
+                 for kind in LOSS_KINDS}
+        # one loss call per step serves every kind, in any order and with repeats
+        for kinds in (LOSS_KINDS, ("ciou", "giou"), ("iou", "diou", "iou"), ("mse",),
+                      ("giou", "sdiou", "ciou", "mse")):
+            batched = fit_scenes(scenes, cfg, kinds)
+            assert [len(reports) for reports in batched] == [len(scenes)] * len(kinds)
+            for kind, reports in zip(kinds, batched):
+                for report, single in zip(reports, alone[kind]):
+                    _assert_same_report(report, single)
+            excluded = batched[0][3]
+            assert excluded.excluded_objects == (0,) and excluded.n_records_excluded > 0
+            assert batched[0][4].iou_trace.shape == (41, 0)
 
     def test_golden_final_values(self):
         scenes = [generate_scene(SceneSpec(n_objects=2), seed=31),

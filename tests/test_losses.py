@@ -1,6 +1,7 @@
 """Distance-space losses: fixed points, worked values, gradient checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,36 @@ class TestGradients:
         whole = run_gradcheck(kind, samples=50, seed=8)
         monkeypatch.setattr(gradcheck, "CHUNK_SAMPLES", 7)
         assert run_gradcheck(kind, samples=50, seed=8) == whole
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_gradcheck_equals_separate_central_diff_calls(self, monkeypatch, kind):
+        # the same draws, checked with a gradient call and two central_diff
+        # calls per space on the whole batch
+        scale, h = ScaleConfig(), gradcheck.FD_STEPS[kind]
+        rng = np.random.default_rng(3)
+        preds, truths, scale_index = zip(*(sample_pair(rng, scale) for _ in range(7)))
+        pred, truth = np.stack(preds)[:, None], np.stack(truths)[:, None]
+        gain = np.asarray(scale.gains)[list(scale_index)][:, None, None]
+        logits = encode_logit_array(pred, gain)
+        worst = []
+        for fn, x in ((lambda d: regression_loss_grad(d, truth, kind), pred),
+                      (lambda p: logit_loss_grad(p, truth, gain, kind), logits)):
+            fd = central_diff(lambda rows: fn(rows)[0], x, h)
+            worst.append(gradcheck._worst_rel_err(fn(x)[1][:, 0], fd))
+        monkeypatch.setattr(gradcheck, "CHUNK_SAMPLES", 3)
+        result = run_gradcheck(kind, samples=7, seed=3)
+        assert [result.worst_rel_err_distance, result.worst_rel_err_logit] == worst
+
+    def test_gradcheck_memory_stays_flat(self):
+        run_gradcheck("ciou", samples=10)
+        tracemalloc.start()
+        try:
+            run_gradcheck("ciou", samples=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one chunk's rows at a time; all 10,000 samples' rows at once peak at about 63 MiB
+        assert peak < 5 * 2**20
 
     def test_clamped_region_kills_the_overlap_path(self):
         truth = np.array([1.0, 1.0, 1.0, 1.0])
@@ -293,6 +324,33 @@ class TestBatchedKernels:
             assert loss.shape == p_rows.shape[:-1] and grad.shape == p_rows.shape
             assert loss.tobytes() == np.array([r[0] for r in rows]).reshape(loss.shape).tobytes()
             assert np.array_equal(grad, np.array([r[1] for r in rows]).reshape(grad.shape))
+
+
+class TestKindTuples:
+    """A tuple of kinds naming pred's leading axis equals one call per kind."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=_kernel_batches(), kinds=st.lists(st.sampled_from(LOSS_KINDS), min_size=1,
+                                                   max_size=7).map(tuple),
+           shared_truth=st.booleans())
+    def test_tuple_call_equals_one_call_per_kind(self, batch, kinds, shared_truth):
+        pred, truth = batch
+        p = np.stack([pred[:, k % 4] for k in range(len(kinds))])     # (kinds, n, 4)
+        t = truth[:, 0] if shared_truth else np.stack([truth[:, k % 4] for k in range(len(kinds))])
+        loss, grad = regression_loss_grad(p, t, kinds)
+        assert loss.shape == p.shape[:-1] and grad.shape == p.shape
+        for k, kind in enumerate(kinds):
+            one_loss, one_grad = regression_loss_grad(p[k], t if shared_truth else t[k], kind)
+            assert loss[k].tobytes() == one_loss.tobytes(), kind
+            assert grad[k].tobytes() == one_grad.tobytes(), kind
+
+    def test_unknown_kind_or_a_count_off_the_leading_axis_is_rejected(self):
+        with pytest.raises(ValueError, match="'huber'.*valid"):
+            regression_loss_grad(np.ones((2, 1, 4)), np.ones((1, 4)), ("giou", "huber"))
+        # rows that no kind names would come back unwritten
+        for pred, kinds in ((np.ones((3, 1, 4)), ("giou", "mse")), (np.ones(4), ("mse",) * 4)):
+            with pytest.raises(ValueError, match="kinds for prediction rows of shape"):
+                regression_loss_grad(pred, np.ones(4), kinds)
 
 
 class TestMultitask:
