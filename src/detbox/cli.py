@@ -164,6 +164,9 @@ def _resolve(args: argparse.Namespace) -> EffectiveConfig:
         except TypeError as exc:   # only a config file supplies non-string values
             raise ValueError(f"config file {args.config}: {setting.name}: "
                              f"wrong type for {value!r}") from exc
+    for name in ("conf_threshold", "nms_threshold"):
+        if not math.isfinite(values.get(name, 0.0)):
+            raise ValueError(f"{name} must be finite, got {values[name]}")
     if getattr(args, "scene", None) and "image_size" in values:
         raise ValueError("--image-size and the config file's image_size size synthetic scenes "
                          "only; with --scene every image's size comes from the scene file")

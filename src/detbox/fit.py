@@ -33,7 +33,7 @@ from .assign import AssignMode, AssignmentTable, assign
 from .codec import ScaleConfig, decode_distances, decode_jacobian
 from .geom import BoundingBox, iou_xyxy, to_corner
 from .ingest import Scene
-from .losses import LOSS_KINDS, multitask_loss, regression_loss_grad
+from .losses import LOSS_KINDS, MultitaskLoss, head_losses, regression_loss_grad
 
 
 @dataclass(frozen=True)
@@ -259,13 +259,12 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
         if not cfg.multitask:
             return loss[:, rec_off[i]:rec_off[i + 1]].sum(axis=1)
         scales, cls = range(i * n_scales, (i + 1) * n_scales), slice(n_classes[i])
-        return [multitask_loss(
+        heads = head_losses(*zip(*[(obj_logits[key_in[g]], np.ones(key_in[g].size),
+                                    cls_logits[key_in[g], cls], cls_labels[key_in[g], cls])
+                                   for g in scales]))
+        return [MultitaskLoss.combine(
             [float(np.mean(k_loss[rec_in[g]])) if rec_in[g].size else 0.0 for g in scales],
-            [obj_logits[key_in[g]] for g in scales],
-            [np.ones(key_in[g].size) for g in scales],
-            [cls_logits[key_in[g], cls] for g in scales],
-            [cls_labels[key_in[g], cls] for g in scales],
-        ).total for k_loss in loss]
+            heads).total for k_loss in loss]
 
     logits = np.zeros((n_kinds * n_keys, 4))
     loss_trace = np.empty((cfg.steps + 1, len(scenes), n_kinds))

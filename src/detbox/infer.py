@@ -9,13 +9,13 @@ corners come from inverting the corner-distance code at the cell::
     y1 = stride * (cell_y + 1 - t)      y2 = stride * (cell_y + b)
 
 Both stages work on the columns of a :class:`DetectionTable`, whose
-:class:`Detection` rows are built only when read. The confidence filter
-runs ``expit`` only on logits near ``logit(conf_threshold)``, with the
-outcome of a full mask. Decoding keeps a cell
+:class:`Detection` rows are built only when read. Decoding selects each
+level's cells whose objectness logit is near ``logit(conf_threshold)``,
+then decodes them all in one pass, stride and gain as per-row columns; its
+``expit`` test has the outcome of a full mask. A confident cell is kept
 only when ``x2 > x1``, ``y2 > y1`` and no class logit is NaN; every other
-confident cell is dropped and counted in ``DecodeResult.dropped_degenerate``.
-That covers zero or negative extent and non-finite distance logits alike,
-since any comparison with NaN is false, and keeps NaN scores out.
+one is dropped and counted in ``DecodeResult.dropped_degenerate``. Any
+comparison with NaN is false, so that covers NaN distance logits too.
 
 Greedy suppression is class-wise: a detection is removed only by a
 higher-ranked kept detection of the same class overlapping it with IoU
@@ -30,11 +30,12 @@ with a zero-area box is 0, so such a box is kept and suppresses nothing.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logit
+from scipy.special import expit
 
 from .codec import ScaleConfig, decode_distances
 from .geom import CornerBox, iou_xyxy
@@ -131,12 +132,19 @@ class DetectionTable(Sequence):
         return isinstance(other, Sequence) and list(self) == list(other)
 
     def rows(self, index) -> list[Detection]:
-        """The rows at ``index`` (ints >= 0), the missing ones built in one pass."""
+        """The rows at ``index`` (ints >= 0), the missing ones built in one pass
+        that checks corner order once, as :class:`CornerBox` does, then skips the inits."""
         missing = [i for i in index if self._rows[i] is None]
-        columns = (self.boxes[missing].tolist(), self.objectness[missing].tolist(),
-                   self.scale_index[missing].tolist(), self.cell[missing].tolist())
-        for i, box, o, k, (cx, cy) in zip(missing, *columns):
-            self._rows[i] = Detection(CornerBox(*box), o, self.class_scores[i], k, (cx, cy))
+        boxes = self.boxes[missing]
+        if (bad := (boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1])).any():
+            CornerBox(*boxes[bad.argmax()].tolist())   # raises its GeometryError
+        columns = (boxes.tolist(), self.objectness[missing].tolist(),
+                   self.scale_index[missing].tolist(), map(tuple, self.cell[missing].tolist()))
+        for i, (x1, y1, x2, y2), o, k, cell in zip(missing, *columns):
+            vars(box := object.__new__(CornerBox)).update(x1=x1, y1=y1, x2=x2, y2=y2)
+            vars(row := object.__new__(Detection)).update(
+                box=box, objectness=o, class_scores=self.class_scores[i], scale_index=k, cell=cell)
+            self._rows[i] = row
         return [self._rows[i] for i in index]
 
 
@@ -151,22 +159,23 @@ def decode_grid(
     scale: ScaleConfig,
     conf_threshold: float = DEFAULT_CONF_THRESHOLD,
 ) -> DecodeResult:
-    """Decode every confident cell across all scales into detections.
+    """Decode every confident cell across all scales into detections, in one
+    pass over all levels' candidate cells with a stride and gain per row.
 
     Output is sorted by descending objectness, then (scale, cell_y,
-    cell_x, class). Cells decoding to a degenerate box (zero or negative
-    extent, or a NaN corner) or with a NaN class logit are dropped and
-    counted rather than raising: they are legitimate raw-output states.
+    cell_x). Cells decoding to a degenerate box (zero or negative extent,
+    or a NaN corner) or with a NaN class logit are dropped and counted
+    rather than raising: they are legitimate raw-output states.
     """
     if len(grid.levels) != scale.num_scales:
         raise ValueError(
             f"grid has {len(grid.levels)} levels, scale config {scale.num_scales}"
         )
     # expit decides on logits >= floor: its rounding moves the boundary up to
-    # 0.41 below the logit (measured); the clip keeps floor low outside [0, 1).
-    floor = logit(np.clip(conf_threshold, 0.0, 1 - 2**-52)) - 1.0
-    parts = []
-    dropped = 0
+    # 0.41 below the logit (measured); floor is -inf for c <= 0 or NaN.
+    c = min(conf_threshold, 1 - 2**-52)
+    floor = math.log(c / (1 - c)) - 1.0 if c > 0 else -math.inf
+    rows, cells = [], []
     for scale_index, arr in enumerate(grid.levels):
         nx, ny = scale.grid_size(scale_index)
         if arr.shape[:2] != (nx, ny):
@@ -174,25 +183,24 @@ def decode_grid(
                 f"level {scale_index} is {arr.shape[:2]}, expected {(nx, ny)} "
                 f"for stride {scale.strides[scale_index]}"
             )
-        stride = scale.strides[scale_index]
-        cx, cy = np.nonzero(arr[..., 4] >= floor)
-        confident = expit(arr[cx, cy, 4]) >= conf_threshold
-        cx, cy = cx[confident], cy[confident]
-        d = decode_distances(arr[cx, cy, :4], scale.gains[scale_index])
-        boxes = stride * np.stack([cx + 1.0 - d[:, 0], cy + 1.0 - d[:, 1], cx + d[:, 2],
-                                   cy + d[:, 3]], axis=1)
-        class_scores = expit(arr[cx, cy, 5:])
-        good = ((boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
-                & ~np.isnan(class_scores).any(axis=1))
-        dropped += int(np.count_nonzero(~good))
-        cx, cy = cx[good], cy[good]
-        parts.append((boxes[good], expit(arr[cx, cy, 4]), class_scores[good],
-                      np.full(cx.size, scale_index), np.stack([cx, cy], axis=1)))
-    columns = [np.concatenate(c) for c in zip(*parts)]
-    boxes, obj, class_scores, level, cell = columns
-    order = np.lexsort((class_scores.argmax(axis=1), cell[:, 0], cell[:, 1], level, -obj))
-    table = DetectionTable(*(c[order] for c in columns))
-    return DecodeResult(detections=table, dropped_degenerate=dropped)
+        cells.append(np.divmod(np.flatnonzero(arr[..., 4] >= floor), ny))
+        rows.append(arr[cells[-1]])
+    # the rest is one pass over every level's candidates, stride and gain per row
+    level = np.repeat(np.arange(len(cells)), [cx.size for cx, _ in cells])
+    (cx, cy), rows = (np.concatenate(c) for c in zip(*cells)), np.concatenate(rows)
+    obj = expit(rows[:, 4])
+    d = decode_distances(rows[:, :4], np.array(scale.gains)[level, None])
+    corner = np.stack([cx + 1.0, cy + 1.0, cx, cy], axis=1)
+    boxes = np.array(scale.strides)[level, None] * (corner + d * [-1.0, -1.0, 1.0, 1.0])
+    class_scores = expit(rows[:, 5:])
+    confident = obj >= conf_threshold
+    good = (confident & (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
+            & ~np.isnan(class_scores).any(axis=1))
+    # the rows left out sort last; (scale, cell) is unique, so no class breaks a tie
+    order = np.lexsort((cx, cy, level, -obj, ~good))[:np.count_nonzero(good)]
+    table = DetectionTable(boxes[order], obj[order], class_scores[order], level[order],
+                           np.stack([cx[order], cy[order]], axis=1))
+    return DecodeResult(table, int(np.count_nonzero(confident)) - len(order))
 
 
 def nms(
@@ -253,7 +261,7 @@ def nms(
             part = tail[s:s + step]
             suppressed[part[(iou_xyxy(heads, boxes[part]) > iou_threshold).any(axis=0)]] = True
         start = live[rows - 1] + 1
-    return table.rows(order[np.sort(by_class[~suppressed])])
+    return table.rows(order[np.sort(by_class[~suppressed])].tolist())
 
 
 def _fmt(x: float) -> str:

@@ -314,14 +314,28 @@ class MultitaskLoss:
     per_scale: tuple[float, ...]
     total: float
 
+    @classmethod
+    def combine(cls, box_losses: Sequence[float],
+                heads: Sequence[tuple[float, float]]) -> MultitaskLoss:
+        """Per scale box + objectness + class from :func:`head_losses`, in order."""
+        per_scale = tuple(float(box) + obj + cls_ for box, (obj, cls_) in zip(box_losses, heads))
+        return cls(per_scale=per_scale, total=float(sum(per_scale)))
 
-def multitask_loss(
-    box_losses: Sequence[float],
-    obj_logits: Sequence[np.ndarray],
-    obj_labels: Sequence[np.ndarray],
-    cls_logits: Sequence[np.ndarray],
-    cls_labels: Sequence[np.ndarray],
-) -> MultitaskLoss:
+
+def head_losses(obj_logits: Sequence[np.ndarray], obj_labels: Sequence[np.ndarray],
+                cls_logits: Sequence[np.ndarray],
+                cls_labels: Sequence[np.ndarray]) -> list[tuple[float, float]]:
+    """Per scale, the mean objectness and mean class binary cross entropy from
+    logits (an empty array contributes 0). They do not depend on the box
+    loss, so box losses of several kinds can share them."""
+    means = [[float(np.mean(b)) if b.size else 0.0 for b in map(bce_with_logits, z, y)]
+             for z, y in ((obj_logits, obj_labels), (cls_logits, cls_labels))]
+    return list(zip(*means))
+
+
+def multitask_loss(box_losses: Sequence[float], obj_logits: Sequence[np.ndarray],
+                   obj_labels: Sequence[np.ndarray], cls_logits: Sequence[np.ndarray],
+                   cls_labels: Sequence[np.ndarray]) -> MultitaskLoss:
     """Per-scale sum of box, objectness, and classification terms.
 
     Classification and objectness use mean binary cross entropy from logits
@@ -331,14 +345,5 @@ def multitask_loss(
     n = len(box_losses)
     if not (len(obj_logits) == len(obj_labels) == len(cls_logits) == len(cls_labels) == n):
         raise ValueError("all per-scale sequences must have equal length")
-    per_scale = []
-    for s in range(n):
-        obj = bce_with_logits(obj_logits[s], obj_labels[s])
-        cls = bce_with_logits(cls_logits[s], cls_labels[s])
-        term = (
-            float(box_losses[s])
-            + (float(np.mean(obj)) if obj.size else 0.0)
-            + (float(np.mean(cls)) if cls.size else 0.0)
-        )
-        per_scale.append(term)
-    return MultitaskLoss(per_scale=tuple(per_scale), total=float(sum(per_scale)))
+    return MultitaskLoss.combine(
+        box_losses, head_losses(obj_logits, obj_labels, cls_logits, cls_labels))

@@ -8,13 +8,15 @@ reads ``len()`` of an assignment and, per record, ``object_id``,
 ``scale_index`` and ``target.l/t/r/b``. ``perfbench/infer_stream.py``
 reads the fields of every decoded row and finds each kept row among them
 by ``id()``; ``perfbench/smoke.py`` rebuilds decoded rows with
-``dataclasses.replace``. These checks make any such break fail here.
+``dataclasses.replace``. These checks make any such break fail here, and
+the benchmark's own referee check runs on a sparse and a crowded image.
 """
 
 import dataclasses
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import detbox
@@ -81,6 +83,22 @@ def test_detection_rows_keep_what_infer_stream_reads(infer_stream):
                                              d.objectness, d.score))
         assert all(type(v) is int for v in (d.class_id, d.scale_index, *d.cell))
     problem, found = stream.check(levels, decoded, kept, 0)
+    assert problem is None and found > 0
+
+
+def test_most_crowded_image_passes_the_referee(monkeypatch):
+    # the most crowded image of the seed-1 pool spans several NMS blocks,
+    # as the images that set infer-stream's tail latency do
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    module = importlib.import_module("infer_stream")
+    stream = module.InferStream(1, detbox)
+    index = max(range(module.POOL), key=lambda i: len(stream.images[i][1]))
+    levels = stream.grid(index)
+    decoded, kept = stream.infer(levels)
+    per_class = np.bincount(decoded.detections.class_id)
+    assert (per_class * (per_class - 1) // 2).max() > detbox.infer.PAIR_CHUNK
+    assert isinstance(kept, list)
+    problem, found = stream.check(levels, decoded, kept, index)
     assert problem is None and found > 0
 
 

@@ -176,12 +176,27 @@ class TestGradcheck:
      "learning_rate must be finite and > 0"),
     (["fit", "--rho", "nan", "--steps", "3"], "rho must be >= 0"),
     (["gradcheck", "--rho", "nan", "--samples", "5"], "rho must be >= 0"),
-], ids=["fit-lr-nan", "compare-losses-lr-inf", "fit-rho-nan", "gradcheck-rho-nan"])
-def test_non_finite_setting_exits_2(argv, message, capsys):
-    # a NaN or infinite step never converges, and a NaN rho is no verdict on the gradients
-    assert main(argv) == 2
+    (["detect", "--grid", "GRID", "--conf-threshold", "nan"], "conf_threshold must be finite"),
+    (["detect", "--grid", "GRID", "--nms-threshold", "nan"], "nms_threshold must be finite"),
+    (["detect", "--grid", "GRID", "--nms-threshold", "inf"], "nms_threshold must be finite"),
+    (["nms", "--detections", "DETS", "--conf-threshold", "nan"], "conf_threshold must be finite"),
+    (["nms", "--detections", "DETS", "--nms-threshold", "nan"], "nms_threshold must be finite"),
+    (["nms", "--detections", "DETS", "--nms-threshold", "inf"], "nms_threshold must be finite"),
+], ids=["fit-lr-nan", "compare-losses-lr-inf", "fit-rho-nan", "gradcheck-rho-nan",
+        "detect-conf-nan", "detect-nms-nan", "detect-nms-inf",
+        "nms-conf-nan", "nms-nms-nan", "nms-nms-inf"])
+def test_non_finite_setting_exits_2(argv, message, tmp_path, capsys):
+    # a NaN or infinite step never converges, and a NaN rho is no verdict on the
+    # gradients; a NaN confidence threshold keeps nothing and a NaN or infinite
+    # IoU threshold suppresses nothing, on inputs that are valid otherwise
+    dets = tmp_path / "dets.jsonl"
+    dets.write_text(_det_line(0, 0, 10, 10, 0.9, 1) + "\n")
+    files = {"GRID": str(_detect_grid(tmp_path)[0]), "DETS": str(dets)}
+    out = tmp_path / "out"
+    assert main([files.get(a, a) for a in argv] + ["--output", str(out)]) == 2
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 class TestFit:

@@ -1,5 +1,6 @@
 """Grid decoding, greedy suppression, and the detection wire format."""
 
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -24,7 +25,7 @@ from detbox import (
     nms,
 )
 from detbox.codec import center_cell, decode_distances, encode_logit_array
-from detbox.geom import iou, iou_xyxy, to_corner
+from detbox.geom import GeometryError, iou, iou_xyxy, to_corner
 
 from conftest import random_box
 
@@ -62,6 +63,11 @@ class TestDecodeGrid:
     def test_silent_grid_is_empty(self, scale):
         res = decode_grid(PredictionGrid(tuple(empty_grid(scale))), scale)
         assert res.detections == [] and res.dropped_degenerate == 0
+        table = res.detections   # empty columns keep their shapes
+        assert table.boxes.shape == (0, 4) and table.cell.shape == (0, 2)
+        assert table.class_scores.shape == (0, M)
+        assert table.objectness.shape == table.scale_index.shape == (0,)
+        assert nms(table) == []
 
     def test_round_trip_to_pixels(self, scale):
         levels = empty_grid(scale)
@@ -462,6 +468,77 @@ class TestDecodePrefilter:
         assert [(d.scale_index, d.cell, d.objectness) for d in res.detections] == \
             [(d.scale_index, d.cell, d.objectness) for d in want]
         assert res.dropped_degenerate == passed - len(want)
+
+
+@st.composite
+def gained_grids(draw):
+    """SMALL's strides with a different gain per level, over tied_grids' logits."""
+    gains = draw(st.lists(st.sampled_from([0.5, 2.0, 3.0, 16.0]), min_size=2, max_size=2,
+                          unique=True))
+    scale = ScaleConfig(SMALL.strides, tuple(gains), SMALL.image_w, SMALL.image_h)
+    return scale, draw(tied_grids())
+
+
+class TestOnePassDecode:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=gained_grids(), threshold=st.sampled_from([0.001, 0.5, 0.9]))
+    def test_columns_equal_row_by_row_decoding(self, drawn, threshold):
+        scale, levels = drawn
+        with mock.patch.object(infer, "decode_distances", wraps=decode_distances) as spy:
+            res = decode_grid(PredictionGrid(tuple(levels)), scale, threshold)
+        assert spy.call_count == 1
+        want = row_by_row_decode(levels, scale, threshold)
+        table = res.detections
+        columns = {
+            "boxes": [(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in want],
+            "objectness": [d.objectness for d in want],
+            "class_scores": [d.class_scores for d in want],
+            "scale_index": [d.scale_index for d in want],
+            "cell": [d.cell for d in want],
+        }
+        for name, rows in columns.items():
+            got = getattr(table, name)
+            ref = np.array(rows, dtype=got.dtype).reshape(got.shape)
+            assert got.tobytes() == ref.tobytes(), name
+        passed = sum(int(np.count_nonzero(expit(a[..., 4]) >= threshold)) for a in levels)
+        assert res.dropped_degenerate == passed - len(want)
+
+
+class TestRowFastPath:
+    def test_rows_equal_rows_from_the_public_constructors(self, scale):
+        levels = empty_grid(scale)
+        plant(levels, scale, BoundingBox(241.5, 133.25, 58.0, 37.5), scale_index=1, class_id=2)
+        plant(levels, scale, BoundingBox(400.5, 300.25, 40.0, 30.0), scale_index=0, class_id=1)
+        table = decode_grid(PredictionGrid(tuple(levels)), scale).detections
+        assert len(table) == 2
+        for i, row in enumerate(table):
+            ref = Detection(CornerBox(*table.boxes[i].tolist()), float(table.objectness[i]),
+                            table.class_scores[i], int(table.scale_index[i]),
+                            tuple(table.cell[i].tolist()))
+            assert type(row) is Detection and type(row.box) is CornerBox
+            assert row.box == ref.box
+            assert [type(v) for v in vars(row.box).values()] == [float] * 4
+            got, want = vars(row), vars(ref)
+            assert list(got) == list(want)
+            for name in ("objectness", "scale_index", "cell"):
+                assert got[name] == want[name] and type(got[name]) is type(want[name])
+            assert [type(v) for v in row.cell] == [int, int]
+            assert np.array_equal(row.class_scores, ref.class_scores)
+            squared = dataclasses.replace(row, class_scores=row.class_scores ** 2)
+            assert squared.box is row.box
+            assert np.array_equal(squared.class_scores, row.class_scores ** 2)
+
+    @pytest.mark.parametrize("bad", [(5.0, 0.0, 3.0, 2.0), (0.0, 4.0, 2.0, 1.0)])
+    def test_out_of_order_corners_raise_when_read(self, bad):
+        table = DetectionTable(np.array([(0.0, 0.0, 4.0, 4.0), bad]), np.array([0.9, 0.8]),
+                               np.ones((2, M)), np.zeros(2, dtype=int),
+                               np.zeros((2, 2), dtype=int))
+        assert table[0].box == CornerBox(0.0, 0.0, 4.0, 4.0)
+        with pytest.raises(GeometryError) as want:
+            CornerBox(*bad)
+        with pytest.raises(GeometryError) as got:
+            table[1]
+        assert str(got.value) == str(want.value)
 
 
 class TestTableAgainstObjects:
