@@ -35,7 +35,7 @@ from .infer import (
     detections_to_jsonl,
     nms,
 )
-from .ingest import CocoFormatError, CocoLoadResult, Scene, dataset_stats, export_coco, load_coco
+from .ingest import CocoFormatError, CocoLoadResult, Scene, dataset_stats, load_coco
 from .losses import (
     DegenerateGeometryError,
     MultitaskLoss,
@@ -87,7 +87,6 @@ __all__ = [
     "detections_to_jsonl",
     "encode",
     "encode_logit_array",
-    "export_coco",
     "fit_scene",
     "fit_scenes",
     "generate_scene",

@@ -8,14 +8,16 @@ corners come from inverting the corner-distance code at the cell::
     x1 = stride * (cell_x + 1 - l)      x2 = stride * (cell_x + r)
     y1 = stride * (cell_y + 1 - t)      y2 = stride * (cell_y + b)
 
-Both stages work on the columns of a :class:`DetectionTable`, whose
-:class:`Detection` rows are built only when read. Decoding selects each
-level's cells whose objectness logit is near ``logit(conf_threshold)``,
-then decodes them all in one pass, stride and gain as per-row columns; its
-``expit`` test has the outcome of a full mask. A confident cell is kept
-only when ``x2 > x1``, ``y2 > y1`` and no class logit is NaN; every other
-one is dropped and counted in ``DecodeResult.dropped_degenerate``. Any
-comparison with NaN is false, so that covers NaN distance logits too.
+Both stages, and the JSONL wire format of :func:`detections_from_jsonl`
+and :func:`detections_to_jsonl`, work on the columns of a
+:class:`DetectionTable`, whose :class:`Detection` rows are built only when
+read. Decoding selects each level's cells whose objectness logit is near
+``logit(conf_threshold)``, then decodes them all in one pass, stride and
+gain as per-row columns; its ``expit`` test has the outcome of a full
+mask. A confident cell is kept only when ``x2 > x1``, ``y2 > y1`` and no
+class logit is NaN; every other one is dropped and counted in
+``DecodeResult.dropped_degenerate``. Any comparison with NaN is false, so
+that covers NaN distance logits too.
 
 Greedy suppression is class-wise: a detection is removed only by a
 higher-ranked kept detection of the same class overlapping it with IoU
@@ -85,39 +87,55 @@ class PredictionGrid:
 
 @dataclass(frozen=True, eq=False)
 class DetectionTable(Sequence):
-    """Detections as columns, with ``class_id`` and ``best`` (the best class
-    score) computed once here. Indexing and iteration give :class:`Detection`
-    rows of Python scalars, built on first read and cached, so an index
-    always gives the same object. Equality with a sequence compares rows."""
+    """Detections as columns. ``class_id`` and ``best`` (the best class score)
+    are computed once from ``class_scores``, which decoding gives; tables
+    read from JSONL or rows have them as given columns and no score matrix.
+    Indexing and iteration give :class:`Detection` rows of Python scalars,
+    built on first read and cached, so an index always gives the same
+    object; without ``class_scores`` a row's vector is one-hot at its class,
+    holding ``best``. Equality with a sequence compares rows."""
 
     boxes: np.ndarray           # (n, 4) x1, y1, x2, y2
     objectness: np.ndarray
-    class_scores: np.ndarray    # (n, m)
+    class_scores: np.ndarray | None    # (n, m), or None
     scale_index: np.ndarray
     cell: np.ndarray            # (n, 2) cell_x, cell_y
+    class_id: np.ndarray = None
+    best: np.ndarray = None
     _rows: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "class_id", self.class_scores.argmax(axis=1))
-        object.__setattr__(self, "best", self.class_scores.max(axis=1))
+        if self.class_id is None:
+            object.__setattr__(self, "class_id", self.class_scores.argmax(axis=1))
+            object.__setattr__(self, "best", self.class_scores.max(axis=1))
         object.__setattr__(self, "_rows", [None] * len(self.objectness))
 
     @classmethod
     def from_rows(cls, detections: Sequence[Detection]) -> DetectionTable:
-        """The columns of ``detections``, which become the table's rows.
-        Score vectors of unequal lengths, as JSONL gives, are padded with
-        -inf, which keeps each row's argmax and max."""
-        scores = [np.ravel(d.class_scores) for d in detections]
-        padded = np.full((len(scores), max((s.size for s in scores), default=1)), -np.inf)
-        for row, s in zip(padded, scores):
-            row[:s.size] = s
+        """The columns of ``detections``, which become the table's rows; each
+        row gives its class id and its best score. A table is returned as it is."""
+        if isinstance(detections, DetectionTable):
+            return detections
         boxes = [(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in detections]
         table = cls(np.array(boxes, dtype=float).reshape(-1, 4),
-                    np.array([d.objectness for d in detections], dtype=float), padded,
-                    np.array([d.scale_index for d in detections]),
-                    np.array([d.cell for d in detections]).reshape(-1, 2))
+                    np.array([d.objectness for d in detections], dtype=float), None,
+                    np.array([d.scale_index for d in detections], dtype=int),
+                    np.array([d.cell for d in detections], dtype=int).reshape(-1, 2),
+                    np.array([d.class_id for d in detections], dtype=int),
+                    np.array([np.max(d.class_scores) for d in detections], dtype=float))
         table._rows[:] = detections
         return table
+
+    @property
+    def score(self) -> np.ndarray:
+        return self.objectness * self.best
+
+    def select(self, index) -> DetectionTable:
+        """A new table of the rows at ``index``, a boolean mask or positions."""
+        scores = None if self.class_scores is None else self.class_scores[index]
+        return DetectionTable(self.boxes[index], self.objectness[index], scores,
+                              self.scale_index[index], self.cell[index],
+                              self.class_id[index], self.best[index])
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -138,12 +156,15 @@ class DetectionTable(Sequence):
         boxes = self.boxes[missing]
         if (bad := (boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1])).any():
             CornerBox(*boxes[bad.argmax()].tolist())   # raises its GeometryError
-        columns = (boxes.tolist(), self.objectness[missing].tolist(),
+        scores = (map(self.class_scores.__getitem__, missing) if self.class_scores is not None
+                  else (np.where(np.arange(c + 1) == c, b, 0.0) for c, b in
+                        zip(self.class_id[missing].tolist(), self.best[missing].tolist())))
+        columns = (boxes.tolist(), self.objectness[missing].tolist(), scores,
                    self.scale_index[missing].tolist(), map(tuple, self.cell[missing].tolist()))
-        for i, (x1, y1, x2, y2), o, k, cell in zip(missing, *columns):
+        for i, (x1, y1, x2, y2), o, s, k, cell in zip(missing, *columns):
             vars(box := object.__new__(CornerBox)).update(x1=x1, y1=y1, x2=x2, y2=y2)
             vars(row := object.__new__(Detection)).update(
-                box=box, objectness=o, class_scores=self.class_scores[i], scale_index=k, cell=cell)
+                box=box, objectness=o, class_scores=s, scale_index=k, cell=cell)
             self._rows[i] = row
         return [self._rows[i] for i in index]
 
@@ -209,12 +230,24 @@ def nms(
 ) -> list[Detection]:
     """Greedy per-class suppression; returns survivors by descending score.
 
+    The survivors are the rows at :func:`suppress`'s positions: for a
+    :class:`DetectionTable` its cached rows, built here only for the
+    survivors; for any other sequence the input objects themselves.
+    """
+    table = DetectionTable.from_rows(detections)
+    return table.rows(suppress(table, iou_threshold).tolist())
+
+
+def suppress(
+    table: DetectionTable,
+    iou_threshold: float = DEFAULT_NMS_THRESHOLD,
+) -> np.ndarray:
+    """The positions in ``table`` of the detections greedy per-class
+    suppression keeps, by descending score.
+
     A detection is suppressed when some already-kept detection of the same
     class overlaps it with IoU strictly above the threshold. Boxes of
     different classes never interact, and a zero-area box overlaps nothing.
-    The survivors come in rank order: for a :class:`DetectionTable` they are
-    its cached rows, built here only for the survivors; for any other
-    sequence they are the input objects themselves.
 
     Boxes go in blocks with at most PAIR_CHUNK same-class pairs, scored by
     one :func:`geom.iou_xyxy` call. Rounds of array steps suppress what a
@@ -222,12 +255,8 @@ def nms(
     suppressed, until every box is decided; then the block's kept boxes
     suppress what they overlap beyond it, PAIR_CHUNK pairs per call.
     """
-    table = detections
-    if not isinstance(table, DetectionTable):
-        table = DetectionTable.from_rows(detections)
-    score = table.objectness * table.best
     order = np.lexsort((table.class_id, table.cell[:, 0], table.cell[:, 1],
-                        table.scale_index, -score))
+                        table.scale_index, -table.score))
     # Class by class, in rank order; not torchvision's trick of offsetting each
     # class's coordinates: the offset changes how the IoU rounds, so pairs
     # near the threshold could flip against the scalar referee.
@@ -261,54 +290,54 @@ def nms(
             part = tail[s:s + step]
             suppressed[part[(iou_xyxy(heads, boxes[part]) > iou_threshold).any(axis=0)]] = True
         start = live[rows - 1] + 1
-    return table.rows(order[np.sort(by_class[~suppressed])].tolist())
+    return order[np.sort(by_class[~suppressed])]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
+_FIELDS = ("x1", "y1", "x2", "y2", "score", "class", "scale")
+_LINE = ('{{"x1":{:.9g},"y1":{:.9g},"x2":{:.9g},"y2":{:.9g},'
+         '"score":{:.9g},"class":{},"scale":{}}}\n')
 
 
-def detection_to_json_line(det: Detection) -> str:
-    """One-line JSON wire format: {x1,y1,x2,y2,score,class,scale}."""
-    b = det.box
-    return (
-        f'{{"x1":{_fmt(b.x1)},"y1":{_fmt(b.y1)},"x2":{_fmt(b.x2)},"y2":{_fmt(b.y2)},'
-        f'"score":{_fmt(det.score)},"class":{det.class_id},"scale":{det.scale_index}}}'
-    )
+def detections_to_jsonl(detections: Sequence[Detection]) -> str:
+    """One JSON object per line, {x1,y1,x2,y2,score,class,scale}, from the
+    columns of a table (or of a table made from a list of rows)."""
+    table = DetectionTable.from_rows(detections)
+    columns = (*table.boxes.T, table.score, table.class_id, table.scale_index)
+    return "".join(_LINE.format(*row) for row in zip(*(c.tolist() for c in columns)))
 
 
-def detections_to_jsonl(detections: list[Detection]) -> str:
-    return "".join(detection_to_json_line(d) + "\n" for d in detections)
+def detections_from_jsonl(text: str) -> DetectionTable:
+    """Parse the line format into a table, one row per detection line.
 
-
-def detections_from_jsonl(text: str) -> list[Detection]:
-    """Parse the line format back into detections.
-
-    Lines starting with '#' are skipped (file headers). Round-tripped
-    detections carry the line's score as objectness with a one-hot class
-    vector, so ranking and class identity survive; the cell does not.
+    Lines starting with '#' are skipped (file headers). A line's score
+    becomes its objectness, its best class score is 1 and its class a
+    column, so ranking and class identity survive; the cell does not.
+    Every field must be a finite JSON number, the corners in order, the
+    class at least 0 and the class and scale (truncated to integers)
+    within int64; any other line raises ``bad detection on line N``.
     """
-    out = []
+    floats, ids = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
             rec = json.loads(line)
-            box = CornerBox(rec["x1"], rec["y1"], rec["x2"], rec["y2"])
-            class_id = int(rec["class"])
+            values = [rec[k] for k in _FIELDS]
+            for k, v in zip(_FIELDS, values):
+                if type(v) not in (int, float) or not math.isfinite(v):   # bool, str, None, NaN
+                    raise ValueError(f"{k} is not a finite number: {v!r}")
+            if values[2] < values[0] or values[3] < values[1]:
+                CornerBox(*values[:4])   # raises its GeometryError
+            class_id, scale = int(values[5]), int(values[6])
             if class_id < 0:
                 raise ValueError(f"negative class {class_id}")
-            scores = np.zeros(class_id + 1)
-            scores[class_id] = 1.0
-            out.append(
-                Detection(
-                    box=box,
-                    objectness=float(rec["score"]),
-                    class_scores=scores,
-                    scale_index=int(rec["scale"]),
-                )
-            )
-        except (KeyError, ValueError, TypeError) as exc:
+            ids.append((np.int64(class_id), np.int64(scale)))   # OverflowError past int64
+            floats.append(values[:5])
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"bad detection on line {lineno}: {exc}") from exc
-    return out
+    floats = np.array(floats, dtype=float).reshape(-1, 5)
+    ids = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    n = len(ids)
+    return DetectionTable(floats[:, :4], floats[:, 4], None, ids[:, 1], np.full((n, 2), -1),
+                          ids[:, 0], np.ones(n))

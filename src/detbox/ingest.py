@@ -140,37 +140,6 @@ def bbox_xywh(box: BoundingBox) -> list[float]:
     return [box.x1, box.y1, box.w, box.h]
 
 
-def export_coco(scenes: list[Scene]) -> dict:
-    """Rebuild a minimal COCO document from scenes (exact inverse of load
-    for annotations that were converted)."""
-    images = []
-    annotations = []
-    cats = set()
-    ann_id = 1
-    for idx, scene in enumerate(scenes):
-        img_id = int(scene.source_id) if scene.source_id.isdigit() else idx + 1
-        images.append(
-            {"id": img_id, "width": scene.image_w, "height": scene.image_h}
-        )
-        for box, class_id in scene.objects:
-            annotations.append(
-                {
-                    "id": ann_id,
-                    "image_id": img_id,
-                    "category_id": class_id,
-                    "bbox": bbox_xywh(box),
-                    "iscrowd": 0,
-                }
-            )
-            cats.add(class_id)
-            ann_id += 1
-    return {
-        "images": images,
-        "annotations": annotations,
-        "categories": [{"id": c} for c in sorted(cats)],
-    }
-
-
 def dataset_stats(
     scenes: list[Scene],
     scale: ScaleConfig,

@@ -1,14 +1,18 @@
 """Subcommand behavior: worked values, exit codes, config echo, determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import detbox
 from detbox import BoundingBox, PredictionGrid, ScaleConfig, decode_grid, nms
@@ -18,7 +22,7 @@ from detbox.infer import detections_from_jsonl, detections_to_jsonl
 from detbox.losses import LOSS_KINDS
 
 from conftest import COCO_FIXTURE
-from test_infer import empty_grid, plant
+from test_infer import M, detection_sets, empty_grid, plant, reference_nms
 
 
 @pytest.fixture
@@ -407,6 +411,41 @@ class TestNmsCommand:
         assert main(["nms", "--detections", str(src), "--output", str(out)]) == 0
         assert [d.class_id for d in detections_from_jsonl(out.read_text())] == [2]
 
+    @pytest.mark.parametrize("bad", ['"x1":NaN', '"score":Infinity', '"y2":-Infinity',
+                                     '"x1":"0","y1":"0","x2":"10","y2":"10"', '"score":true'])
+    def test_field_that_is_not_a_finite_number_exits_2(self, tmp_path, capsys, bad):
+        line = _det_line(0, 0, 10, 10, 0.9, 1)
+        src = tmp_path / "dets.jsonl"
+        src.write_text(line + "\n" + line[:-1] + "," + bad + "}\n")   # the last key wins
+        out = tmp_path / "kept.jsonl"
+        assert main(["nms", "--detections", str(src), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad detection on line 2" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_reads_back_what_it_writes(self, tmp_path):
+        path, _, _ = _detect_grid(tmp_path)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        assert main(["detect", "--grid", str(path), "--output", str(first)]) == 0
+        assert main(["nms", "--detections", str(first), "--output", str(second)]) == 0
+        body = first.read_text().splitlines()[1:]
+        assert second.read_text().splitlines()[1:] == body and len(body) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(dets=detection_sets(), conf=st.sampled_from([0.0, 0.3, 0.6]),
+           threshold=st.sampled_from([0.0, 0.5, 1.01]))
+    def test_equals_the_row_by_row_referee(self, tmp_path_factory, dets, conf, threshold):
+        # the rows the file parses into, filtered one by one, then the referee
+        text = detections_to_jsonl(dets)
+        rows = [d for d in detections_from_jsonl(text) if d.score >= conf]
+        want = detections_to_jsonl(reference_nms(rows, threshold))
+        src = tmp_path_factory.mktemp("nms") / "dets.jsonl"
+        src.write_text(text)
+        out = src.with_name("kept.jsonl")
+        assert main(["nms", "--detections", str(src), "--conf-threshold", str(conf),
+                     "--nms-threshold", str(threshold), "--output", str(out)]) == 0
+        assert out.read_text().split("\n", 1)[1] == want
+
 
 def _detect_grid(tmp_path):
     """Two overlapping same-class boxes, one other class, one degenerate cell."""
@@ -463,6 +502,103 @@ class TestDetectCommand:
         assert main(["detect", "--grid", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("detbox detect: error:") and "Traceback" not in err
+
+
+def _tie_heavy_detections(path, n=400, seed=7):
+    """Integer boxes (duplicates and zero areas common), scores and classes
+    from small sets, some lines below the default confidence threshold."""
+    rng = np.random.default_rng(seed)
+    lines = ["# config: {}"]
+    for _ in range(n):
+        x1, y1, w, h = rng.integers(0, 12, 4).tolist()
+        score = [0.25, 0.5, 1.0, 0.0005][rng.integers(4)]
+        lines.append(_det_line(x1, y1, x1 + w % 8, y1 + h % 8, score, int(rng.integers(5)),
+                               int(rng.integers(3))))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _tie_heavy_grid(path, seed=7):
+    """A 128x128 pyramid whose logits come from small sets, so objectness and
+    class scores tie exactly, with NaN logits and collapsed boxes."""
+    rng = np.random.default_rng(seed)
+    levels = []
+    for n in (16, 8, 4):
+        arr = np.empty((n, n, M + 5))
+        arr[..., :4] = rng.choice([-12.0, -1.0, 0.0, 0.5, 1.5, np.nan], size=(n, n, 4),
+                                  p=[0.05, 0.2, 0.3, 0.2, 0.2, 0.05])
+        arr[..., 4] = rng.choice([-40.0, -3.0, 0.0, 2.0], size=(n, n))
+        arr[..., 5:] = rng.choice([0.0, 1.0, 2.0, np.nan], size=(n, n, M),
+                                  p=[0.4, 0.3, 0.28, 0.02])
+        levels.append(arr)
+    np.savez(path, *levels)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestGoldenBytes:
+    """Output bytes pinned by hash, so that a change to the writer shows even
+    where the other tests compare against ``detections_to_jsonl``."""
+
+    def test_nms(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _tie_heavy_detections(tmp_path / "dets.jsonl")
+        assert main(["nms", "--detections", "dets.jsonl", "--output", "a.jsonl"]) == 0
+        assert main(["nms", "--detections", "dets.jsonl", "--nms-threshold", "0",
+                     "--conf-threshold", "0.3", "--output", "b.jsonl"]) == 0
+        assert _sha256("a.jsonl") == (
+            "3ae68152ea365e0cb1562ca00ca01c5f89e93b7246a2dfa3ddc44583efc62979")
+        assert _sha256("b.jsonl") == (
+            "804285e9e2a54b7648012d5ee106fd9223af8f69cbd1754326d86a9a163d4b6c")
+
+    def test_detect(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        _tie_heavy_grid(tmp_path / "grid.npz")
+        flags = ["detect", "--grid", "grid.npz", "--image-size", "128"]
+        assert main(flags + ["--output", "a.jsonl"]) == 0
+        assert main(flags + ["--nms-threshold", "0.2", "--output", "b.jsonl"]) == 0
+        assert _sha256("a.jsonl") == (
+            "94494fab10fb908b20cee3ed5159b33a3bd04dee1833dcc607b18f4970b32454")
+        assert _sha256("b.jsonl") == (
+            "4a3d5411c83487843d9f3f005e3c08c7e5040930059993825921ce9d668d47e4")
+        assert capsys.readouterr().err == (
+            "detbox detect: cells_in=336 dropped_degenerate=74 dets_out=192 kept=188\n"
+            "detbox detect: cells_in=336 dropped_degenerate=74 dets_out=192 kept=114\n")
+
+
+class TestNmsCommandMemory:
+    @pytest.mark.parametrize("lines,class_id,every", [
+        (100, 100_000, False), (10_000, 1_000_000, False), (10_000, 1_000_000, True)])
+    def test_large_class_ids_in_bounded_memory(self, tmp_path, lines, class_id, every):
+        rng = np.random.default_rng(0)
+        corner = rng.uniform(0, 600, (lines, 2)).round(3)
+        boxes = np.concatenate([corner, corner + rng.uniform(12, 320, (lines, 2)).round(3)], 1)
+        score = rng.choice([0.25, 0.5, 0.75, 1.0], lines)
+        classes = np.full(lines, 80) if every else rng.integers(80, size=lines)
+        classes[lines // 2] = 80
+
+        def write(path, classes):
+            path.write_text("".join(_det_line(*b, s, c) + "\n" for b, s, c in zip(
+                boxes.tolist(), score.tolist(), classes.tolist())))
+
+        write(tmp_path / "small.jsonl", classes)
+        write(tmp_path / "large.jsonl", np.where(classes == 80, class_id, classes))
+        tracemalloc.start()
+        try:
+            assert main(["nms", "--detections", str(tmp_path / "large.jsonl"),
+                         "--output", str(tmp_path / "large_kept.jsonl")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one-hot score vectors padded to the largest class would need gigabytes
+        assert peak < 32 * 2**20
+        # the class id's size changes nothing but the class field
+        assert main(["nms", "--detections", str(tmp_path / "small.jsonl"),
+                     "--output", str(tmp_path / "small_kept.jsonl")]) == 0
+        small = (tmp_path / "small_kept.jsonl").read_text().splitlines()[1:]
+        large = (tmp_path / "large_kept.jsonl").read_text().splitlines()[1:]
+        assert [line.replace('"class":80,', f'"class":{class_id},') for line in small] == large
 
 
 class TestConfigPrecedence:

@@ -590,3 +590,57 @@ class TestWireFormat:
                 '{"x1":0,"y1":0,"x2":1,"y2":1,"score":0.5,"class":-1,"scale":0}\n')
         with pytest.raises(ValueError, match="bad detection on line 2"):
             detections_from_jsonl(text)
+
+    @pytest.mark.parametrize("key,value", [
+        ("x1", "NaN"), ("y2", "Infinity"), ("score", "-Infinity"), ("x2", "1e400"),
+        ("class", "NaN"), ("scale", "Infinity"), ("x1", "1" + "0" * 400),
+        ("x1", '"1"'), ("score", '"0.5"'), ("class", "true"), ("scale", "null"),
+        ("y1", "[0]"), ("class", "1" + "0" * 30), ("scale", "-1" + "0" * 30),
+    ])
+    def test_field_that_is_not_a_finite_number_is_a_bad_line(self, key, value):
+        fields = {"x1": "0", "y1": "0", "x2": "1", "y2": "1", "score": "0.5", "class": "0",
+                  "scale": "0"}
+        good = "{" + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}"
+        bad = "{" + ",".join(f'"{k}":{value if k == key else v}' for k, v in fields.items()) + "}"
+        with pytest.raises(ValueError, match="bad detection on line 3"):
+            detections_from_jsonl(f"# header\n{good}\n{bad}\n{good}\n")
+
+    def test_parses_into_columns_with_one_hot_rows(self):
+        text = ('{"x1":0,"y1":1,"x2":2,"y2":3,"score":0.5,"class":2,"scale":1}\n'
+                '{"x1":4,"y1":5,"x2":6.5,"y2":7,"score":0.25,"class":1000000,"scale":0}\n')
+        table = detections_from_jsonl(text)
+        assert isinstance(table, DetectionTable) and table.class_scores is None
+        assert table.boxes.tolist() == [[0, 1, 2, 3], [4, 5, 6.5, 7]]
+        assert table.objectness.tolist() == [0.5, 0.25] and table.best.tolist() == [1, 1]
+        assert table.class_id.tolist() == [2, 1000000] and table.scale_index.tolist() == [1, 0]
+        assert table.cell.tolist() == [[-1, -1], [-1, -1]]
+        # a row's score vector grows with its own class id only
+        assert table[0].class_scores.tolist() == [0.0, 0.0, 1.0]
+        assert (table[0].class_id, table[0].score, table[0].cell) == (2, 0.5, (-1, -1))
+
+
+class TestTableColumns:
+    def test_from_rows_reads_each_rows_class_and_best_score(self):
+        rows = [make_det(0, 0, 4, 4, 0.5, class_id=3), make_det(1, 1, 5, 5, 0.75, class_id=1),
+                Detection(CornerBox(2, 2, 6, 6), 0.9, np.array([0.1, 0.7]), 2, (3, 4))]
+        table = DetectionTable.from_rows(rows)
+        assert table.class_scores is None
+        assert table.class_id.tolist() == [3, 1, 1] and table.best.tolist() == [1, 1, 0.7]
+        assert table.cell.tolist() == [[-1, -1], [-1, -1], [3, 4]]
+        assert list(table) == rows and all(a is b for a, b in zip(table, rows))
+
+    def test_select_keeps_every_column(self, scale):
+        levels = empty_grid(scale)
+        plant(levels, scale, BoundingBox(241.5, 133.25, 58.0, 37.5), scale_index=1, class_id=2)
+        plant(levels, scale, BoundingBox(400.5, 300.25, 40.0, 30.0), scale_index=0, class_id=1)
+        table = decode_grid(PredictionGrid(tuple(levels)), scale).detections
+        for index in ([1, 0], np.array([False, True]), []):
+            part = table.select(index)
+            want = [table[i] for i in np.arange(len(table))[index]]
+            assert len(part) == len(want)
+            for got, ref in zip(part, want):
+                assert got.box == ref.box and got.objectness == ref.objectness
+                assert np.array_equal(got.class_scores, ref.class_scores)
+                assert (got.class_id, got.scale_index, got.cell) == \
+                    (ref.class_id, ref.scale_index, ref.cell)
+        assert table.select([]).class_scores.shape == (0, M)
