@@ -17,6 +17,7 @@ in one array pass and returns an :class:`AssignmentTable` of columns.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, fields
@@ -24,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codec import RegressionTarget, ScaleConfig, center_cell, encode, encode_distances
+from .codec import RegressionTarget, ScaleConfig, encode, encode_distances
 from .geom import BoundingBox, iou, to_corner
 
 
@@ -148,7 +149,7 @@ def assign(
     center-cell distance that is not positive.
     """
     boxes = np.array([(b.cx, b.cy, b.w, b.h) for b, _ in objects], dtype=float).reshape(-1, 4)
-    image = (scale.image_w, scale.image_h)
+    image = np.array([scale.image_w, scale.image_h])
     outside = np.flatnonzero(~((0 < boxes[:, :2]) & (boxes[:, :2] < image)).all(axis=1))
     if outside.size:
         i = int(outside[0])
@@ -156,39 +157,32 @@ def assign(
             f"object {i} center ({objects[i][0].cx}, {objects[i][0].cy}) not strictly "
             f"inside image {scale.image_w}x{scale.image_h}"
         )
-    cx, cy, w, h = boxes.T[..., None, None]                            # (objects, 1, 1)
-    corners = np.concatenate([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=-1)
-    s = np.array(scale.strides)[:, None]                               # (scales, 1)
-
-    def cells(px, py):
-        return np.floor(px / s), np.floor(py / s)
-
-    ax, ay = cells(cx, cy)                                             # (objects, scales, 1)
+    c, wh = boxes[:, None, None, :2], boxes[:, None, None, 2:]   # (objects, 1, 1, 2), (x, y) last
+    half = wh / 2
+    corners = np.concatenate([c - half, c + half], axis=-1)            # (objects, 1, 1, 4)
+    s = np.array(scale.strides)[:, None, None]                         # (scales, 1, 1)
+    a = np.floor(c / s)                                                # (objects, scales, 1, 2)
     groups = {
-        "center": lambda: (ax, ay),
+        "center": lambda: a,
         # strictly past the midline on each axis; on the midline the offset is 0
-        "neighbors": lambda: (
-            np.concatenate([ax + np.sign((cx - s * ax) - s / 2), ax], axis=-1),
-            np.concatenate([ay, ay + np.sign((cy - s * ay) - s / 2)], axis=-1),
-        ),
+        "neighbors": lambda: a + np.sign((c - s * a) - s / 2) * np.eye(2),
         # midpoints of the segments from the center to the top-left and
         # bottom-right corners
-        "midpoints": lambda: cells(cx + np.concatenate([-w, w], axis=-1) / 4,
-                                   cy + np.concatenate([-h, h], axis=-1) / 4),
+        "midpoints": lambda: np.floor((c + np.concatenate([-wh, wh], axis=-2) / 4) / s),
         # a corner on a grid line belongs to the cell whose top-left point it is
-        "corners": lambda: cells(corners[..., [0, 2, 0, 2]], corners[..., [1, 1, 3, 3]]),
+        "corners": lambda: np.floor(corners[..., 0, [[0, 1], [2, 1], [0, 3], [2, 3]]] / s),
     }
-    xs, ys = (np.concatenate(c, axis=-1)
-              for c in zip(*(groups[g]() for g in _GROUPS[mode.location_strategy])))
-    same = (xs[..., :, None] == xs[..., None, :]) & (ys[..., :, None] == ys[..., None, :])
-    keep = ~np.tril(same, -1).any(axis=-1)
-    keep &= (xs >= 0) & (xs < scale.image_w // s) & (ys >= 0) & (ys < scale.image_h // s)
+    cand = np.concatenate([groups[g]() for g in _GROUPS[mode.location_strategy]], axis=-2)
+    z = np.ascontiguousarray(cand).view(complex)[..., 0]   # (objects, scales, k): (x, y) as one
+    keep = ~np.tril(z[..., :, None] == z[..., None, :], -1).any(axis=-1)
+    inside = (cand >= 0) & (cand < image // s)
+    keep &= inside[..., 0] & inside[..., 1]
 
     object_id, scale_index, _ = np.nonzero(keep)
-    cell = np.stack([xs[keep], ys[keep]], axis=-1).astype(np.int64)
-    stride = s[scale_index]
-    target = encode_distances(corners[object_id, 0], cell, stride[:, 0])
-    at_center = (cell == np.concatenate([ax, ay], axis=-1)[object_id, scale_index]).all(axis=1)
+    cell = cand[keep].astype(np.int64)
+    stride = s[scale_index, 0]                                         # (n, 1)
+    target = encode_distances(corners[object_id, 0, 0], cell, stride[:, 0])
+    at_center = (cell == a[object_id, scale_index, 0]).all(axis=1)
     bad = np.flatnonzero(at_center & (target <= 0).any(axis=1))
     if bad.size:  # encode raises the CodecError naming the cell and distances
         r = bad[0]
@@ -198,7 +192,7 @@ def assign(
     if mode.predictions_per_cell == 4:
         # 2x2 sub-quadrant of the record's cell nearest the object center
         quadrant += (boxes[object_id, :2] >= stride * (cell + 0.5)) @ np.array([1, 2])
-    classes = np.array([c for _, c in objects], dtype=np.int64)
+    classes = np.array([k for _, k in objects], dtype=np.int64)
     table = AssignmentTable(object_id, classes[object_id], scale_index, cell, target, quadrant)
     if mode.scale_thresholds is not None:
         table = apply_scale_constraints(table, mode.scale_thresholds, scale)
@@ -240,25 +234,28 @@ def center_collision_audit(
 
     For each scale, reports ``(cell, object_ids)`` for every cell that is
     the true center cell of at least two objects whose boxes overlap
-    (reference IoU > 0). Objects sharing a cell without overlapping are not
-    reported. Used to audit datasets for ambiguous center assignments.
+    (reference IoU > 0); objects sharing a cell without overlapping are
+    not. A center that is not finite raises :class:`AssignmentError`.
     """
     report: dict[int, list[tuple[tuple[int, int], tuple[int, ...]]]] = {}
-    corners = [to_corner(box) for box, _ in objects]
-    for scale_index, stride in enumerate(scale.strides):
-        by_cell: dict[tuple[int, int], list[int]] = defaultdict(list)
-        for object_id, (box, _) in enumerate(objects):
-            by_cell[center_cell(box.cx, box.cy, stride)].append(object_id)
-        hits = []
-        for cell in sorted(by_cell):
-            ids = by_cell[cell]
-            if len(ids) < 2:
-                continue
+    centers = np.array([(b.cx, b.cy) for b, _ in objects], dtype=float).reshape(-1, 1, 2)
+    cells = np.floor(centers / np.array(scale.strides)[:, None])      # (objects, scales, 2)
+    if not np.isfinite(cells).all():
+        raise AssignmentError("object center is not finite")
+    corner = functools.cache(lambda i: to_corner(objects[i][0]))
+    for scale_index, column in enumerate(cells.transpose(1, 0, 2).tolist()):
+        keys = list(map(tuple, column))
+        hits = report[scale_index] = []
+        if len(set(keys)) == len(keys):   # no shared center cell at this scale
+            continue
+        by_cell: dict[tuple[float, float], list[int]] = defaultdict(list)
+        for object_id, key in enumerate(keys):
+            by_cell[key].append(object_id)
+        for cell, ids in sorted(item for item in by_cell.items() if len(item[1]) > 1):
             overlapping = tuple(
                 i for i in ids
-                if any(i != j and iou(corners[i], corners[j]) > 0 for j in ids)
+                if any(i != j and iou(corner(i), corner(j)) > 0 for j in ids)
             )
             if len(overlapping) >= 2:
-                hits.append((cell, overlapping))
-        report[scale_index] = hits
+                hits.append(((int(cell[0]), int(cell[1])), overlapping))
     return report

@@ -27,6 +27,7 @@ inverse, used by round-trip tests and the gradient checker.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -89,14 +90,17 @@ class ScaleConfig:
     def for_image(self, image_w, image_h) -> ScaleConfig:
         """The same strides and gains sized to an image.
 
-        Returns ``self`` when the size already matches; otherwise the copy
-        is validated like any new config, so a size that some stride does
-        not divide raises :class:`CodecError`.
+        Returns ``self`` when the size already matches, else a cached copy
+        validated like any new config: a size that some stride does not
+        divide raises :class:`CodecError` on every call.
         """
         image_w, image_h = int(image_w), int(image_h)
         if (image_w, image_h) == (self.image_w, self.image_h):
             return self
-        return replace(self, image_w=image_w, image_h=image_h)
+        return _resized(self, image_w=image_w, image_h=image_h)
+
+
+_resized = functools.lru_cache(maxsize=256)(replace)   # a raised CodecError is never cached
 
 
 @dataclass(frozen=True)

@@ -313,8 +313,8 @@ def detections_from_jsonl(text: str) -> DetectionTable:
     becomes its objectness, its best class score is 1 and its class a
     column, so ranking and class identity survive; the cell does not.
     Every field must be a finite JSON number, the corners in order, the
-    class at least 0 and the class and scale (truncated to integers)
-    within int64; any other line raises ``bad detection on line N``.
+    class and scale whole numbers within int64 (``2.0`` reads as 2) and
+    the class at least 0; any other line raises ``bad detection on line N``.
     """
     floats, ids = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -330,6 +330,8 @@ def detections_from_jsonl(text: str) -> DetectionTable:
             if values[2] < values[0] or values[3] < values[1]:
                 CornerBox(*values[:4])   # raises its GeometryError
             class_id, scale = int(values[5]), int(values[6])
+            if (class_id, scale) != tuple(values[5:]):
+                raise ValueError(f"class and scale must be whole numbers: {values[5:]}")
             if class_id < 0:
                 raise ValueError(f"negative class {class_id}")
             ids.append((np.int64(class_id), np.int64(scale)))   # OverflowError past int64

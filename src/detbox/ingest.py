@@ -3,8 +3,8 @@
 Only geometry and category fields are read; pixels, segmentation masks,
 and crowd regions are never loaded. Top-left (x, y, w, h) boxes convert to
 center form. Annotations that cannot become valid scene objects are
-skipped and counted by reason: non-positive width or height, center not
-strictly inside the image, or crowd regions (which assignment never uses).
+skipped and counted by reason: width or height not positive (NaN too),
+center not strictly inside the image, or crowd regions (never assigned).
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import numpy as np
 from .assign import AssignMode, assign, center_collision_audit
 from .codec import ScaleConfig
 from .geom import BoundingBox
+
+_NUMBER = {int, float}   # the types JSON numbers parse to; bool is not one
 
 
 class CocoFormatError(ValueError):
@@ -56,11 +58,14 @@ class CocoLoadResult:
         return sum(len(s.objects) for s in self.scenes)
 
 
-def _require(mapping, key, where: str, path):
+def _require(mapping, key, where: str, path, number: bool = False):
     try:
-        return mapping[key]
+        value = mapping[key]
     except (KeyError, TypeError):
         raise CocoFormatError(f"{path}: missing field {key!r} in {where}") from None
+    if number and type(value) not in _NUMBER:
+        raise CocoFormatError(f"{path}: field {key!r} in {where} is not a number: {value!r}")
+    return value
 
 
 def load_coco(path) -> CocoLoadResult:
@@ -68,8 +73,8 @@ def load_coco(path) -> CocoLoadResult:
 
     Scenes come back ordered by image id, one per listed image (empty
     object lists included). Raises :class:`CocoFormatError` for malformed
-    JSON, missing fields, or annotations referencing unknown images or
-    categories.
+    JSON, missing fields, image sizes or bbox entries that are not JSON
+    numbers, or annotations referencing unknown images or categories.
     """
     path = Path(path)
     try:
@@ -89,31 +94,36 @@ def load_coco(path) -> CocoLoadResult:
     for img in images:
         img_id = _require(img, "id", "image", path)
         sizes[img_id] = (
-            float(_require(img, "width", f"image {img_id}", path)),
-            float(_require(img, "height", f"image {img_id}", path)),
+            float(_require(img, "width", f"image {img_id}", path, number=True)),
+            float(_require(img, "height", f"image {img_id}", path, number=True)),
         )
 
     objects: dict[int, list[tuple[BoundingBox, int]]] = {i: [] for i in sizes}
     skipped = SkipCounts()
     for ann in annotations:
-        img_id = _require(ann, "image_id", "annotation", path)
-        if img_id not in sizes:
-            raise CocoFormatError(f"{path}: annotation references unknown image_id {img_id}")
-        cat = _require(ann, "category_id", f"annotation for image {img_id}", path)
-        if cat not in category_ids:
-            raise CocoFormatError(
-                f"{path}: annotation references undeclared category_id {cat}"
-            )
-        bbox = _require(ann, "bbox", f"annotation for image {img_id}", path)
-        if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
-            raise CocoFormatError(
-                f"{path}: bbox must be [x, y, w, h], got {bbox!r}"
-            )
+        try:   # the common case by plain indexing
+            img_id, cat, bbox = ann["image_id"], ann["category_id"], ann["bbox"]
+            fast = img_id in sizes and cat in category_ids and type(bbox) is list and len(bbox) == 4
+        except (KeyError, TypeError):
+            fast = False
+        if not fast:   # each check in turn, so the first fault is the one named
+            img_id = _require(ann, "image_id", "annotation", path)
+            if img_id not in sizes:
+                raise CocoFormatError(f"{path}: annotation references unknown image_id {img_id}")
+            cat = _require(ann, "category_id", f"annotation for image {img_id}", path)
+            if cat not in category_ids:
+                raise CocoFormatError(f"{path}: annotation references undeclared category_id {cat}")
+            bbox = _require(ann, "bbox", f"annotation for image {img_id}", path)
+            if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
+                raise CocoFormatError(f"{path}: bbox must be [x, y, w, h], got {bbox!r}")
+        if not _NUMBER.issuperset(map(type, bbox)):   # name the first entry that is no number
+            where = f"bbox of annotation for image {img_id}"
+            bbox = [_require(dict(zip("xywh", bbox)), k, where, path, number=True) for k in "xywh"]
+        x, y, w, h = map(float, bbox)
         if ann.get("iscrowd", 0):
             skipped.iscrowd += 1
             continue
-        x, y, w, h = (float(v) for v in bbox)
-        if w <= 0 or h <= 0:
+        if not (w > 0 and h > 0):   # NaN too
             skipped.nonpositive_size += 1
             continue
         cx, cy = x + w / 2, y + h / 2
@@ -161,11 +171,11 @@ def dataset_stats(
         n_objects += len(scene.objects)
         if not scene.objects:
             continue
-        table = assign(list(scene.objects), cfg, mode)
+        table = assign(scene.objects, cfg, mode)
         # objects filtered out at every scale still count as zero positives
         counts.extend(np.bincount(table.object_id, minlength=len(scene.objects)).tolist())
         per_scale_records += np.bincount(table.scale_index, minlength=scale.num_scales)
-        audit = center_collision_audit(list(scene.objects), cfg)
+        audit = center_collision_audit(scene.objects, cfg)
         for scale_index, hits in audit.items():
             collisions[scale_index] += len(hits)
             for cell, ids in hits:
@@ -177,11 +187,13 @@ def dataset_stats(
                         "objects": list(ids),
                     }
                 )
+    counts.sort()
+    mid = len(counts) // 2   # the median of integers, as np.median gives it
     positives = {
-        "min": int(min(counts)) if counts else 0,
-        "median": float(np.median(counts)) if counts else 0.0,
-        "max": int(max(counts)) if counts else 0,
-        "total": int(sum(counts)),
+        "min": counts[0] if counts else 0,
+        "median": (counts[mid] + counts[~mid]) / 2 if counts else 0.0,
+        "max": counts[-1] if counts else 0,
+        "total": sum(counts),
         "per_scale": {str(k): int(v) for k, v in enumerate(per_scale_records)},
     }
     return {

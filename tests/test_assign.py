@@ -1,6 +1,7 @@
 """Positive-sample selection: center cells, neighbors, ablation modes."""
 
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from detbox import (
     center_collision_audit,
 )
 from detbox.assign import LOCATION_STRATEGIES
+from detbox.geom import iou, to_corner
 
 from conftest import random_box
 
@@ -250,6 +252,10 @@ class TestCollisionAudit:
         report = center_collision_audit(objects, scale)
         assert report[2] == [((3, 3), (0, 1))]
 
+    def test_center_that_is_not_finite(self, scale):
+        with pytest.raises(AssignmentError, match="not finite"):
+            center_collision_audit([(BoundingBox(math.nan, 100, 4, 4), 0)], scale)
+
 
 def reference_assign(objects, scale, mode=AssignMode()):
     """Plain per-object loop that the columnar ``assign`` must match."""
@@ -373,3 +379,73 @@ class TestAgainstReference:
             assert r.target.scale_index == r.scale_index
             assert all(type(v) is int
                        for v in (r.object_id, r.class_id, r.scale_index, r.quadrant, *r.cell))
+
+
+def reference_audit(objects, scale):
+    """Plain per-object loop that ``center_collision_audit`` must match."""
+    report = {}
+    corners = [to_corner(box) for box, _ in objects]
+    for scale_index, stride in enumerate(scale.strides):
+        by_cell = defaultdict(list)
+        for object_id, (box, _) in enumerate(objects):
+            by_cell[center_cell(box.cx, box.cy, stride)].append(object_id)
+        hits = []
+        for cell in sorted(by_cell):
+            ids = by_cell[cell]
+            if len(ids) < 2:
+                continue
+            overlapping = tuple(
+                i for i in ids
+                if any(i != j and iou(corners[i], corners[j]) > 0 for j in ids)
+            )
+            if len(overlapping) >= 2:
+                hits.append((cell, overlapping))
+        report[scale_index] = hits
+    return report
+
+
+@st.composite
+def _audit_cases(draw):
+    strides = draw(st.sampled_from([(8, 16, 32), (8, 24, 72)]))
+    unit = strides[-1]
+    w, h = (unit * draw(st.integers(1, 6)) for _ in range(2))
+    scale = ScaleConfig(strides=strides, gains=(2, 4, 16), image_w=w, image_h=h)
+
+    def coord(limit):
+        # multiples of 4 sit on a grid line or a cell midline at every stride
+        on_lines = st.integers(1, limit // 4 - 1).map(lambda k: 4.0 * k)
+        return st.one_of(on_lines, st.floats(0, limit, exclude_min=True, exclude_max=True))
+
+    side = st.one_of(st.integers(1, 32).map(lambda k: 4.0 * k), st.floats(0.5, 200.0))
+    box = st.builds(BoundingBox, coord(scale.image_w), coord(scale.image_h), side, side)
+    boxes = draw(st.lists(box, max_size=8))
+    for b in draw(st.lists(st.sampled_from(boxes), max_size=4)) if boxes else []:
+        boxes.append(draw(st.sampled_from([
+            b,                                                  # identical
+            BoundingBox(b.cx + b.w, b.cy, b.w, b.h),            # touches on the right edge
+            BoundingBox(b.cx, b.cy + b.h, b.w, b.h),            # touches on the bottom edge
+            BoundingBox(b.x2 + 1.0, b.cy, 1.0, 1.0),            # near, disjoint
+        ])))
+    order = draw(st.permutations(range(len(boxes))))
+    return [(boxes[i], 0) for i in order], scale
+
+
+class TestAuditAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(_audit_cases())
+    def test_matches_reference(self, case):
+        objects, scale = case
+        report = center_collision_audit(objects, scale)
+        assert report == reference_audit(objects, scale)
+        assert all(type(v) is int for hits in report.values() for cell, _ in hits for v in cell)
+
+    def test_touching_identical_and_empty(self, scale):
+        a = BoundingBox(100, 100, 8, 8)
+        objects = [(a, 0), (BoundingBox(108, 100, 8, 8), 0), (a, 0),
+                   (BoundingBox(110, 110, 1, 1), 0)]
+        report = center_collision_audit(objects, scale)
+        # the touching box (IoU 0) and the disjoint one are left out
+        assert report == reference_audit(objects, scale)
+        assert report == {0: [((12, 12), (0, 2))], 1: [((6, 6), (0, 2))], 2: [((3, 3), (0, 2))]}
+        assert center_collision_audit([], scale) == reference_audit([], scale)
+        assert center_collision_audit([], scale) == {0: [], 1: [], 2: []}

@@ -298,6 +298,24 @@ class TestAssignStats:
     def test_missing_path_exits_2(self):
         assert main(["assign-stats", "--scene", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("field, value, where", [
+        *(("y", v, "bbox of annotation for image 1") for v in (None, "a", True, "10")),
+        ("width", "abc", "image 1"), ("width", None, "image 1"),
+        ("height", True, "image 1"), ("height", "10", "image 1"),
+    ])
+    def test_value_that_is_not_a_json_number_exits_2(self, worked_scene, capsys, field, value,
+                                                      where):
+        doc = json.loads(worked_scene.read_text())
+        if field == "y":   # the bbox entry
+            doc["annotations"][0]["bbox"][1] = value
+        else:
+            doc["images"][0][field] = value
+        worked_scene.write_text(json.dumps(doc))
+        assert main(["assign-stats", "--scene", str(worked_scene)]) == 2
+        err = capsys.readouterr().err
+        assert f"{worked_scene}: field '{field}' in {where} is not a number: {value!r}" in err
+        assert "Traceback" not in err
+
     def test_image_size_flag_rejected(self, capsys, tmp_path):
         assert_image_size_rejected(["assign-stats", "--scene", str(COCO_FIXTURE)], capsys,
                                    tmp_path)
@@ -398,6 +416,25 @@ class TestNmsCommand:
         assert main(["nms", "--detections", str(src), "--output", str(out)]) == 2
         assert "bad detection on line 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("class_id, scale", [(2.7, 0), (2, 1.9), (-0.5, 0)])
+    def test_class_or_scale_that_is_not_whole_exits_2(self, tmp_path, capsys, class_id, scale):
+        src = tmp_path / "dets.jsonl"
+        src.write_text(_det_line(0, 0, 10, 10, 0.9, class_id, scale) + "\n")
+        out = tmp_path / "kept.jsonl"
+        assert main(["nms", "--detections", str(src), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bad detection on line 1" in err and "whole numbers" in err
+        assert not out.exists()
+
+    def test_integral_float_class_and_scale_read_as_ints(self, tmp_path):
+        src = tmp_path / "dets.jsonl"
+        src.write_text(_det_line(0, 0, 10, 10, 0.9, 2.0, 1.0) + "\n")
+        out = tmp_path / "kept.jsonl"
+        assert main(["nms", "--detections", str(src), "--output", str(out)]) == 0
+        (row,) = detections_from_jsonl(out.read_text())
+        assert (row.class_id, row.scale_index) == (2, 1)
+        assert '"class":2,"scale":1' in out.read_text().replace(" ", "")
 
     def test_decoded_nan_class_logit_round_trips(self, tmp_path):
         scale = ScaleConfig()

@@ -1,5 +1,7 @@
 """Corner-distance encoding, squared-sigmoid decoding, and their inverses."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,28 @@ class TestScaleConfig:
     def test_for_image_rejects_a_size_no_stride_divides(self, scale):
         with pytest.raises(CodecError, match="does not divide image size 640x427"):
             scale.for_image(640, 427)
+
+    def test_for_image_copy_equals_replace(self):
+        base = ScaleConfig(strides=(8, 24, 72), gains=(2.0, 4.0, 16.0), image_w=576, image_h=576)
+        assert base.for_image(1152, 288.0) == replace(base, image_w=1152, image_h=288)
+
+    def test_for_image_repeated_call_returns_the_same_object(self, scale):
+        assert scale.for_image(640, 480) is scale.for_image(640.0, 480)
+
+    def test_for_image_bad_size_raises_on_every_call(self, scale):
+        for _ in range(3):
+            with pytest.raises(CodecError, match="does not divide image size 500x375"):
+                scale.for_image(500, 375)
+        assert scale.for_image(512, 384).image_h == 384
+
+    def test_for_image_equal_config_built_separately(self):
+        a = ScaleConfig(strides=(8, 16), gains=(2.0, 4.0))
+        b = ScaleConfig(strides=[8, 16], gains=[2, 4])
+        assert a is not b and a == b
+        assert a.for_image(320, 160) == b.for_image(320, 160)
+        assert a.for_image(320, 160) == replace(a, image_w=320, image_h=160)
+        with pytest.raises(CodecError):
+            b.for_image(320, 161)
 
 
 class TestEncode:

@@ -60,6 +60,50 @@ class TestLoad:
         assert bbox_xywh(box) == [80.25, 50.0, 40.0, 21.0]
 
 
+    def test_planted_skips_on_a_generated_document(self, tmp_path):
+        rng = np.random.default_rng(7)
+        sizes = [(640, 480), (320, 320), (500, 375)]
+        images = [{"id": k + 1, "width": sizes[k % 3][0], "height": sizes[k % 3][1]}
+                  for k in range(20)]
+        planted = {"iscrowd": 0, "nonpositive_size": 0, "center_outside": 0}
+        expected = {img["id"]: [] for img in images}
+        annotations = []
+        for n in range(400):
+            img = images[int(rng.integers(len(images)))]
+            w, h = rng.uniform(1.0, 100.0, 2).tolist()
+            x = float(rng.uniform(0.0, img["width"] - w))
+            y = float(rng.uniform(0.0, img["height"] - h))
+            cat = int(rng.integers(1, 4))
+            ann = {"id": n, "image_id": img["id"], "category_id": cat, "bbox": [x, y, w, h]}
+            fault = n % 10
+            if fault == 0:
+                ann["iscrowd"] = 1
+                planted["iscrowd"] += 1
+            elif fault in (1, 2):   # zero and NaN sizes are both not positive
+                ann["bbox"][fault + 1] = [0.0, float("nan")][fault - 1]
+                planted["nonpositive_size"] += 1
+            elif fault == 3:
+                ann["bbox"][0] = x + img["width"]
+                planted["center_outside"] += 1
+            elif fault == 4:        # whole-pixel boxes read as floats
+                ann["bbox"] = [int(x), int(y), 4, 4]
+                expected[img["id"]].append(((int(x) + 2.0, int(y) + 2.0, 4.0, 4.0), cat))
+            else:
+                expected[img["id"]].append(((x + w / 2, y + h / 2, w, h), cat))
+            annotations.append(ann)
+        path = tmp_path / "generated.json"
+        path.write_text(json.dumps({"images": images, "annotations": annotations,
+                                    "categories": [{"id": c} for c in (1, 2, 3)]}))
+        res = load_coco(path)
+        assert vars(res.skipped) == planted
+        assert res.n_annotations == 400 and res.n_converted + res.skipped.total == 400
+        assert [s.source_id for s in res.scenes] == [str(img["id"]) for img in images]
+        for scene in res.scenes:
+            got = [((b.cx, b.cy, b.w, b.h), c) for b, c in scene.objects]
+            assert got == expected[int(scene.source_id)]
+            assert all(type(v) is float for b, _ in scene.objects for v in (b.cx, b.w))
+
+
 class TestMalformed:
     def _write(self, tmp_path, doc):
         path = tmp_path / "bad.json"
@@ -93,6 +137,57 @@ class TestMalformed:
             "categories": [{"id": 1}],
         })
         with pytest.raises(CocoFormatError, match="category_id 3"):
+            load_coco(path)
+
+    def test_first_fault_wins(self, tmp_path):
+        # an unknown image beats a missing category, which beats a missing bbox
+        path = self._write(tmp_path, {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2]},
+                            {"id": 2, "image_id": 9}],
+            "categories": [{"id": 1}],
+        })
+        with pytest.raises(CocoFormatError, match="unknown image_id 9"):
+            load_coco(path)
+        path = self._write(tmp_path, {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [{"id": 1, "image_id": 1}],
+            "categories": [{"id": 1}],
+        })
+        with pytest.raises(CocoFormatError,
+                           match="missing field 'category_id' in annotation for image 1"):
+            load_coco(path)
+
+    @pytest.mark.parametrize("ann", [[1, 1, 2, 2], "image_id", None, 7])
+    def test_annotation_that_is_not_an_object(self, tmp_path, ann):
+        path = self._write(tmp_path, {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [ann],
+            "categories": [{"id": 1}],
+        })
+        with pytest.raises(CocoFormatError, match="missing field 'image_id' in annotation$"):
+            load_coco(path)
+
+    @pytest.mark.parametrize("bbox", [[1, 1, 2], [1, 1, 2, 2, 3], {"x": 1, "y": 1, "w": 2, "h": 2},
+                                      "1122", None])
+    def test_bbox_that_is_not_four_entries(self, tmp_path, bbox):
+        path = self._write(tmp_path, {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": bbox}],
+            "categories": [{"id": 1}],
+        })
+        with pytest.raises(CocoFormatError, match=r"bbox must be \[x, y, w, h\]"):
+            load_coco(path)
+
+    def test_crowd_bbox_entry_that_is_not_a_number(self, tmp_path):
+        # a crowd region is skipped only after its bbox passes the checks
+        path = self._write(tmp_path, {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [1, 1, 2, None],
+                             "iscrowd": 1}],
+            "categories": [{"id": 1}],
+        })
+        with pytest.raises(CocoFormatError, match="field 'h' in bbox of annotation for image 1"):
             load_coco(path)
 
     def test_bad_bbox_shape(self, tmp_path):
