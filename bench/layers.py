@@ -1,0 +1,216 @@
+"""Per-layer and end-to-end timings of detbox's inference path, as JSON.
+
+Run from the repository root:
+
+    python3 bench/layers.py                      # this checkout -> BENCH_1.json
+    python3 bench/layers.py --compare HEAD~1     # this checkout and HEAD~1, alternately
+
+Every case runs once per round, rounds are interleaved in one process per
+checkout, and each case reports the min and the median over rounds of its
+seconds and of its rate; on a noisy machine the min is the steadier of the
+two. With ``--compare REV`` the working tree and ``git archive REV`` run in
+two worker processes that take turns, one round at a time, so both see the
+same swings of the machine, and each case also reports in how many rounds
+the working tree was the faster. The bench code is this checkout's in both.
+
+Cases, keyed like perfbench's spans:
+
+- ``infer.decode_grid``: cells/s over the infer-stream pool of 640x640,
+  80-class, 3-level grids (perfbench/infer_stream.py, seed 1);
+- ``infer.suppress.N`` and ``infer.nms.N``: detections/s on a table of N
+  detections decoded from a seeded dense grid (N = 1000 and 5000);
+- ``infer.e2e.call``: images/s for infer-stream's timed call, ``decode_grid``
+  then ``nms``, over the pool;
+- ``infer.e2e.read_kept``: the same call, then reading every kept row
+  (``list(kept)``). That is the cost for a caller that reads rows, where
+  ``nms`` may leave the building of its rows to the reader.
+
+Grids are built outside the timed region. The output holds perfbench's
+environment block and the ``src/detbox`` line count of each checkout.
+"""
+
+from __future__ import annotations
+
+import os
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:   # single threaded, as perfbench runs
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import gc  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from common import environment, source_lines  # noqa: E402
+
+CLASSES, STRIDES, GAINS = 80, (8, 16, 32), (2.0, 4.0, 16.0)
+
+
+def dense_grid(detbox, n: int, seed: int = 0):
+    """A 640x640, 80-class grid with ``n`` confident cells of random boxes and
+    classes; every other cell is far below any threshold."""
+    rng = np.random.default_rng([seed, n])
+    scale = detbox.ScaleConfig(strides=STRIDES, gains=GAINS, image_w=640, image_h=640)
+    levels = [np.full((*scale.grid_size(k), CLASSES + 5), -40.0) for k in range(len(STRIDES))]
+    starts = np.cumsum([0] + [a.shape[0] * a.shape[1] for a in levels])
+    for flat in rng.choice(starts[-1], size=n, replace=False):
+        k = int(np.searchsorted(starts, flat, side="right")) - 1
+        x, y = divmod(int(flat - starts[k]), levels[k].shape[1])
+        cell = levels[k][x, y]
+        cell[:4] = rng.normal(1.0, 0.5, 4)
+        cell[4] = rng.uniform(-3.0, 3.0)
+        cell[5:] = rng.normal(-5.0, 1.5, CLASSES)
+        cell[5 + rng.integers(CLASSES)] += 8.0
+    return detbox.infer.PredictionGrid(tuple(levels)), scale
+
+
+class Cases:
+    """The inputs of every case, built once; ``round()`` times each case once."""
+
+    def __init__(self, detbox, images: int, sizes: list[int]):
+        import infer_stream
+
+        infer_stream.POOL = images
+        self.infer = detbox.infer
+        self.stream = infer_stream.InferStream(1, detbox)
+        self.conf, self.nms_iou = infer_stream.CONF, infer_stream.NMS_IOU
+        self.grids = {n: dense_grid(detbox, n) for n in sizes}
+        self.work = {"infer.decode_grid": images * sum(
+            int(np.prod(a.shape[:2])) for a in self.stream.grid(0))}
+        for n in sizes:   # the few cells that decode to a degenerate box drop out
+            self.work[f"infer.suppress.{n}"] = self.work[f"infer.nms.{n}"] = len(self.decode(n))
+        self.work["infer.e2e.call"] = self.work["infer.e2e.read_kept"] = images
+        self.units = {key: "detections/s" for key in self.work}
+        self.units["infer.decode_grid"] = "cells/s"
+        self.units["infer.e2e.call"] = self.units["infer.e2e.read_kept"] = "images/s"
+        self.round()   # warm up
+
+    def decode(self, n: int):
+        return self.infer.decode_grid(*self.grids[n], self.conf).detections
+
+    def round(self) -> dict[str, float]:
+        infer, seconds = self.infer, dict.fromkeys(self.work, 0.0)
+        gc.collect()
+        for index in range(len(self.stream.images)):
+            # each call gets a grid just built, as infer-stream's timed call does
+            grid = infer.PredictionGrid(tuple(self.stream.grid(index)))
+            t0 = time.perf_counter()
+            decoded = infer.decode_grid(grid, self.stream.scale, self.conf)
+            t1 = time.perf_counter()
+            infer.nms(decoded.detections, self.nms_iou)
+            t2 = time.perf_counter()
+            grid = infer.PredictionGrid(tuple(self.stream.grid(index)))
+            t3 = time.perf_counter()
+            decoded = infer.decode_grid(grid, self.stream.scale, self.conf)
+            list(infer.nms(decoded.detections, self.nms_iou))
+            seconds["infer.e2e.read_kept"] += time.perf_counter() - t3
+            seconds["infer.decode_grid"] += t1 - t0
+            seconds["infer.e2e.call"] += t2 - t0
+        for n in self.grids:
+            table = self.decode(n)   # fresh rows for each timed nms
+            t0 = time.perf_counter()
+            infer.suppress(table, self.nms_iou)
+            t1 = time.perf_counter()
+            infer.nms(table, self.nms_iou)
+            seconds[f"infer.suppress.{n}"] = t1 - t0
+            seconds[f"infer.nms.{n}"] = time.perf_counter() - t1
+        return seconds
+
+
+def worker(src: Path, images: int, sizes: list[int]) -> int:
+    """Serve rounds over stdin/stdout: one line in, one JSON line out."""
+    sys.path.insert(0, str(src))
+    import detbox
+
+    cases = Cases(detbox, images, sizes)
+    print(json.dumps({"work": cases.work, "units": cases.units}), flush=True)
+    for _ in sys.stdin:
+        print(json.dumps(cases.round()), flush=True)
+    return 0
+
+
+def summary(work: dict, units: dict, rounds: list[dict]) -> dict:
+    out = {}
+    for key in work:
+        times = [r[key] for r in rounds]
+        out[key] = {"unit": units[key], "work": work[key],
+                    "min_s": min(times), "median_s": statistics.median(times),
+                    "rate_at_min": work[key] / min(times),
+                    "rate_at_median": work[key] / statistics.median(times)}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--compare", metavar="REV", help="also time this git revision")
+    parser.add_argument("--rounds", type=int, default=9)
+    parser.add_argument("--images", type=int, default=200, help="infer-stream pool size")
+    parser.add_argument("--sizes", default="1000,5000", help="table sizes for suppress and nms")
+    parser.add_argument("--output", type=Path, default=ROOT / "BENCH_1.json")
+    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    sizes = [int(n) for n in args.sizes.split(",")]
+    if args.worker:
+        return worker(args.worker, args.images, sizes)
+
+    with tempfile.TemporaryDirectory() as scratch:
+        checkouts = {"working tree": ROOT}
+        if args.compare:
+            rev = subprocess.run(["git", "rev-parse", "--short", args.compare], cwd=ROOT,
+                                 capture_output=True, text=True, check=True).stdout.strip()
+            archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
+                                     capture_output=True, check=True).stdout
+            subprocess.run(["tar", "-x", "-C", scratch], input=archive, check=True)
+            checkouts[rev] = Path(scratch)
+        workers = {}
+        for name, root in checkouts.items():
+            workers[name] = subprocess.Popen(
+                [sys.executable, __file__, "--worker", str(root / "src"), "--images",
+                 str(args.images), "--sizes", args.sizes],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        try:
+            heads = {name: json.loads(w.stdout.readline()) for name, w in workers.items()}
+            rounds = {name: [] for name in workers}
+            for r in range(args.rounds):
+                for name in list(workers)[::1 if r % 2 == 0 else -1]:   # ABBA order
+                    workers[name].stdin.write("round\n")
+                    workers[name].stdin.flush()
+                    rounds[name].append(json.loads(workers[name].stdout.readline()))
+        finally:
+            for w in workers.values():
+                w.stdin.close()
+                w.wait()
+        results = {name: {"src_detbox_lines": source_lines(root),
+                          "layers": summary(heads[name]["work"], heads[name]["units"],
+                                            rounds[name])}
+                   for name, root in checkouts.items()}
+    report = {"environment": environment(ROOT, THREAD_VARS), "rounds": args.rounds,
+              "images": args.images, "checkouts": results}
+    if args.compare:   # rounds are paired: each ran next to the other checkout's
+        mine, theirs = rounds.values()
+        report["working_tree_faster_rounds"] = {
+            key: sum(a[key] < b[key] for a, b in zip(mine, theirs)) for key in mine[0]}
+    args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    for name, result in results.items():
+        print(f"{name} ({result['src_detbox_lines']} lines in src/detbox)")
+        for key, v in result["layers"].items():
+            print(f"  {key:24s} {v['rate_at_min']:12.5g} {v['unit']:13s} "
+                  f"min {v['min_s'] * 1e3:9.2f} ms  median {v['median_s'] * 1e3:9.2f} ms")
+    for key, wins in report.get("working_tree_faster_rounds", {}).items():
+        print(f"working tree faster in {wins} of {args.rounds} rounds: {key}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -43,7 +43,7 @@ from .infer import (
     decode_grid,
     detections_from_jsonl,
     detections_to_jsonl,
-    suppress,
+    nms,
 )
 from .ingest import CocoFormatError, dataset_stats, load_coco
 from .losses import LOSS_KINDS
@@ -344,7 +344,7 @@ def _cmd_nms(args) -> int:
         raise CocoFormatError(f"cannot read detections {args.detections}: {exc}") from exc
     table = detections_from_jsonl(text)
     confident = table.select(table.score >= cfg.conf_threshold)
-    kept = confident.select(suppress(confident, cfg.nms_threshold))
+    kept = nms(confident, cfg.nms_threshold)
     echo = cfg.echo(command="nms", n_input=len(table), n_kept=len(kept))
     body = "# config: " + json.dumps(echo, sort_keys=True) + "\n" + detections_to_jsonl(kept)
     _write_atomic(args.output, body)
@@ -362,7 +362,7 @@ def _cmd_detect(args) -> int:
             raise ValueError(f"grid {args.grid}: levels must be {names}, got {archive.files}")
         grid = PredictionGrid(tuple(archive[name] for name in names))
     decoded = decode_grid(grid, cfg.scale().for_image(*cfg.image_size), cfg.conf_threshold)
-    kept = decoded.detections.select(suppress(decoded.detections, cfg.nms_threshold))
+    kept = nms(decoded.detections, cfg.nms_threshold)
     print(f"detbox detect: cells_in={sum(a[..., 0].size for a in grid.levels)} "
           f"dropped_degenerate={decoded.dropped_degenerate} "
           f"dets_out={len(decoded.detections)} kept={len(kept)}", file=sys.stderr)

@@ -10,23 +10,27 @@ corners come from inverting the corner-distance code at the cell::
 
 Both stages, and the JSONL wire format of :func:`detections_from_jsonl`
 and :func:`detections_to_jsonl`, work on the columns of a
-:class:`DetectionTable`, whose :class:`Detection` rows are built only when
-read. Decoding selects each level's cells whose objectness logit is near
-``logit(conf_threshold)``, then decodes them all in one pass, stride and
-gain as per-row columns; its ``expit`` test has the outcome of a full
-mask. A confident cell is kept only when ``x2 > x1``, ``y2 > y1`` and no
-class logit is NaN; every other one is dropped and counted in
-``DecodeResult.dropped_degenerate``. Any comparison with NaN is false, so
-that covers NaN distance logits too.
+:class:`DetectionTable`. What a reader may never need is computed only
+when read: a :class:`Detection` row, and the class probabilities, which
+the table keeps as logits. Decoding selects each level's cells whose
+objectness logit is near ``logit(conf_threshold)``, then decodes them all
+in one pass, stride and gain as per-row columns; its ``expit`` test has
+the outcome of a full mask. Each row's best class comes from its logits
+with one ``expit`` (:func:`best_class`). A confident cell is kept only
+when ``x2 > x1``, ``y2 > y1`` and no class logit is NaN; every other one
+is dropped and counted in ``DecodeResult.dropped_degenerate``. Any
+comparison with NaN is false, so that covers NaN distance logits too.
 
 Greedy suppression is class-wise: a detection is removed only by a
 higher-ranked kept detection of the same class overlapping it with IoU
 strictly above the threshold. Ranking is objectness times the best class
 probability, with ties broken by (scale, cell_y, cell_x, class) for
-determinism. :func:`nms` scores same-class pairs with :func:`geom.iou_xyxy`,
+determinism. :func:`suppress` scores same-class pairs with :func:`geom.iou_xyxy`,
 whose arithmetic matches the scalar referee :func:`geom.iou` bit for bit
 on boxes of positive area, and resolves greedy with array steps. The IoU
 with a zero-area box is 0, so such a box is kept and suppresses nothing.
+:func:`nms` returns a table's survivors as a view of it, which builds no
+row until one is read.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -85,30 +90,57 @@ class PredictionGrid:
             raise ValueError("need at least 6 channels: 4 distances, objectness, 1 class")
 
 
+def best_class(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The argmax and max of each row of ``expit(logits)``, bit for bit, from
+    one ``expit`` per row. ``expit`` is monotone, so the max is ``expit`` of
+    the top logit; but its rounding ties values below the top (1.0 above
+    about 37, 0.0 below about -745, adjacent floats), which can move the
+    first argmax to a lower logit. That needs the next logit's ``expit`` to
+    equal the max, and only such rows take a full ``expit``. A NaN logit
+    gives a NaN max."""
+    rest, every = np.array(logits, dtype=float), np.arange(len(logits))
+    class_id = rest.argmax(axis=1)
+    best = expit(rest[every, class_id])
+    rest[every, class_id] = -np.inf
+    tied = np.flatnonzero(expit(rest[every, rest.argmax(axis=1)]) == best)
+    class_id[tied] = expit(logits[tied]).argmax(axis=1)
+    return class_id, best
+
+
 @dataclass(frozen=True, eq=False)
 class DetectionTable(Sequence):
-    """Detections as columns. ``class_id`` and ``best`` (the best class score)
-    are computed once from ``class_scores``, which decoding gives; tables
-    read from JSONL or rows have them as given columns and no score matrix.
+    """Detections as columns. Decoding gives the class ``logits``, from which
+    ``class_id`` and ``best`` (the best class probability) come by
+    :func:`best_class`; the ``class_scores`` matrix, ``expit(logits)``, is
+    computed when first read. Tables read from JSONL or rows have
+    ``class_id`` and ``best`` as given columns and no logits.
+
     Indexing and iteration give :class:`Detection` rows of Python scalars,
     built on first read and cached, so an index always gives the same
-    object; without ``class_scores`` a row's vector is one-hot at its class,
-    holding ``best``. Equality with a sequence compares rows."""
+    object. The rows built together get their score vectors from one
+    ``expit``; without logits a row's vector is one-hot at its class,
+    holding ``best``. :meth:`select` and slicing give a view that shares
+    the row cache, so a row read from it is the parent's row. Equality
+    with a sequence compares rows."""
 
     boxes: np.ndarray           # (n, 4) x1, y1, x2, y2
     objectness: np.ndarray
-    class_scores: np.ndarray | None    # (n, m), or None
+    logits: np.ndarray | None   # (n, m) class logits, or None
     scale_index: np.ndarray
     cell: np.ndarray            # (n, 2) cell_x, cell_y
     class_id: np.ndarray = None
     best: np.ndarray = None
-    _rows: list = field(init=False, repr=False)
+    _rows: list = field(default=None, repr=False)       # the row cache, shared by views
+    _slot: np.ndarray = field(default=None, repr=False)  # each row's place in _rows
 
     def __post_init__(self) -> None:
         if self.class_id is None:
-            object.__setattr__(self, "class_id", self.class_scores.argmax(axis=1))
-            object.__setattr__(self, "best", self.class_scores.max(axis=1))
-        object.__setattr__(self, "_rows", [None] * len(self.objectness))
+            class_id, best = best_class(self.logits)
+            object.__setattr__(self, "class_id", class_id)
+            object.__setattr__(self, "best", best)
+        if self._rows is None:
+            object.__setattr__(self, "_rows", [None] * len(self.objectness))
+            object.__setattr__(self, "_slot", np.arange(len(self.objectness)))
 
     @classmethod
     def from_rows(cls, detections: Sequence[Detection]) -> DetectionTable:
@@ -117,56 +149,66 @@ class DetectionTable(Sequence):
         if isinstance(detections, DetectionTable):
             return detections
         boxes = [(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in detections]
-        table = cls(np.array(boxes, dtype=float).reshape(-1, 4),
-                    np.array([d.objectness for d in detections], dtype=float), None,
-                    np.array([d.scale_index for d in detections], dtype=int),
-                    np.array([d.cell for d in detections], dtype=int).reshape(-1, 2),
-                    np.array([d.class_id for d in detections], dtype=int),
-                    np.array([np.max(d.class_scores) for d in detections], dtype=float))
-        table._rows[:] = detections
-        return table
+        return cls(np.array(boxes, dtype=float).reshape(-1, 4),
+                   np.array([d.objectness for d in detections], dtype=float), None,
+                   np.array([d.scale_index for d in detections], dtype=int),
+                   np.array([d.cell for d in detections], dtype=int).reshape(-1, 2),
+                   np.array([d.class_id for d in detections], dtype=int),
+                   np.array([np.max(d.class_scores) for d in detections], dtype=float),
+                   list(detections), np.arange(len(detections)))
+
+    @cached_property
+    def class_scores(self) -> np.ndarray | None:
+        return None if self.logits is None else expit(self.logits)
 
     @property
     def score(self) -> np.ndarray:
         return self.objectness * self.best
 
     def select(self, index) -> DetectionTable:
-        """A new table of the rows at ``index``, a boolean mask or positions."""
-        scores = None if self.class_scores is None else self.class_scores[index]
-        return DetectionTable(self.boxes[index], self.objectness[index], scores,
-                              self.scale_index[index], self.cell[index],
-                              self.class_id[index], self.best[index])
+        """A view of the rows at ``index``, a boolean mask, positions or a slice."""
+        logits = None if self.logits is None else self.logits[index]
+        return DetectionTable(self.boxes[index], self.objectness[index], logits,
+                              self.scale_index[index], self.cell[index], self.class_id[index],
+                              self.best[index], self._rows, self._slot[index])
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._slot)
 
-    def __getitem__(self, i: int) -> Detection:
-        return self.rows([range(len(self))[i]])[0]
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.select(i)
+        return self._read(np.array([range(len(self))[i]]))[0]
 
     def __iter__(self):
-        return iter(self.rows(range(len(self))))
+        return iter(self._read(np.arange(len(self))))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
 
-    def rows(self, index) -> list[Detection]:
-        """The rows at ``index`` (ints >= 0), the missing ones built in one pass
-        that checks corner order once, as :class:`CornerBox` does, then skips the inits."""
-        missing = [i for i in index if self._rows[i] is None]
+    def _read(self, at: np.ndarray) -> list[Detection]:
+        """The rows at positions ``at``, the missing ones built first."""
+        cache, slots = self._rows, self._slot[at].tolist()
+        if missing := [k for k, s in enumerate(slots) if cache[s] is None]:
+            self._build(at[missing] if len(missing) < len(self) else slice(None))
+        return [cache[s] for s in slots]
+
+    def _build(self, missing: np.ndarray | slice) -> None:
+        """Cache the rows at ``missing`` in one pass that checks corner order
+        once, as :class:`CornerBox` does, then skips the inits."""
         boxes = self.boxes[missing]
         if (bad := (boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1])).any():
             CornerBox(*boxes[bad.argmax()].tolist())   # raises its GeometryError
-        scores = (map(self.class_scores.__getitem__, missing) if self.class_scores is not None
+        scores = (expit(self.logits[missing]) if self.logits is not None
                   else (np.where(np.arange(c + 1) == c, b, 0.0) for c, b in
                         zip(self.class_id[missing].tolist(), self.best[missing].tolist())))
         columns = (boxes.tolist(), self.objectness[missing].tolist(), scores,
                    self.scale_index[missing].tolist(), map(tuple, self.cell[missing].tolist()))
-        for i, (x1, y1, x2, y2), o, s, k, cell in zip(missing, *columns):
+        for s, (x1, y1, x2, y2), o, p, k, cell in zip(self._slot[missing].tolist(), *columns):
             vars(box := object.__new__(CornerBox)).update(x1=x1, y1=y1, x2=x2, y2=y2)
             vars(row := object.__new__(Detection)).update(
-                box=box, objectness=o, class_scores=s, scale_index=k, cell=cell)
-            self._rows[i] = row
-        return [self._rows[i] for i in index]
+                box=box, objectness=o, class_scores=p, scale_index=k, cell=cell)
+            self._rows[s] = row
 
 
 @dataclass(frozen=True)
@@ -213,29 +255,31 @@ def decode_grid(
     d = decode_distances(rows[:, :4], np.array(scale.gains)[level, None])
     corner = np.stack([cx + 1.0, cy + 1.0, cx, cy], axis=1)
     boxes = np.array(scale.strides)[level, None] * (corner + d * [-1.0, -1.0, 1.0, 1.0])
-    class_scores = expit(rows[:, 5:])
+    class_id, best = best_class(rows[:, 5:])
     confident = obj >= conf_threshold
     good = (confident & (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
-            & ~np.isnan(class_scores).any(axis=1))
+            & ~np.isnan(best))
     # the rows left out sort last; (scale, cell) is unique, so no class breaks a tie
     order = np.lexsort((cx, cy, level, -obj, ~good))[:np.count_nonzero(good)]
-    table = DetectionTable(boxes[order], obj[order], class_scores[order], level[order],
-                           np.stack([cx[order], cy[order]], axis=1))
+    table = DetectionTable(boxes[order], obj[order], rows[order, 5:], level[order],
+                           np.stack([cx[order], cy[order]], axis=1), class_id[order], best[order])
     return DecodeResult(table, int(np.count_nonzero(confident)) - len(order))
 
 
 def nms(
     detections: Sequence[Detection],
     iou_threshold: float = DEFAULT_NMS_THRESHOLD,
-) -> list[Detection]:
+) -> DetectionTable | list[Detection]:
     """Greedy per-class suppression; returns survivors by descending score.
 
     The survivors are the rows at :func:`suppress`'s positions: for a
-    :class:`DetectionTable` its cached rows, built here only for the
-    survivors; for any other sequence the input objects themselves.
+    :class:`DetectionTable`, a view of it (:meth:`DetectionTable.select`)
+    that builds no row until one is read, and then gives the table's own
+    cached row; for any other sequence, a list of the input objects.
     """
     table = DetectionTable.from_rows(detections)
-    return table.rows(suppress(table, iou_threshold).tolist())
+    kept = table.select(suppress(table, iou_threshold))
+    return kept if table is detections else list(kept)
 
 
 def suppress(
@@ -262,15 +306,25 @@ def suppress(
     # near the threshold could flip against the scalar referee.
     by_class = np.argsort(table.class_id[order], kind="stable")
     boxes, class_id = table.boxes[order[by_class]], table.class_id[order[by_class]]
-    suppressed = np.zeros(len(order), dtype=bool)
-    start = 0   # every box before start is decided
-    while (live := start + np.flatnonzero(~suppressed[start:])).size:
+    n = len(order)
+    suppressed = np.zeros(n, dtype=bool)
+    start, span = 0, PAIR_CHUNK   # every box before start is decided
+    while start < n:
         # A block of the first live boxes, with at most PAIR_CHUNK same-class
-        # pairs (i, j), i < j, among them; the first box has none.
+        # pairs (i, j), i < j, among them; the first box has none. It is found
+        # among the live boxes up to a class end about span past start, a
+        # window that grows until the block ends inside it.
+        stop = np.searchsorted(class_id, class_id[min(n, start + span) - 1], side="right")
+        live = start + np.flatnonzero(~suppressed[start:stop])
         live_class = class_id[live]
         before = np.arange(live.size) - np.searchsorted(live_class, live_class)
         ends = np.cumsum(before)
         rows = np.searchsorted(ends, PAIR_CHUNK, side="right")
+        if rows == live.size and stop < n:
+            span *= 2
+            continue
+        if not rows:   # no live box is left
+            break
         j = np.repeat(np.arange(rows), before[:rows])
         i = j - before[j] + np.arange(j.size) - (ends - before)[j]
         over = iou_xyxy(boxes[live[i]], boxes[live[j]]) > iou_threshold
@@ -289,6 +343,7 @@ def suppress(
         for s in range(0, tail.size, step):
             part = tail[s:s + step]
             suppressed[part[(iou_xyxy(heads, boxes[part]) > iou_threshold).any(axis=0)]] = True
+        span = 2 * (live[rows - 1] + 1 - start)
         start = live[rows - 1] + 1
     return order[np.sort(by_class[~suppressed])]
 

@@ -58,13 +58,15 @@ class CocoLoadResult:
         return sum(len(s.objects) for s in self.scenes)
 
 
-def _require(mapping, key, where: str, path, number: bool = False):
+def _require(mapping, key, where: str, path, number: bool = False, ident: bool = False):
     try:
         value = mapping[key]
     except (KeyError, TypeError):
         raise CocoFormatError(f"{path}: missing field {key!r} in {where}") from None
     if number and type(value) not in _NUMBER:
         raise CocoFormatError(f"{path}: field {key!r} in {where} is not a number: {value!r}")
+    if ident and type(value) in (list, dict):   # ids are looked up in dicts and sets
+        raise CocoFormatError(f"{path}: field {key!r} in {where} is not an id: {value!r}")
     return value
 
 
@@ -74,7 +76,8 @@ def load_coco(path) -> CocoLoadResult:
     Scenes come back ordered by image id, one per listed image (empty
     object lists included). Raises :class:`CocoFormatError` for malformed
     JSON, missing fields, image sizes or bbox entries that are not JSON
-    numbers, or annotations referencing unknown images or categories.
+    numbers, ids that are JSON lists or objects, or annotations referencing
+    unknown images or categories.
     """
     path = Path(path)
     try:
@@ -89,10 +92,10 @@ def load_coco(path) -> CocoLoadResult:
     annotations = _require(doc, "annotations", "document", path)
     categories = _require(doc, "categories", "document", path)
 
-    category_ids = {_require(c, "id", "category", path) for c in categories}
+    category_ids = {_require(c, "id", "category", path, ident=True) for c in categories}
     sizes: dict[int, tuple[float, float]] = {}
     for img in images:
-        img_id = _require(img, "id", "image", path)
+        img_id = _require(img, "id", "image", path, ident=True)
         sizes[img_id] = (
             float(_require(img, "width", f"image {img_id}", path, number=True)),
             float(_require(img, "height", f"image {img_id}", path, number=True)),
@@ -107,10 +110,10 @@ def load_coco(path) -> CocoLoadResult:
         except (KeyError, TypeError):
             fast = False
         if not fast:   # each check in turn, so the first fault is the one named
-            img_id = _require(ann, "image_id", "annotation", path)
+            img_id = _require(ann, "image_id", "annotation", path, ident=True)
             if img_id not in sizes:
                 raise CocoFormatError(f"{path}: annotation references unknown image_id {img_id}")
-            cat = _require(ann, "category_id", f"annotation for image {img_id}", path)
+            cat = _require(ann, "category_id", f"annotation for image {img_id}", path, ident=True)
             if cat not in category_ids:
                 raise CocoFormatError(f"{path}: annotation references undeclared category_id {cat}")
             bbox = _require(ann, "bbox", f"annotation for image {img_id}", path)

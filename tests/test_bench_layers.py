@@ -76,7 +76,7 @@ def test_detection_rows_keep_what_infer_stream_reads(infer_stream):
     rows = list(decoded.detections)
     assert len(decoded.detections) == len(rows) > len(kept) > 0
     assert all(decoded.detections[i] is row for i, row in enumerate(rows))
-    assert isinstance(kept, list)
+    assert isinstance(kept, detbox.DetectionTable)
     assert {id(k) for k in kept} <= {id(row) for row in rows}
     for d in rows:
         assert all(type(v) is float for v in (d.box.x1, d.box.y1, d.box.x2, d.box.y2,
@@ -97,7 +97,7 @@ def test_most_crowded_image_passes_the_referee(monkeypatch):
     decoded, kept = stream.infer(levels)
     per_class = np.bincount(decoded.detections.class_id)
     assert (per_class * (per_class - 1) // 2).max() > detbox.infer.PAIR_CHUNK
-    assert isinstance(kept, list)
+    assert isinstance(kept, detbox.DetectionTable)
     problem, found = stream.check(levels, decoded, kept, index)
     assert problem is None and found > 0
 

@@ -1,0 +1,57 @@
+"""``bench/layers.py`` runs end to end at a tiny size and writes every key.
+
+Only the shape of its JSON is checked here, never a speed.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+CASES = {"infer.decode_grid": "cells/s", "infer.e2e.call": "images/s",
+         "infer.e2e.read_kept": "images/s", "infer.suppress.30": "detections/s",
+         "infer.nms.30": "detections/s", "infer.suppress.60": "detections/s",
+         "infer.nms.60": "detections/s"}
+FIELDS = {"unit", "work", "min_s", "median_s", "rate_at_min", "rate_at_median"}
+
+
+def run_bench(tmp_path, *extra):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(ROOT / "bench" / "layers.py"), "--images", "2",
+                    "--rounds", "2", "--sizes", "30,60", "--output", str(out), *extra],
+                   cwd=ROOT, check=True, capture_output=True, timeout=300)
+    return json.loads(out.read_text())
+
+
+def check_checkout(result):
+    assert result["src_detbox_lines"] > 0
+    layers = result["layers"]
+    assert {k: v["unit"] for k, v in layers.items()} == CASES
+    for v in layers.values():
+        assert set(v) == FIELDS and v["work"] > 0 and 0 < v["min_s"] <= v["median_s"]
+
+
+def test_writes_every_case_with_the_environment(tmp_path):
+    report = run_bench(tmp_path)
+    assert {"cpu", "nproc", "python", "numpy", "scipy", "src_detbox_lines"} <= set(
+        report["environment"])
+    assert report["rounds"] == 2 and report["images"] == 2
+    assert list(report["checkouts"]) == ["working tree"]
+    assert "working_tree_faster_rounds" not in report
+    check_checkout(report["checkouts"]["working tree"])
+    layers = report["checkouts"]["working tree"]["layers"]
+    assert layers["infer.decode_grid"]["work"] == 2 * (80 * 80 + 40 * 40 + 20 * 20)
+
+
+def test_compare_times_a_revision_too(tmp_path):
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    report = run_bench(tmp_path, "--compare", "HEAD")
+    assert len(report["checkouts"]) == 2
+    assert set(report["working_tree_faster_rounds"]) == set(CASES)
+    assert all(0 <= wins <= 2 for wins in report["working_tree_faster_rounds"].values())
+    for result in report["checkouts"].values():
+        check_checkout(result)

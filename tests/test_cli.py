@@ -316,6 +316,20 @@ class TestAssignStats:
         assert f"{worked_scene}: field '{field}' in {where} is not a number: {value!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("images", "id", [1]), ("annotations", "image_id", [1]),
+        ("categories", "id", {"a": 1}), ("annotations", "category_id", {"a": 1}),
+    ])
+    def test_id_that_is_a_list_or_object_exits_2(self, worked_scene, capsys, section, field,
+                                                 value):
+        doc = json.loads(worked_scene.read_text())
+        doc[section][0][field] = value
+        worked_scene.write_text(json.dumps(doc))
+        assert main(["assign-stats", "--scene", str(worked_scene)]) == 2
+        err = capsys.readouterr().err
+        assert f"field '{field}' in " in err and f"is not an id: {value!r}" in err
+        assert "Traceback" not in err
+
     def test_image_size_flag_rejected(self, capsys, tmp_path):
         assert_image_size_rejected(["assign-stats", "--scene", str(COCO_FIXTURE)], capsys,
                                    tmp_path)

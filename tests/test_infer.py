@@ -314,6 +314,20 @@ class TestNmsAgainstReference:
             assert nms(chain[::-1], 0.5) == chain[::2]
         assert reference_nms(chain[::-1], 0.5) == chain[::2]
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, infer.PAIR_CHUNK])
+    def test_kept_box_suppresses_far_past_its_block(self, chunk):
+        # the first box's twin ranks last in its class, many blocks later
+        first = make_det(0, 0, 10, 10, 0.9, class_id=1)
+        apart = [make_det(20 * k, 50, 20 * k + 10, 60, 0.8 - 0.01 * k, class_id=1)
+                 for k in range(12)]
+        others = [make_det(0, 0, 10, 10, 0.85 - 0.01 * k, class_id=c)
+                  for k, c in enumerate([0, 2, 2])]
+        twin = make_det(0, 0, 10, 10, 0.1, class_id=1)
+        dets = [twin, *others, *apart[::-1], first]
+        with mock.patch.object(infer, "PAIR_CHUNK", chunk):
+            got = nms(dets, 0.5)
+        assert twin not in got and got == reference_nms(dets, 0.5)
+
 
 def greedy_loop_nms(table, threshold):
     """Table indices kept by the plain greedy loop: one pass per class in
@@ -344,9 +358,9 @@ def crowded_table(kind, n=5000, seed=0):
         corner = rng.uniform(0, 600, (n, 2))
         boxes = np.concatenate([corner, corner + rng.uniform(12, 320, (n, 2))], axis=1)
     classes = 80 if kind == "80 classes" else 1
-    class_scores = np.zeros((n, classes))
-    class_scores[np.arange(n), rng.integers(classes, size=n)] = rng.choice([0.5, 1.0], n)
-    return DetectionTable(boxes, rng.choice([0.25, 0.5, 0.75, 1.0], n), class_scores,
+    logits = np.full((n, classes), -np.inf)   # class probabilities 0, and 0.5 or 1 at the class
+    logits[np.arange(n), rng.integers(classes, size=n)] = rng.choice([0.0, np.inf], n)
+    return DetectionTable(boxes, rng.choice([0.25, 0.5, 0.75, 1.0], n), logits,
                           rng.integers(3, size=n), rng.integers(80, size=(n, 2)))
 
 
@@ -549,7 +563,7 @@ class TestTableAgainstObjects:
         by_table = nms(decoded.detections, threshold)
         rows = list(decoded.detections)
         by_list = nms(rows, threshold)
-        assert isinstance(by_table, list)
+        assert isinstance(by_table, DetectionTable) and isinstance(by_list, list)
         assert [id(d) for d in by_table] == [id(d) for d in by_list]
         assert [id(d) for d in by_table] == [id(d) for d in reference_nms(rows, threshold)]
 
@@ -559,6 +573,158 @@ class TestTableAgainstObjects:
             assert got.box == ref.box and got.objectness == ref.objectness
             assert np.array_equal(got.class_scores, ref.class_scores)
             assert (got.scale_index, got.cell) == (ref.scale_index, ref.cell)
+
+
+# class logits where expit rounds: saturation at 1.0, underflow to 0.0,
+# adjacent floats near 2.5, infinities and NaN
+ADVERSARIAL = [37.0, 37.5, 40.0, 709.0, 1e300, -746.0, -800.0, -1e300, np.inf, -np.inf,
+               np.nan, 0.0, -0.0, *near_floats(2.5), *near_floats(36.9)]
+
+
+@st.composite
+def adversarial_logits(draw):
+    """Class logits on SMALL's grid, drawn from a few values (so exact ties
+    are common) mixing ADVERSARIAL ones with any floats."""
+    m = draw(st.integers(1, 9))
+    pool = draw(st.lists(st.sampled_from(ADVERSARIAL) | st.floats(), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = []
+    for k in range(SMALL.num_scales):
+        arr = np.full((*SMALL.grid_size(k), m + 5), 0.5)   # every cell a confident box
+        arr[..., 4] = 9.0
+        arr[..., 5:] = rng.choice(pool, size=arr[..., 5:].shape)
+        if draw(st.booleans()):   # a NaN-free level: most rows survive
+            arr[..., 5:] = np.where(np.isnan(arr[..., 5:]), -np.inf, arr[..., 5:])
+        levels.append(arr)
+    return levels
+
+
+class TestLazyClassScores:
+    @settings(max_examples=300, deadline=None)
+    @given(levels=adversarial_logits())
+    def test_columns_equal_the_full_expit_bit_for_bit(self, levels):
+        res = decode_grid(PredictionGrid(tuple(levels)), SMALL)
+        table = res.detections
+        logits = np.array([levels[k][x, y, 5:] for k, (x, y) in
+                           zip(table.scale_index.tolist(), table.cell.tolist())])
+        full = expit(logits.reshape(len(table), levels[0].shape[-1] - 5))
+        assert not np.isnan(full).any()
+        nan_rows = sum(int(np.isnan(a[..., 5:]).any(axis=-1).sum()) for a in levels)
+        assert res.dropped_degenerate == nan_rows
+        assert len(table) + nan_rows == sum(a[..., 0].size for a in levels)
+        assert np.array_equal(table.class_id, full.argmax(axis=1))
+        assert table.best.tobytes() == full.max(axis=1).tobytes()
+        assert table.class_scores.tobytes() == full.tobytes()
+        for row, want in zip(table, full):
+            assert row.class_scores.tobytes() == want.tobytes()
+            assert row.class_id == int(want.argmax())
+            assert row.score == row.objectness * float(want.max())
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.sampled_from(ADVERSARIAL) | st.floats(), min_size=1, max_size=5),
+           shape=st.tuples(st.integers(0, 40), st.integers(1, 9)), seed=st.integers(0, 2**32 - 1))
+    def test_best_class_is_the_argmax_and_max_of_expit(self, values, shape, seed):
+        logits = np.random.default_rng(seed).choice(values, size=shape)
+        class_id, best = infer.best_class(logits)
+        full = expit(logits)
+        assert np.array_equal(class_id, full.argmax(axis=1))
+        assert np.array_equal(best, full.max(axis=1), equal_nan=True)
+        finite = ~np.isnan(best)
+        assert best[finite].tobytes() == full.max(axis=1)[finite].tobytes()
+
+    def test_saturated_logits_below_the_top_win_the_argmax(self):
+        logits = np.array([[40.0, 50.0, 38.0], [-800.0, -750.0, -900.0],
+                           [2.5, np.nextafter(2.5, 3.0), 0.0], [1.0, 3.0, 3.0]])
+        class_id, best = infer.best_class(logits)
+        assert class_id.tolist() == [0, 0, 0, 1] == expit(logits).argmax(axis=1).tolist()
+        assert best.tolist() == [1.0, 0.0, expit(2.5), expit(3.0)]
+
+    def test_probabilities_are_computed_on_read(self, scale):
+        levels = empty_grid(scale)
+        plant(levels, scale, BoundingBox(241.5, 133.25, 58.0, 37.5), scale_index=1, class_id=2)
+        plant(levels, scale, BoundingBox(400.5, 300.25, 40.0, 30.0), scale_index=0, class_id=1)
+        grid = PredictionGrid(tuple(levels))
+        with mock.patch.object(infer, "expit", wraps=expit) as spy:
+            table = decode_grid(grid, scale).detections
+            kept = nms(table)
+            # objectness, each row's best class and its next best; no row ties
+            calls = [c.args[0].shape for c in spy.call_args_list]
+            assert calls == [(2,), (2,), (2,), (0, M)]
+            assert "class_scores" not in vars(table) and "class_scores" not in vars(kept)
+            spy.reset_mock()
+            rows = list(kept)
+            assert [c.args[0].shape for c in spy.call_args_list] == [(2, M)]
+            assert [table[i] for i in range(2)] == rows and spy.call_count == 1
+        assert table.class_scores.tobytes() == expit(table.logits).tobytes()
+
+
+class TestNmsView:
+    def decoded(self, scale):
+        levels = empty_grid(scale)
+        box = BoundingBox(241.5, 133.25, 58.0, 37.5)
+        plant(levels, scale, box, scale_index=1, class_id=2)
+        plant(levels, scale, box, scale_index=2, objectness=5.0, class_id=2)   # suppressed
+        plant(levels, scale, BoundingBox(400.5, 300.25, 40.0, 30.0), scale_index=0, class_id=1)
+        plant(levels, scale, BoundingBox(100.5, 500.25, 30.0, 60.0), scale_index=0,
+              objectness=4.0, class_id=3)
+        return decode_grid(PredictionGrid(tuple(levels)), scale).detections
+
+    def test_rows_are_the_parents_cached_rows(self, scale):
+        table = self.decoded(scale)
+        kept = nms(table)
+        assert isinstance(kept, DetectionTable) and len(table) == 4 and len(kept) == 3
+        positions = infer.suppress(table).tolist()
+        # read from the view first, then from the parent: the same objects
+        rows = list(kept)
+        assert all(table[p] is row for p, row in zip(positions, rows))
+        assert [id(r) for r in table] == [id(table[i]) for i in range(len(table))]
+        for name in ("boxes", "objectness", "logits", "scale_index", "cell", "class_id", "best"):
+            assert np.array_equal(getattr(kept, name), getattr(table, name)[positions])
+
+    def test_slicing_indexing_and_equality(self, scale):
+        table = self.decoded(scale)
+        kept = nms(table)
+        rows = list(kept)
+        assert kept == rows and kept != rows[:-1] and kept[-1] is rows[-1]
+        for part in (slice(None, -1), slice(1, None), slice(None, None, -1), slice(5, 9)):
+            assert isinstance(kept[part], DetectionTable)
+            assert [id(r) for r in kept[part]] == [id(r) for r in rows[part]]
+        with pytest.raises(IndexError):
+            kept[3]
+        assert list(table[1:3]) == [table[1], table[2]]
+
+    def test_select_on_a_view(self, scale):
+        table = self.decoded(scale)
+        kept = nms(table)
+        rows = list(kept)
+        assert list(kept.select([2, 0])) == [rows[2], rows[0]]
+        assert list(kept.select(np.array([False, True, True]))) == rows[1:]
+        again = kept.select([1]).select([0])
+        assert again[0] is rows[1] and again == [rows[1]]
+
+    def test_empty_result(self, scale):
+        table = decode_grid(PredictionGrid(tuple(empty_grid(scale))), scale).detections
+        kept = nms(table)
+        assert isinstance(kept, DetectionTable) and len(kept) == 0 and kept == []
+        assert kept[:] == [] and kept.select([]) == [] and list(kept) == []
+        assert kept.class_scores.shape == (0, M)
+
+    def test_list_input_gives_a_list_of_its_own_objects(self):
+        dets = [make_det(0, 0, 10, 10, 0.8, class_id=1), make_det(0, 0, 10, 10, 0.9, class_id=1),
+                make_det(0, 0, 10, 10, 0.7, class_id=2)]
+        kept = nms(dets)
+        assert type(kept) is list and kept[0] is dets[1] and kept[1] is dets[2]
+        assert nms([]) == [] and type(nms([])) is list
+
+    def test_slicing_a_table_read_from_jsonl(self):
+        text = "".join('{"x1":0,"y1":0,"x2":%d,"y2":4,"score":0.5,"class":%d,"scale":0}\n'
+                       % (k + 1, k) for k in range(3))
+        table = detections_from_jsonl(text)
+        head = table[0:2]
+        assert isinstance(head, DetectionTable) and len(head) == 2
+        assert [d.class_id for d in head] == [0, 1] and head[1] is table[1]
+        assert detections_to_jsonl(head) == "".join(text.splitlines(keepends=True)[:2])
+        assert list(table[::-1]) == [table[2], table[1], table[0]]
 
 
 class TestWireFormat:

@@ -158,6 +158,38 @@ class TestMalformed:
                            match="missing field 'category_id' in annotation for image 1"):
             load_coco(path)
 
+    @pytest.mark.parametrize("section, field, value, where", [
+        ("images", "id", [1], "image"),
+        ("images", "id", {"a": 1}, "image"),
+        ("annotations", "image_id", [1], "annotation"),
+        ("annotations", "image_id", {"a": 1}, "annotation"),
+        ("categories", "id", {"a": 1}, "category"),
+        ("categories", "id", [1], "category"),
+        ("annotations", "category_id", [1], "annotation for image 1"),
+        ("annotations", "category_id", {"a": 1}, "annotation for image 1"),
+    ])
+    def test_id_that_is_a_list_or_object(self, tmp_path, section, field, value, where):
+        doc = {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2]}],
+            "categories": [{"id": 1}],
+        }
+        doc[section][0][field] = value
+        with pytest.raises(CocoFormatError) as exc:
+            load_coco(self._write(tmp_path, doc))
+        assert str(exc.value).endswith(f"field {field!r} in {where} is not an id: {value!r}")
+
+    def test_list_image_id_after_an_unknown_one(self, tmp_path):
+        # the first fault is still the one named
+        path = self._write(tmp_path, {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [{"id": 1, "image_id": 9, "category_id": 1, "bbox": [1, 1, 2, 2]},
+                            {"id": 2, "image_id": [1], "category_id": 1, "bbox": [1, 1, 2, 2]}],
+            "categories": [{"id": 1}],
+        })
+        with pytest.raises(CocoFormatError, match="unknown image_id 9"):
+            load_coco(path)
+
     @pytest.mark.parametrize("ann", [[1, 1, 2, 2], "image_id", None, 7])
     def test_annotation_that_is_not_an_object(self, tmp_path, ann):
         path = self._write(tmp_path, {
