@@ -1,4 +1,4 @@
-"""Per-layer and end-to-end timings of detbox's inference path, as JSON.
+"""Per-layer and end-to-end timings of detbox's inference and loss paths, as JSON.
 
 Run from the repository root:
 
@@ -23,10 +23,20 @@ Cases, keyed like perfbench's spans:
   then ``nms``, over the pool;
 - ``infer.e2e.read_kept``: the same call, then reading every kept row
   (``list(kept)``). That is the cost for a caller that reads rows, where
-  ``nms`` may leave the building of its rows to the reader.
+  ``nms`` may leave the building of its rows to the reader;
+- ``losses.regression_loss_grad.<kind>``: pairs/s of one call per kind on
+  200 seeded (prediction, truth) rows, drawn as the gradient checker draws
+  them;
+- ``fit.step``: steps/s of the fit loop alone on loss-study's 1+20-object
+  batch (perfbench/loss_study.py, seed 1): the seconds of ``fit_scenes`` at
+  ``--steps`` minus those at 0 steps, so assignment and setup drop out;
+- ``fit.compare_losses``: steps/s of loss-study's timed calls,
+  ``compare_losses`` at ``--steps`` on its three batches.
 
-Grids are built outside the timed region. The output holds perfbench's
-environment block and the ``src/detbox`` line count of each checkout.
+A fit step is one (scene, kind) step, as loss-study counts its work, over
+loss-study's four kinds. Grids and loss inputs are built outside the
+timed region. The output holds perfbench's environment block and the
+``src/detbox`` line count of each checkout.
 """
 
 from __future__ import annotations
@@ -55,6 +65,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from common import environment, source_lines  # noqa: E402
 
 CLASSES, STRIDES, GAINS = 80, (8, 16, 32), (2.0, 4.0, 16.0)
+LOSS_PAIRS, LOSS_CALLS = 200, 50   # rows per regression_loss_grad call, calls per round
 
 
 def dense_grid(detbox, n: int, seed: int = 0):
@@ -78,11 +89,12 @@ def dense_grid(detbox, n: int, seed: int = 0):
 class Cases:
     """The inputs of every case, built once; ``round()`` times each case once."""
 
-    def __init__(self, detbox, images: int, sizes: list[int]):
+    def __init__(self, detbox, images: int, sizes: list[int], steps: int):
         import infer_stream
+        import loss_study
 
         infer_stream.POOL = images
-        self.infer = detbox.infer
+        self.detbox, self.infer = detbox, detbox.infer
         self.stream = infer_stream.InferStream(1, detbox)
         self.conf, self.nms_iou = infer_stream.CONF, infer_stream.NMS_IOU
         self.grids = {n: dense_grid(detbox, n) for n in sizes}
@@ -94,6 +106,18 @@ class Cases:
         self.units = {key: "detections/s" for key in self.work}
         self.units["infer.decode_grid"] = "cells/s"
         self.units["infer.e2e.call"] = self.units["infer.e2e.read_kept"] = "images/s"
+
+        rng = np.random.default_rng(1)
+        pairs = [detbox.gradcheck.sample_pair(rng, detbox.ScaleConfig()) for _ in range(LOSS_PAIRS)]
+        self.pred, self.truth = (np.array(rows) for rows in list(zip(*pairs))[:2])
+        self.kinds, self.batches = loss_study.KINDS, loss_study.LossStudy(1, detbox).batches
+        self.configs = [detbox.FitConfig(steps=n) for n in (steps, 0)]
+        for kind in detbox.losses.LOSS_KINDS:
+            self.work[f"losses.regression_loss_grad.{kind}"] = LOSS_CALLS * LOSS_PAIRS
+            self.units[f"losses.regression_loss_grad.{kind}"] = "pairs/s"
+        self.work["fit.step"] = len(self.batches[0]) * len(self.kinds) * steps
+        self.work["fit.compare_losses"] = sum(map(len, self.batches)) * len(self.kinds) * steps
+        self.units["fit.step"] = self.units["fit.compare_losses"] = "steps/s"
         self.round()   # warm up
 
     def decode(self, n: int):
@@ -125,15 +149,31 @@ class Cases:
             infer.nms(table, self.nms_iou)
             seconds[f"infer.suppress.{n}"] = t1 - t0
             seconds[f"infer.nms.{n}"] = time.perf_counter() - t1
+
+        losses, fit = self.detbox.losses, self.detbox.fit
+        for kind in losses.LOSS_KINDS:
+            t0 = time.perf_counter()
+            for _ in range(LOSS_CALLS):
+                losses.regression_loss_grad(self.pred, self.truth, kind)
+            seconds[f"losses.regression_loss_grad.{kind}"] = time.perf_counter() - t0
+        for cfg, sign in zip(self.configs, (1.0, -1.0)):   # steps, less setup
+            t0 = time.perf_counter()
+            fit.fit_scenes(self.batches[0], cfg, self.kinds)
+            seconds["fit.step"] += sign * (time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        for scenes in self.batches:
+            fit.compare_losses(scenes, self.configs[0], self.kinds)
+        seconds["fit.compare_losses"] = time.perf_counter() - t0
         return seconds
 
 
-def worker(src: Path, images: int, sizes: list[int]) -> int:
+def worker(src: Path, images: int, sizes: list[int], steps: int) -> int:
     """Serve rounds over stdin/stdout: one line in, one JSON line out."""
     sys.path.insert(0, str(src))
     import detbox
+    import detbox.gradcheck  # noqa: F401   (the loss cases draw their pairs with it)
 
-    cases = Cases(detbox, images, sizes)
+    cases = Cases(detbox, images, sizes, steps)
     print(json.dumps({"work": cases.work, "units": cases.units}), flush=True)
     for _ in sys.stdin:
         print(json.dumps(cases.round()), flush=True)
@@ -157,12 +197,13 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=9)
     parser.add_argument("--images", type=int, default=200, help="infer-stream pool size")
     parser.add_argument("--sizes", default="1000,5000", help="table sizes for suppress and nms")
+    parser.add_argument("--steps", type=int, default=500, help="fit steps (loss-study: 500)")
     parser.add_argument("--output", type=Path, default=ROOT / "BENCH_1.json")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     sizes = [int(n) for n in args.sizes.split(",")]
     if args.worker:
-        return worker(args.worker, args.images, sizes)
+        return worker(args.worker, args.images, sizes, args.steps)
 
     with tempfile.TemporaryDirectory() as scratch:
         checkouts = {"working tree": ROOT}
@@ -177,7 +218,7 @@ def main(argv=None) -> int:
         for name, root in checkouts.items():
             workers[name] = subprocess.Popen(
                 [sys.executable, __file__, "--worker", str(root / "src"), "--images",
-                 str(args.images), "--sizes", args.sizes],
+                 str(args.images), "--sizes", args.sizes, "--steps", str(args.steps)],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         try:
             heads = {name: json.loads(w.stdout.readline()) for name, w in workers.items()}
@@ -196,7 +237,7 @@ def main(argv=None) -> int:
                                             rounds[name])}
                    for name, root in checkouts.items()}
     report = {"environment": environment(ROOT, THREAD_VARS), "rounds": args.rounds,
-              "images": args.images, "checkouts": results}
+              "images": args.images, "steps": args.steps, "checkouts": results}
     if args.compare:   # rounds are paired: each ran next to the other checkout's
         mine, theirs = rounds.values()
         report["working_tree_faster_rounds"] = {
@@ -205,7 +246,7 @@ def main(argv=None) -> int:
     for name, result in results.items():
         print(f"{name} ({result['src_detbox_lines']} lines in src/detbox)")
         for key, v in result["layers"].items():
-            print(f"  {key:24s} {v['rate_at_min']:12.5g} {v['unit']:13s} "
+            print(f"  {key:34s} {v['rate_at_min']:12.5g} {v['unit']:13s} "
                   f"min {v['min_s'] * 1e3:9.2f} ms  median {v['median_s'] * 1e3:9.2f} ms")
     for key, wins in report.get("working_tree_faster_rounds", {}).items():
         print(f"working tree faster in {wins} of {args.rounds} rounds: {key}")

@@ -43,11 +43,12 @@ class CodecError(ValueError):
 class ScaleConfig:
     """Feature-map pyramid layout: strides, decode gains, image size.
 
-    Strides must be strictly increasing and divide both image dimensions
-    exactly, so every scale has an integer grid. Gains control the decoded
-    distance range ``(0, 4 * gain)`` per scale; the default doubles across
-    the first two levels and jumps to 16 at the coarsest, reading the
-    level multipliers as powers of two with exponents 1, 2 and 4.
+    The image size must be positive. Strides must be strictly increasing
+    and divide both image dimensions exactly, so every scale has an
+    integer grid. Gains control the decoded distance range
+    ``(0, 4 * gain)`` per scale; the default doubles across the first two
+    levels and jumps to 16 at the coarsest, reading the level multipliers
+    as powers of two with exponents 1, 2 and 4.
     """
 
     strides: tuple[int, ...] = (8, 16, 32)
@@ -71,6 +72,8 @@ class ScaleConfig:
             )
         if any(g <= 0 for g in self.gains):
             raise CodecError(f"gains must be positive, got {self.gains}")
+        if self.image_w <= 0 or self.image_h <= 0:
+            raise CodecError(f"image size must be positive, got {self.image_w}x{self.image_h}")
         for s in self.strides:
             if self.image_w % s or self.image_h % s:
                 raise CodecError(
@@ -162,6 +165,18 @@ def decode_distances(p: np.ndarray, gain) -> np.ndarray:
     """Vectorized logit-to-distance map: ``(2*sigmoid(p))**2 * gain``."""
     s = expit(np.asarray(p, dtype=float))
     return 4.0 * np.asarray(gain, dtype=float) * s * s
+
+
+def decode_with_jacobian(p: np.ndarray, gain) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`decode_distances` and :func:`decode_jacobian` from one ``expit``.
+
+    Each has the bits of its own function: the Jacobian is
+    ``8*gain*s*s*(1-s)`` of the shared sigmoid ``s``, not ``2*d*(1-s)``,
+    which rounds differently where ``s*s`` is subnormal.
+    """
+    s = expit(np.asarray(p, dtype=float))
+    gain = np.asarray(gain, dtype=float)
+    return 4.0 * gain * s * s, 8.0 * gain * s * s * (1.0 - s)
 
 
 def decode_jacobian(p: np.ndarray, gain) -> np.ndarray:

@@ -9,8 +9,9 @@ at its scale's gain.
 
 One engine, :func:`fit_scenes`, runs every fit. It assigns each scene once,
 concatenates the usable records of all scenes, keeps one logit copy per
-loss kind, and steps them all in a single loop. Each step makes one loss
-call over every kind's rows and does the rest once over every row.
+loss kind, and steps them all in a single loop. The loss call is planned
+once per fit; each step makes one decode (one ``expit``) and one planned
+loss call over every kind's rows, and does the rest once over every row.
 :func:`fit_scene` and :func:`compare_losses` call it.
 
 Records whose targets fall outside the representable open interval
@@ -30,10 +31,10 @@ import numpy as np
 from scipy.special import expit
 
 from .assign import AssignMode, AssignmentTable, assign
-from .codec import ScaleConfig, decode_distances, decode_jacobian
+from .codec import ScaleConfig, decode_with_jacobian
 from .geom import BoundingBox, iou_xyxy, to_corner
 from .ingest import Scene
-from .losses import LOSS_KINDS, MultitaskLoss, head_losses, regression_loss_grad
+from .losses import LOSS_KINDS, MultitaskLoss, head_losses, plan_loss_grad
 
 
 @dataclass(frozen=True)
@@ -269,25 +270,23 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
     logits = np.zeros((n_kinds * n_keys, 4))
     loss_trace = np.empty((cfg.steps + 1, len(scenes), n_kinds))
     iou_trace = np.empty((cfg.steps + 1, n_kinds, n_objects))
-    # Step k's post-update decode is step k+1's input, and the last pass
-    # only scores the final logits.
-    d = decode_distances(logits[row_key], gain)
-    iou_trace[0] = best_iou_per_object(d)
+    # the kinds, shapes and truth-only loss terms are settled once per fit
+    loss_grad = plan_loss_grad(rec.target, kinds, (*row_key.shape, 4), cfg.rho)
+    # the last pass only scores the final logits
     for step in range(cfg.steps + 1):
-        loss, grad_d = regression_loss_grad(d, rec.target, kinds, cfg.rho)
+        d, jacobian = decode_with_jacobian(logits[row_key], gain)
+        iou_trace[step] = best_iou_per_object(d)
+        loss, grad_d = loss_grad(d)
         loss_trace[step] = [objective(loss, i) for i in range(len(scenes))]
         if step == cfg.steps:
             break
 
         grad = grad_d / row_count if cfg.multitask else grad_d
-        g = np.bincount(bins, (grad * decode_jacobian(logits[row_key], gain)).ravel(), logits.size)
+        g = np.bincount(bins, (grad * jacobian).ravel(), logits.size)
         logits -= cfg.learning_rate * g.reshape(logits.shape)
         if cfg.multitask:
             obj_logits -= cfg.learning_rate * ((expit(obj_logits) - 1.0) / key_count)
             cls_logits -= cfg.learning_rate * ((expit(cls_logits) - cls_labels) / cls_div)
-
-        d = decode_distances(logits[row_key], gain)
-        iou_trace[step + 1] = best_iou_per_object(d)
 
     reports = [[] for _ in kinds]
     for k, kind in enumerate(kinds):

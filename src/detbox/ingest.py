@@ -20,6 +20,7 @@ from .codec import ScaleConfig
 from .geom import BoundingBox
 
 _NUMBER = {int, float}   # the types JSON numbers parse to; bool is not one
+_IMAGE_ID = {int, str}   # a bool or float id would alias an int one: 1 == 1.0 == True
 
 
 class CocoFormatError(ValueError):
@@ -58,14 +59,16 @@ class CocoLoadResult:
         return sum(len(s.objects) for s in self.scenes)
 
 
-def _require(mapping, key, where: str, path, number: bool = False, ident: bool = False):
+def _require(mapping, key, where: str, path, number: bool = False, ident: bool = False,
+             image_id: bool = False):
     try:
         value = mapping[key]
     except (KeyError, TypeError):
         raise CocoFormatError(f"{path}: missing field {key!r} in {where}") from None
     if number and type(value) not in _NUMBER:
         raise CocoFormatError(f"{path}: field {key!r} in {where} is not a number: {value!r}")
-    if ident and type(value) in (list, dict):   # ids are looked up in dicts and sets
+    # ids are looked up in dicts and sets; image ids are also sorted
+    if ident and type(value) in (list, dict) or image_id and type(value) not in _IMAGE_ID:
         raise CocoFormatError(f"{path}: field {key!r} in {where} is not an id: {value!r}")
     return value
 
@@ -73,11 +76,12 @@ def _require(mapping, key, where: str, path, number: bool = False, ident: bool =
 def load_coco(path) -> CocoLoadResult:
     """Load a COCO instances file; every annotation converts or is counted.
 
-    Scenes come back ordered by image id, one per listed image (empty
-    object lists included). Raises :class:`CocoFormatError` for malformed
-    JSON, missing fields, image sizes or bbox entries that are not JSON
-    numbers, ids that are JSON lists or objects, or annotations referencing
-    unknown images or categories.
+    Scenes come back ordered by image id, integer ids before string ids,
+    one per listed image (empty object lists included). Raises
+    :class:`CocoFormatError` for malformed JSON, missing fields, image sizes
+    or bbox entries that are not JSON numbers, ids that are JSON lists or
+    objects, image ids that are not integers or strings, duplicate image
+    ids, or annotations referencing unknown images or categories.
     """
     path = Path(path)
     try:
@@ -93,24 +97,27 @@ def load_coco(path) -> CocoLoadResult:
     categories = _require(doc, "categories", "document", path)
 
     category_ids = {_require(c, "id", "category", path, ident=True) for c in categories}
-    sizes: dict[int, tuple[float, float]] = {}
+    sizes: dict[int | str, tuple[float, float]] = {}
     for img in images:
-        img_id = _require(img, "id", "image", path, ident=True)
+        img_id = _require(img, "id", "image", path, image_id=True)
+        if img_id in sizes:
+            raise CocoFormatError(f"{path}: duplicate image id {img_id!r}")
         sizes[img_id] = (
             float(_require(img, "width", f"image {img_id}", path, number=True)),
             float(_require(img, "height", f"image {img_id}", path, number=True)),
         )
 
-    objects: dict[int, list[tuple[BoundingBox, int]]] = {i: [] for i in sizes}
+    objects: dict[int | str, list[tuple[BoundingBox, int]]] = {i: [] for i in sizes}
     skipped = SkipCounts()
     for ann in annotations:
         try:   # the common case by plain indexing
             img_id, cat, bbox = ann["image_id"], ann["category_id"], ann["bbox"]
-            fast = img_id in sizes and cat in category_ids and type(bbox) is list and len(bbox) == 4
+            fast = (type(img_id) in _IMAGE_ID and img_id in sizes and cat in category_ids
+                    and type(bbox) is list and len(bbox) == 4)
         except (KeyError, TypeError):
             fast = False
         if not fast:   # each check in turn, so the first fault is the one named
-            img_id = _require(ann, "image_id", "annotation", path, ident=True)
+            img_id = _require(ann, "image_id", "annotation", path, image_id=True)
             if img_id not in sizes:
                 raise CocoFormatError(f"{path}: annotation references unknown image_id {img_id}")
             cat = _require(ann, "category_id", f"annotation for image {img_id}", path, ident=True)
@@ -143,7 +150,7 @@ def load_coco(path) -> CocoLoadResult:
             objects=tuple(objects[img_id]),
             source_id=str(img_id),
         )
-        for img_id in sorted(sizes)
+        for img_id in sorted(sizes, key=lambda i: (type(i) is str, i))
     ]
     return CocoLoadResult(scenes=scenes, skipped=skipped, n_annotations=len(annotations))
 

@@ -44,11 +44,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .codec import RegressionTarget, decode_distances, decode_jacobian
+from .codec import RegressionTarget, decode_with_jacobian
 
 LOSS_KINDS = ("sdiou", "mse", "iou", "giou", "diou", "ciou")
 
 _COVER_EPS = 1e-12     # degenerate-geometry guard on the covering diagonal
+_TWICE = np.array([0, 1, 0, 1])   # (w, h) -> (w, h, w, h)
 _ASPECT_EPS = 1e-9     # width/height floor inside the ciou aspect term
 
 
@@ -77,11 +78,15 @@ def _dist_array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def _sdiou_core(pred: np.ndarray, truth: np.ndarray, rho: float):
+def _check_rho(rho: float) -> float:
     if not 0 <= rho < np.inf:
         raise ValueError(f"rho must be >= 0, got {rho}")
+    return rho
+
+
+def _sdiou_core(pred: np.ndarray, truth: np.ndarray, rho: float):
     diff = truth - pred
-    s = np.sum(diff * diff, axis=-1)
+    s = np.add.reduce(diff * diff, axis=-1)
     mn = np.minimum(truth, pred)
     mx = np.maximum(truth, pred)
     # (width, height) pairs of the overlap, before and after its clamp, and the cover
@@ -89,17 +94,17 @@ def _sdiou_core(pred: np.ndarray, truth: np.ndarray, rho: float):
     inner = np.maximum(inner_raw, 0.0)
     cover = mx[..., :2] + mx[..., 2:] - 1.0
     i, c = (sq[..., 0] + sq[..., 1] for sq in (inner * inner, cover * cover))
-    if np.any(c <= _COVER_EPS):
+    if (c <= _COVER_EPS).any():
         raise DegenerateGeometryError(
             "covering diagonal is zero: both boxes have collapsed to points"
         )
-    score = (i - rho * s) / c
-    return s, inner_raw, inner, cover, i, c, score
+    numer = i - rho * s
+    return s, inner_raw, inner, cover, i, c, numer, numer / c
 
 
 def sdiou_loss(pred, truth, rho: float = 1.0) -> np.ndarray:
     """Vectorized loss over (..., 4) distance arrays."""
-    *_, score = _sdiou_core(_dist_array(pred), _dist_array(truth), rho)
+    *_, score = _sdiou_core(_dist_array(pred), _dist_array(truth), _check_rho(rho))
     return 1.0 - score
 
 
@@ -107,7 +112,7 @@ def sdiou(pred, truth, rho: float = 1.0) -> SdiouParts:
     """Score one prediction against one truth, exposing every term."""
     p = _dist_array(pred).reshape(4)
     t = _dist_array(truth).reshape(4)
-    s, _, (wi, hi), (wc, hc), i, c, score = _sdiou_core(p, t, rho)
+    s, _, (wi, hi), (wc, hc), i, c, _, score = _sdiou_core(p, t, _check_rho(rho))
     return SdiouParts(
         penalty=float(s),
         inter_w=float(wi),
@@ -126,110 +131,143 @@ def sdiou_loss_grad(pred, truth, rho: float = 1.0) -> tuple[np.ndarray, np.ndarr
 
     Returns ``(loss, grad)`` with shapes ``(...,)`` and ``(..., 4)``.
     """
-    p = _dist_array(pred)
-    t = _dist_array(truth)
-    s, inner_raw, inner, cover, i, c, score = _sdiou_core(p, t, rho)
+    return _plan_sdiou(_dist_array(truth), "sdiou", rho, 0)(_dist_array(pred))
 
-    # the prediction moves an extent only through the components where it
-    # drives the min (overlap) or the max (cover)
-    live = inner * (inner_raw > 0.0)
-    di = 2.0 * np.concatenate([live, live], axis=-1) * (p < t)
-    dc = 2.0 * np.concatenate([cover, cover], axis=-1) * (p > t)
 
-    ds = 2.0 * (p - t)
-    numer = i - rho * s
-    dscore = ((di - rho * ds) * c[..., None] - numer[..., None] * dc) / (c * c)[..., None]
-    return 1.0 - score, -dscore
+def _plan_sdiou(t: np.ndarray, kind, rho: float, ndim: int):
+    _check_rho(rho)
+
+    def step(p: np.ndarray):
+        s, inner_raw, inner, cover, i, c, numer, score = _sdiou_core(p, t, rho)
+        # the prediction moves an extent only through the components where it
+        # drives the min (overlap) or the max (cover); (l, t, r, b) reads the
+        # (width, height) pair twice
+        live = inner * (inner_raw > 0.0)
+        di = 2.0 * live.take(_TWICE, axis=-1) * (p < t)
+        dc = 2.0 * cover.take(_TWICE, axis=-1) * (p > t)
+
+        ds = 2.0 * (p - t)
+        c4 = c[..., None]
+        dscore = ((di - rho * ds) * c4 - numer[..., None] * dc) / (c4 * c4)
+        return 1.0 - score, -dscore
+
+    return step
 
 
 # --- baselines on boxes reconstructed in a shared cell frame ---------------
 
 _ORIGIN = np.array([1.0, 1.0, 0.0, 0.0])    # reach = distance - origin
+_SIGNS = np.array([-1.0, 1.0])              # d(gap)/d(reach): back, then forward
 
 
-def _iou_family_loss_grad(p: np.ndarray, t: np.ndarray, kind):
+def _norm2(x: np.ndarray) -> np.ndarray:
+    """``x[0]**2 + x[1]**2``, squared as ``x * x``."""
+    sq = x * x
+    return sq[0] + sq[1]
+
+
+def _plan_iou_family(t: np.ndarray, kind, rho: float, ndim: int):
     """IoU-family losses and gradients; a non-positive predicted extent clamps to 0.
 
-    ``kind`` is one kind, or a tuple that names ``p``'s leading axis. Each
-    term is computed once over all rows, and each kind reads its own slices.
+    ``kind`` is one kind, or a tuple that names the prediction's leading
+    axis; ``ndim`` is the rank of the prediction and truth broadcast
+    together. The truth's terms are computed here once; each step computes
+    every prediction term once over all rows, and each kind reads its own
+    slices.
     """
-    kinds = {kind} if isinstance(kind, str) else set(kind)
+    kinds = (kind,) if isinstance(kind, str) else kind
     # C-ordered (side, axis, rows) reaches; .T reverses both row axes alike
     # once their ranks match, so ufuncs broadcast them, and .T restores them
-    ndim = max(p.ndim, t.ndim)
     origin = _ORIGIN.reshape(4, *(1,) * (ndim - 1))
-    rows = (x.reshape((1,) * (ndim - x.ndim) + x.shape).T for x in (p, t))
-    rp, rt = (np.subtract(x, origin, order="C").reshape(2, 2, *x.shape[1:]) for x in rows)
 
-    inner = np.minimum(rp, rt)
-    ext_i = inner[0] + inner[1]
-    inner_p = np.maximum(ext_i, 0.0)
-    inter = inner_p[0] * inner_p[1]
-    ext_p = rp[0] + rp[1]
-    ext_pp = np.maximum(ext_p, 0.0)
+    def reaches(x: np.ndarray) -> np.ndarray:
+        x = x.reshape((1,) * (ndim - x.ndim) + x.shape).T
+        return np.subtract(x, origin, order="C").reshape(2, 2, *x.shape[1:])
+
+    needed = set(kinds) | ({"diou"} if "ciou" in kinds else set())   # ciou extends diou
+    rt = reaches(t)
     ext_t = rt[0] + rt[1]
-    union = ext_pp[0] * ext_pp[1] + ext_t[0] * ext_t[1] - inter
-    iou = inter / union
+    area_t = ext_t[0] * ext_t[1]
+    if "diou" in needed:
+        half_t = (rt[1] - rt[0]) / 2
+    if "ciou" in needed:
+        aspect_t = np.arctan(ext_t[0] / ext_t[1])
+        turn = _SIGNS.reshape(2, *(1,) * (ndim - 1))    # (h, w) * turn == (-h, w)
+    # each kind but the last overwrites its own slots of the kind axis, which is
+    # last in this layout; a single kind fills every slot
+    names = list(dict.fromkeys(kinds))
+    last = names.pop()
+    slots = [(n, np.array([k == n for k in kinds])) for n in names]
 
-    # A reach drives the overlap while it falls short of the truth's; the
-    # [::-1] views give each axis the other axis's extent.
-    d_inter = (ext_i > 0.0) * (rp < rt) * inner_p[::-1]
-    d_union = (ext_p > 0.0) * ext_pp[::-1] - d_inter
-    d_iou = (d_inter * union - inter * d_union) / (union * union)
-    terms = {"iou": (iou, d_iou)}   # (score, gradient) per kind
+    def step(p: np.ndarray):
+        rp = reaches(p)
+        inner = np.minimum(rp, rt)
+        ext_i = inner[0] + inner[1]
+        inner_p = np.maximum(ext_i, 0.0)
+        inter = inner_p[0] * inner_p[1]
+        ext_p = rp[0] + rp[1]
+        ext_pp = np.maximum(ext_p, 0.0)
+        union = ext_pp[0] * ext_pp[1] + area_t - inter
+        iou = inter / union
 
-    if kinds - {"iou"}:
-        # the hull grows with a reach beyond the truth's
-        hull = np.maximum(rp, rt)
-        ext_h = hull[0] + hull[1]
-        d_hull = rp > rt
+        # A reach drives the overlap while it falls short of the truth's; the
+        # [::-1] views give each axis the other axis's extent.
+        d_inter = (ext_i > 0.0) * (rp < rt) * inner_p[::-1]
+        d_union = (ext_p > 0.0) * ext_pp[::-1] - d_inter
+        d_iou = (d_inter * union - inter * d_union) / (union * union)
+        terms = {"iou": (iou, d_iou)}   # (score, gradient) per kind
 
-    if "giou" in kinds:
-        # iou - (hull - union)/hull == iou - 1 + union/hull
-        area = ext_h[0] * ext_h[1]
-        d_area = d_hull * ext_h[::-1]
-        terms["giou"] = (iou - 1.0 + union / area,
-                         d_iou + (d_union * area - union * d_area) / (area * area))
+        if needed - {"iou"}:
+            # the hull grows with a reach beyond the truth's
+            hull = np.maximum(rp, rt)
+            ext_h = hull[0] + hull[1]
+            d_hull = rp > rt
 
-    if kinds & {"diou", "ciou"}:
-        gap = (rp[1] - rp[0]) / 2 - (rt[1] - rt[0]) / 2   # a back reach pulls it back
-        dist2 = gap[0] * gap[0] + gap[1] * gap[1]
-        diag2 = ext_h[0] * ext_h[0] + ext_h[1] * ext_h[1]
-        d_diag2 = 2.0 * ext_h * d_hull
-        terms["diou"] = (iou - dist2 / diag2, d_iou - (
-            np.multiply.outer([-1.0, 1.0], gap) * diag2 - dist2 * d_diag2) / (diag2 * diag2))
+        if "giou" in needed:
+            # iou - (hull - union)/hull == iou - 1 + union/hull
+            area = ext_h[0] * ext_h[1]
+            d_area = d_hull * ext_h[::-1]
+            terms["giou"] = (iou - 1.0 + union / area,
+                             d_iou + (d_union * area - union * d_area) / (area * area))
 
-    if "ciou" in kinds:
-        # Aspect-ratio consistency term, differentiated exactly, including
-        # through its adaptive weight.
-        ext_c = np.maximum(ext_p, _ASPECT_EPS)
-        q = np.arctan(ext_t[0] / ext_t[1]) - np.arctan(ext_c[0] / ext_c[1])
-        v = (4.0 / np.pi**2) * q * q
-        # dq/d(reach) = -(dw*h - w*dh) / (w^2 + h^2), alike on both sides
-        grows = (ext_p > _ASPECT_EPS) * ext_c[::-1]
-        grows[1] *= -1.0
-        dq = -grows / (ext_c[0] * ext_c[0] + ext_c[1] * ext_c[1])
-        dv = (8.0 / np.pi**2) * q * dq
+        if "diou" in needed:
+            gap = (rp[1] - rp[0]) / 2 - half_t   # a back reach pulls it back
+            dist2, diag2 = _norm2(gap), _norm2(ext_h)
+            d_diag2 = 2.0 * ext_h * d_hull
+            terms["diou"] = (iou - dist2 / diag2, d_iou - (
+                np.multiply.outer(_SIGNS, gap) * diag2 - dist2 * d_diag2) / (diag2 * diag2))
 
-        big = (1.0 - iou) + v + _COVER_EPS
-        alpha = v / big
-        d_alpha = (dv * big - v * (dv - d_iou)) / (big * big)
-        score, g = terms["diou"]
-        terms["ciou"] = (score - alpha * v, g - (d_alpha * v + alpha * dv))
+        if "ciou" in needed:
+            # Aspect-ratio consistency term, differentiated exactly, including
+            # through its adaptive weight.
+            ext_c = np.maximum(ext_p, _ASPECT_EPS)
+            q = aspect_t - np.arctan(ext_c[0] / ext_c[1])
+            v = (4.0 / np.pi**2) * q * q
+            # dq/d(reach) = -(dw*h - w*dh) / (w^2 + h^2), alike on both sides
+            dq = (ext_p > _ASPECT_EPS) * ext_c[::-1] * turn / _norm2(ext_c)
+            dv = (8.0 / np.pi**2) * q * dq
 
-    if isinstance(kind, str):
-        score, g = terms[kind]
-    else:   # the kind axis is last in this layout
-        score, g = np.empty_like(iou), np.empty_like(d_iou)
-        for k, name in enumerate(kind):
-            score[..., k], g[..., k] = terms[name][0][..., k], terms[name][1][..., k]
-    loss = np.subtract(1.0, score.T, order="C")
-    return loss, np.negative(g.reshape(4, *g.shape[2:]).T, order="C")
+            big = (1.0 - iou) + v + _COVER_EPS
+            alpha = v / big
+            d_alpha = (dv * big - v * (dv - d_iou)) / (big * big)
+            score, g = terms["diou"]
+            terms["ciou"] = (score - alpha * v, g - (d_alpha * v + alpha * dv))
+
+        score, g = terms[last]
+        for name, at in slots:
+            score, g = np.where(at, terms[name][0], score), np.where(at, terms[name][1], g)
+        loss = np.subtract(1.0, score.T, order="C")
+        return loss, np.negative(g.reshape(4, *g.shape[2:]).T, order="C")
+
+    return step
 
 
-def _mse_loss_grad(p: np.ndarray, t: np.ndarray):
-    diff = p - t
-    return np.mean(diff * diff, axis=-1), diff / 2.0
+def _plan_mse(t: np.ndarray, kind, rho: float, ndim: int):
+    def step(p: np.ndarray):
+        diff = p - t
+        return np.add.reduce(diff * diff, axis=-1) / 4, diff / 2.0
+
+    return step
 
 
 def _positions(kinds: tuple, names: tuple) -> int | slice | list | None:
@@ -240,11 +278,52 @@ def _positions(kinds: tuple, names: tuple) -> int | slice | list | None:
     return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
 
 
-_KERNELS = {   # kinds -> kernel; only the IoU family's kernel reads its kinds
-    ("sdiou",): lambda p, t, kinds, rho: sdiou_loss_grad(p, t, rho),
-    ("mse",): lambda p, t, kinds, rho: _mse_loss_grad(p, t),
-    LOSS_KINDS[2:]: lambda p, t, kinds, rho: _iou_family_loss_grad(p, t, kinds),
-}
+# kinds -> planner (truth, kinds, rho, ndim) -> step; only the IoU family
+# reads its kinds, and only sdiou its rho
+_PLANNERS = ((("sdiou",), _plan_sdiou), (("mse",), _plan_mse), (LOSS_KINDS[2:], _plan_iou_family))
+
+
+def plan_loss_grad(truth, kind, pred_shape, rho: float = 1.0):
+    """Plan :func:`regression_loss_grad` for one truth and one prediction shape.
+
+    Checks the kinds, the shapes and ``rho``, and computes every term that
+    depends on the truth alone, once. Returns ``step(pred) -> (loss, grad)``
+    for float arrays ``pred`` of shape ``pred_shape``; each call gives the
+    bits of ``regression_loss_grad(pred, truth, kind, rho)``. For a tuple
+    of kinds, every call writes into and returns the same two arrays, so a
+    caller that keeps a result past the next call copies it.
+    """
+    t, shape = _dist_array(truth), tuple(pred_shape)
+    if bad := [k for k in ([kind] if isinstance(kind, str) else kind) if k not in LOSS_KINDS]:
+        raise ValueError(f"unknown loss kind {bad[0]!r}; valid: {', '.join(LOSS_KINDS)}")
+    if isinstance(kind, str):
+        run = next(plan for names, plan in _PLANNERS if kind in names)(
+            t, kind, rho, max(len(shape), t.ndim))
+    else:
+        kinds = tuple(kind)
+        if len(shape) < 2 or shape[0] != len(kinds):
+            raise ValueError(f"{len(kinds)} kinds for prediction rows of shape {shape}")
+        out = np.broadcast_shapes(shape, t.shape)
+        loss, grad = np.empty(out[:-1]), np.empty(out)
+        parts = []
+        for names, planner in _PLANNERS:
+            if (at := _positions(kinds, names)) is not None:
+                own = tuple(kinds[i] for i in at) if isinstance(at, list) else kinds[at]
+                t_at = t[at] if t.ndim == len(shape) and len(t) > 1 else t
+                ndim = max(len(shape) - isinstance(at, int), t_at.ndim)
+                parts.append((at, planner(t_at, own, rho, ndim)))
+
+        def run(p: np.ndarray):
+            for at, part in parts:
+                loss[at], grad[at] = part(p[at])
+            return loss, grad
+
+    def step(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if p.shape != shape:
+            raise ValueError(f"planned for prediction rows of shape {shape}, got {p.shape}")
+        return run(p)
+
+    return step
 
 
 def regression_loss_grad(
@@ -256,24 +335,11 @@ def regression_loss_grad(
     allowed) that names ``pred``'s leading axis, which ``truth`` has too or
     broadcasts over. A tuple makes one call per kernel: sdiou, mse and the
     IoU family. Each kind's slices get the bits of a call with it alone.
+    :func:`plan_loss_grad` builds the call; a loop over one truth builds
+    it once.
     """
     p = _dist_array(pred)
-    t = _dist_array(truth)
-    if bad := [k for k in ([kind] if isinstance(kind, str) else kind) if k not in LOSS_KINDS]:
-        raise ValueError(f"unknown loss kind {bad[0]!r}; valid: {', '.join(LOSS_KINDS)}")
-    if isinstance(kind, str):
-        return next(run for names, run in _KERNELS.items() if kind in names)(p, t, kind, rho)
-    kinds = tuple(kind)
-    if p.ndim < 2 or len(p) != len(kinds):
-        raise ValueError(f"{len(kinds)} kinds for prediction rows of shape {p.shape}")
-    shape = np.broadcast_shapes(p.shape, t.shape)
-    loss, grad = np.empty(shape[:-1]), np.empty(shape)
-    for names, run in _KERNELS.items():
-        if (at := _positions(kinds, names)) is not None:
-            own = tuple(kinds[i] for i in at) if isinstance(at, list) else kinds[at]
-            t_at = t[at] if t.ndim == p.ndim and len(t) > 1 else t
-            loss[at], grad[at] = run(p[at], t_at, own, rho)
-    return loss, grad
+    return plan_loss_grad(truth, kind, p.shape, rho)(p)
 
 
 def logit_loss_grad(
@@ -288,10 +354,9 @@ def logit_loss_grad(
     ``gain`` broadcasts against ``logits``; pass per-row gains for a batch
     that mixes scales.
     """
-    p = np.asarray(logits, dtype=float)
-    d = decode_distances(p, gain)
+    d, jac = decode_with_jacobian(logits, gain)
     loss, grad_d = regression_loss_grad(d, truth, kind, rho)
-    return loss, grad_d * decode_jacobian(p, gain)
+    return loss, grad_d * jac
 
 
 # --- composite objective ----------------------------------------------------

@@ -330,6 +330,46 @@ class TestAssignStats:
         assert f"field '{field}' in " in err and f"is not an id: {value!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [("width", -64), ("height", 0)])
+    def test_non_positive_image_size_exits_2(self, worked_scene, capsys, field, value):
+        # not a center_outside skip of every annotation on the image
+        doc = json.loads(worked_scene.read_text())
+        doc["images"][0][field] = value
+        worked_scene.write_text(json.dumps(doc))
+        assert main(["assign-stats", "--scene", str(worked_scene)]) == 2
+        err = capsys.readouterr().err
+        size = "-64x480" if field == "width" else "640x0"
+        assert f"image size must be positive, got {size}" in err and "Traceback" not in err
+
+    def test_image_ids_of_both_types(self, worked_scene, capsys, tmp_path):
+        doc = json.loads(worked_scene.read_text())
+        doc["images"] += [{"id": "a", "width": 640, "height": 480}]
+        worked_scene.write_text(json.dumps(doc))
+        out = tmp_path / "stats.json"
+        assert main(["assign-stats", "--scene", str(worked_scene), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["n_scenes"] == 2
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("images", "id", True), ("images", "id", 1.0), ("annotations", "image_id", 1.0),
+    ])
+    def test_image_id_that_would_alias_an_integer_exits_2(self, worked_scene, capsys, section,
+                                                           field, value):
+        doc = json.loads(worked_scene.read_text())
+        doc[section][0][field] = value
+        worked_scene.write_text(json.dumps(doc))
+        assert main(["assign-stats", "--scene", str(worked_scene)]) == 2
+        err = capsys.readouterr().err
+        assert f"field '{field}' in " in err and f"is not an id: {value!r}" in err
+        assert "Traceback" not in err
+
+    def test_duplicate_image_id_exits_2(self, worked_scene, capsys):
+        doc = json.loads(worked_scene.read_text())
+        doc["images"] *= 2
+        worked_scene.write_text(json.dumps(doc))
+        assert main(["assign-stats", "--scene", str(worked_scene)]) == 2
+        err = capsys.readouterr().err
+        assert "duplicate image id 1" in err and "Traceback" not in err
+
     def test_image_size_flag_rejected(self, capsys, tmp_path):
         assert_image_size_rejected(["assign-stats", "--scene", str(COCO_FIXTURE)], capsys,
                                    tmp_path)

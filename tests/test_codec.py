@@ -4,6 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
 from detbox import (
     BoundingBox,
@@ -13,7 +17,13 @@ from detbox import (
     center_cell,
     encode,
 )
-from detbox.codec import decode_distances, decode_jacobian, encode_distances, encode_logit_array
+from detbox.codec import (
+    decode_distances,
+    decode_jacobian,
+    decode_with_jacobian,
+    encode_distances,
+    encode_logit_array,
+)
 
 from conftest import random_box
 
@@ -30,6 +40,14 @@ class TestScaleConfig:
             ScaleConfig(strides=(8, 8, 32))
         with pytest.raises(CodecError):
             ScaleConfig(strides=(8, 16, 48), image_w=640, image_h=640)  # 48 ∤ 640
+
+    @pytest.mark.parametrize("size", [(-64, 64), (64, -64), (0, 64), (64, 0)])
+    def test_rejects_a_non_positive_image_size(self, size):
+        w, h = size
+        with pytest.raises(CodecError, match=f"image size must be positive, got {w}x{h}"):
+            ScaleConfig(image_w=w, image_h=h)
+        with pytest.raises(CodecError, match="must be positive"):
+            ScaleConfig().for_image(w, h)
 
     def test_rejects_bad_gains(self):
         with pytest.raises(CodecError):
@@ -145,6 +163,27 @@ class TestDecode:
         fd = (decode_distances(p + h, 4.0) - decode_distances(p - h, 4.0)) / (2 * h)
         analytic = decode_jacobian(p, 4.0)
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(logits=arrays(float, st.integers(1, 40), elements=st.floats(-800.0, 800.0)
+                         | st.floats(-380.0, -350.0)),
+           gain=st.sampled_from([2.0, 4.0, 16.0, 0.3]), per_row=st.booleans())
+    def test_shared_decode_has_the_bits_of_each_function(self, logits, gain, per_row):
+        # [-380, -350] is where s*s turns subnormal and 2*d*(1-s) would round apart
+        if per_row:
+            gain = np.linspace(0.5, 16.0, logits.size)
+        d, jacobian = decode_with_jacobian(logits, gain)
+        assert d.tobytes() == decode_distances(logits, gain).tobytes()
+        assert jacobian.tobytes() == decode_jacobian(logits, gain).tobytes()
+
+    def test_shared_decode_in_the_subnormal_band(self):
+        logits = np.linspace(-380.0, -350.0, 20001)
+        d, jacobian = decode_with_jacobian(logits, 2.0)
+        assert d.tobytes() == decode_distances(logits, 2.0).tobytes()
+        assert jacobian.tobytes() == decode_jacobian(logits, 2.0).tobytes()
+        # the band is a real trap: the Jacobian from d rounds apart there
+        assert np.count_nonzero(2.0 * d * (1.0 - expit(logits)) != jacobian) > 0
 
 
 class TestEncodeLogit:

@@ -104,6 +104,19 @@ class TestLoad:
             assert all(type(v) is float for b, _ in scene.objects for v in (b.cx, b.w))
 
 
+    def test_integer_ids_sort_before_string_ids(self, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({
+            "images": [{"id": i, "width": 64, "height": 64} for i in ("a", 10, "B", 2, "1")],
+            "annotations": [{"id": 1, "image_id": "a", "category_id": 1, "bbox": [1, 1, 2, 2]},
+                            {"id": 2, "image_id": 2, "category_id": 1, "bbox": [3, 3, 2, 2]}],
+            "categories": [{"id": 1}],
+        }))
+        res = load_coco(path)
+        assert [s.source_id for s in res.scenes] == ["2", "10", "1", "B", "a"]
+        assert [len(s.objects) for s in res.scenes] == [1, 0, 0, 0, 1]
+
+
 class TestMalformed:
     def _write(self, tmp_path, doc):
         path = tmp_path / "bad.json"
@@ -178,6 +191,35 @@ class TestMalformed:
         with pytest.raises(CocoFormatError) as exc:
             load_coco(self._write(tmp_path, doc))
         assert str(exc.value).endswith(f"field {field!r} in {where} is not an id: {value!r}")
+
+    @pytest.mark.parametrize("section, field, value, where", [
+        ("images", "id", True, "image"),
+        ("images", "id", 1.0, "image"),
+        ("images", "id", None, "image"),
+        ("annotations", "image_id", True, "annotation"),
+        ("annotations", "image_id", 1.0, "annotation"),
+    ])
+    def test_image_id_that_would_alias_an_integer(self, tmp_path, section, field, value, where):
+        # 1, 1.0 and true are one dict key; the fast path must not take them either
+        doc = {
+            "images": [{"id": 1, "width": 64, "height": 64}, {"id": 2, "width": 64, "height": 64}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2]}],
+            "categories": [{"id": 1}],
+        }
+        doc[section][0][field] = value
+        with pytest.raises(CocoFormatError) as exc:
+            load_coco(self._write(tmp_path, doc))
+        assert str(exc.value).endswith(f"field {field!r} in {where} is not an id: {value!r}")
+
+    @pytest.mark.parametrize("ids", [(1, 1), ("a", "a"), (3, 1, 3)])
+    def test_duplicate_image_id(self, tmp_path, ids):
+        path = self._write(tmp_path, {
+            "images": [{"id": i, "width": 64, "height": 64} for i in ids],
+            "annotations": [],
+            "categories": [],
+        })
+        with pytest.raises(CocoFormatError, match=f"duplicate image id {ids[-1]!r}$"):
+            load_coco(path)
 
     def test_list_image_id_after_an_unknown_one(self, tmp_path):
         # the first fault is still the one named

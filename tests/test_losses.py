@@ -24,7 +24,7 @@ from detbox import (
 from detbox import gradcheck
 from detbox.codec import decode_distances, encode_logit_array
 from detbox.gradcheck import central_diff, run_gradcheck, sample_pair
-from detbox.losses import LOSS_KINDS, DegenerateGeometryError, logit_loss_grad
+from detbox.losses import LOSS_KINDS, DegenerateGeometryError, logit_loss_grad, plan_loss_grad
 
 
 def _random_truth(rng, gain=2.0):
@@ -351,6 +351,41 @@ class TestKindTuples:
         for pred, kinds in ((np.ones((3, 1, 4)), ("giou", "mse")), (np.ones(4), ("mse",) * 4)):
             with pytest.raises(ValueError, match="kinds for prediction rows of shape"):
                 regression_loss_grad(pred, np.ones(4), kinds)
+
+
+class TestPlannedStep:
+    """A plan built once gives, call after call, the bits of a fresh dispatch."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(batch=_kernel_batches(),
+           kind=st.sampled_from(LOSS_KINDS) | st.lists(st.sampled_from(LOSS_KINDS), min_size=1,
+                                                       max_size=7).map(tuple),
+           truth_form=st.integers(0, 2))
+    def test_every_call_equals_regression_loss_grad(self, batch, kind, truth_form):
+        pred, truth = batch
+        if isinstance(kind, str):   # (n, 4, 4) rows against (n, 4, 4), (n, 1, 4) or (4,) truth
+            p, t = pred, (truth, truth[:, :1], truth[0, 0])[truth_form]
+        else:   # (kinds, n, 4) rows against truth with the kind axis, shared or of length 1
+            p = np.stack([pred[:, k % 4] for k in range(len(kind))])
+            t = (np.stack([truth[:, k % 4] for k in range(len(kind))]), truth[:, 0],
+                 truth[None, :, 0][:, :1])[truth_form]
+        step = plan_loss_grad(t, kind, p.shape)
+        # each call sees other rows: nothing of one call may leak into the next
+        for q in (p, 2.0 * p[::-1] - 1.0, p):
+            loss, grad = (x.copy() for x in step(q))
+            one_loss, one_grad = regression_loss_grad(q, t, kind)
+            assert loss.shape == one_loss.shape and grad.shape == one_grad.shape
+            assert loss.tobytes() == one_loss.tobytes(), kind
+            assert grad.tobytes() == one_grad.tobytes(), kind
+
+    def test_a_plan_checks_the_shape_it_was_built_for(self):
+        step = plan_loss_grad(np.ones((3, 4)) * 2.0, ("giou", "mse"), (2, 3, 4))
+        with pytest.raises(ValueError, match=r"planned for prediction rows of shape \(2, 3, 4\)"):
+            step(np.ones((2, 1, 4)))
+        with pytest.raises(ValueError, match="rho must be >= 0"):
+            plan_loss_grad(np.ones(4), ("mse", "sdiou"), (2, 4), rho=-1.0)
+        with pytest.raises(ValueError, match="'huber'.*valid"):
+            plan_loss_grad(np.ones(4), "huber", (4,))
 
 
 class TestMultitask:
