@@ -29,9 +29,10 @@ Cases, keyed like perfbench's spans:
   them;
 - ``fit.step``: steps/s of the fit loop alone on loss-study's 1+20-object
   batch (perfbench/loss_study.py, seed 1): the seconds of ``fit_scenes`` at
-  ``--steps`` minus those at 0 steps, so assignment and setup drop out;
+  loss-study's step count minus those at 0 steps, so assignment and setup
+  drop out;
 - ``fit.compare_losses``: steps/s of loss-study's timed calls,
-  ``compare_losses`` at ``--steps`` on its three batches.
+  ``compare_losses`` at its step count on its three batches.
 
 A fit step is one (scene, kind) step, as loss-study counts its work, over
 loss-study's four kinds. Grids and loss inputs are built outside the
@@ -89,7 +90,7 @@ def dense_grid(detbox, n: int, seed: int = 0):
 class Cases:
     """The inputs of every case, built once; ``round()`` times each case once."""
 
-    def __init__(self, detbox, images: int, sizes: list[int], steps: int):
+    def __init__(self, detbox, images: int, sizes: list[int]):
         import infer_stream
         import loss_study
 
@@ -111,6 +112,7 @@ class Cases:
         pairs = [detbox.gradcheck.sample_pair(rng, detbox.ScaleConfig()) for _ in range(LOSS_PAIRS)]
         self.pred, self.truth = (np.array(rows) for rows in list(zip(*pairs))[:2])
         self.kinds, self.batches = loss_study.KINDS, loss_study.LossStudy(1, detbox).batches
+        steps = loss_study.STEPS
         self.configs = [detbox.FitConfig(steps=n) for n in (steps, 0)]
         for kind in detbox.losses.LOSS_KINDS:
             self.work[f"losses.regression_loss_grad.{kind}"] = LOSS_CALLS * LOSS_PAIRS
@@ -167,13 +169,13 @@ class Cases:
         return seconds
 
 
-def worker(src: Path, images: int, sizes: list[int], steps: int) -> int:
+def worker(src: Path, images: int, sizes: list[int]) -> int:
     """Serve rounds over stdin/stdout: one line in, one JSON line out."""
     sys.path.insert(0, str(src))
     import detbox
     import detbox.gradcheck  # noqa: F401   (the loss cases draw their pairs with it)
 
-    cases = Cases(detbox, images, sizes, steps)
+    cases = Cases(detbox, images, sizes)
     print(json.dumps({"work": cases.work, "units": cases.units}), flush=True)
     for _ in sys.stdin:
         print(json.dumps(cases.round()), flush=True)
@@ -197,13 +199,12 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=9)
     parser.add_argument("--images", type=int, default=200, help="infer-stream pool size")
     parser.add_argument("--sizes", default="1000,5000", help="table sizes for suppress and nms")
-    parser.add_argument("--steps", type=int, default=500, help="fit steps (loss-study: 500)")
     parser.add_argument("--output", type=Path, default=ROOT / "BENCH_1.json")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     sizes = [int(n) for n in args.sizes.split(",")]
     if args.worker:
-        return worker(args.worker, args.images, sizes, args.steps)
+        return worker(args.worker, args.images, sizes)
 
     with tempfile.TemporaryDirectory() as scratch:
         checkouts = {"working tree": ROOT}
@@ -218,7 +219,7 @@ def main(argv=None) -> int:
         for name, root in checkouts.items():
             workers[name] = subprocess.Popen(
                 [sys.executable, __file__, "--worker", str(root / "src"), "--images",
-                 str(args.images), "--sizes", args.sizes, "--steps", str(args.steps)],
+                 str(args.images), "--sizes", args.sizes],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         try:
             heads = {name: json.loads(w.stdout.readline()) for name, w in workers.items()}
@@ -237,7 +238,7 @@ def main(argv=None) -> int:
                                             rounds[name])}
                    for name, root in checkouts.items()}
     report = {"environment": environment(ROOT, THREAD_VARS), "rounds": args.rounds,
-              "images": args.images, "steps": args.steps, "checkouts": results}
+              "images": args.images, "checkouts": results}
     if args.compare:   # rounds are paired: each ran next to the other checkout's
         mine, theirs = rounds.values()
         report["working_tree_faster_rounds"] = {

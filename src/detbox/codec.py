@@ -181,8 +181,7 @@ def decode_with_jacobian(p: np.ndarray, gain) -> tuple[np.ndarray, np.ndarray]:
 
 def decode_jacobian(p: np.ndarray, gain) -> np.ndarray:
     """Elementwise derivative of :func:`decode_distances` in the logits."""
-    s = expit(np.asarray(p, dtype=float))
-    return 8.0 * np.asarray(gain, dtype=float) * s * s * (1.0 - s)
+    return decode_with_jacobian(p, gain)[1]
 
 
 def encode_logit_array(d: np.ndarray, gain) -> np.ndarray:

@@ -81,7 +81,8 @@ def load_coco(path) -> CocoLoadResult:
     :class:`CocoFormatError` for malformed JSON, missing fields, image sizes
     or bbox entries that are not JSON numbers, ids that are JSON lists or
     objects, image ids that are not integers or strings, duplicate image
-    ids, or annotations referencing unknown images or categories.
+    ids (``1`` and ``"1"`` too, since both would label a scene ``"1"``), or
+    annotations referencing unknown images or categories.
     """
     path = Path(path)
     try:
@@ -98,10 +99,15 @@ def load_coco(path) -> CocoLoadResult:
 
     category_ids = {_require(c, "id", "category", path, ident=True) for c in categories}
     sizes: dict[int | str, tuple[float, float]] = {}
+    labels: dict[str, int | str] = {}   # each scene's source_id, so 1 and "1" collide
     for img in images:
         img_id = _require(img, "id", "image", path, image_id=True)
-        if img_id in sizes:
-            raise CocoFormatError(f"{path}: duplicate image id {img_id!r}")
+        label = str(img_id)
+        if label in labels:
+            other = labels[label]
+            same = "" if other == img_id else f": image id {other!r} reads the same"
+            raise CocoFormatError(f"{path}: duplicate image id {img_id!r}{same}")
+        labels[label] = img_id
         sizes[img_id] = (
             float(_require(img, "width", f"image {img_id}", path, number=True)),
             float(_require(img, "height", f"image {img_id}", path, number=True)),

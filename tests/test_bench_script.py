@@ -11,6 +11,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from loss_study import STEPS  # noqa: E402
+
 CASES = {"infer.decode_grid": "cells/s", "infer.e2e.call": "images/s",
          "infer.e2e.read_kept": "images/s", "infer.suppress.30": "detections/s",
          "infer.nms.30": "detections/s", "infer.suppress.60": "detections/s",
@@ -24,7 +28,7 @@ FIELDS = {"unit", "work", "min_s", "median_s", "rate_at_min", "rate_at_median"}
 def run_bench(tmp_path, *extra):
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(ROOT / "bench" / "layers.py"), "--images", "2",
-                    "--rounds", "2", "--sizes", "30,60", "--steps", "40", "--output", str(out),
+                    "--rounds", "2", "--sizes", "30,60", "--output", str(out),
                     *extra],
                    cwd=ROOT, check=True, capture_output=True, timeout=300)
     return json.loads(out.read_text())
@@ -42,15 +46,15 @@ def test_writes_every_case_with_the_environment(tmp_path):
     report = run_bench(tmp_path)
     assert {"cpu", "nproc", "python", "numpy", "scipy", "src_detbox_lines"} <= set(
         report["environment"])
-    assert report["rounds"] == 2 and report["images"] == 2 and report["steps"] == 40
+    assert report["rounds"] == 2 and report["images"] == 2
     assert list(report["checkouts"]) == ["working tree"]
     assert "working_tree_faster_rounds" not in report
     check_checkout(report["checkouts"]["working tree"])
     layers = report["checkouts"]["working tree"]["layers"]
     assert layers["infer.decode_grid"]["work"] == 2 * (80 * 80 + 40 * 40 + 20 * 20)
     # (scene, kind) steps over loss-study's four kinds: 2 scenes, then 6 in three batches
-    assert layers["fit.step"]["work"] == 2 * 4 * 40
-    assert layers["fit.compare_losses"]["work"] == 6 * 4 * 40
+    assert layers["fit.step"]["work"] == 2 * 4 * STEPS
+    assert layers["fit.compare_losses"]["work"] == 6 * 4 * STEPS
 
 
 def test_compare_times_a_revision_too(tmp_path):

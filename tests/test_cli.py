@@ -370,6 +370,15 @@ class TestAssignStats:
         err = capsys.readouterr().err
         assert "duplicate image id 1" in err and "Traceback" not in err
 
+    def test_image_ids_that_print_the_same_exit_2(self, worked_scene, capsys):
+        doc = json.loads(worked_scene.read_text())
+        doc["images"] += [{**doc["images"][0], "id": "1"}]
+        worked_scene.write_text(json.dumps(doc))
+        assert main(["assign-stats", "--scene", str(worked_scene)]) == 2
+        err = capsys.readouterr().err
+        assert "duplicate image id '1': image id 1 reads the same" in err
+        assert "Traceback" not in err
+
     def test_image_size_flag_rejected(self, capsys, tmp_path):
         assert_image_size_rejected(["assign-stats", "--scene", str(COCO_FIXTURE)], capsys,
                                    tmp_path)

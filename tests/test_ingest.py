@@ -221,6 +221,18 @@ class TestMalformed:
         with pytest.raises(CocoFormatError, match=f"duplicate image id {ids[-1]!r}$"):
             load_coco(path)
 
+    @pytest.mark.parametrize("ids", [(1, "1"), ("7", 2, 7)])
+    def test_image_ids_that_print_the_same(self, tmp_path, ids):
+        # both would become scenes with one source_id, so reports could not tell them apart
+        path = self._write(tmp_path, {
+            "images": [{"id": i, "width": 64, "height": 64} for i in ids],
+            "annotations": [],
+            "categories": [],
+        })
+        match = f"duplicate image id {ids[-1]!r}: image id {ids[0]!r} reads the same$"
+        with pytest.raises(CocoFormatError, match=match):
+            load_coco(path)
+
     def test_list_image_id_after_an_unknown_one(self, tmp_path):
         # the first fault is still the one named
         path = self._write(tmp_path, {
