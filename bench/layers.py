@@ -32,7 +32,14 @@ Cases, keyed like perfbench's spans:
   loss-study's step count minus those at 0 steps, so assignment and setup
   drop out;
 - ``fit.compare_losses``: steps/s of loss-study's timed calls,
-  ``compare_losses`` at its step count on its three batches.
+  ``compare_losses`` at its step count on its three batches;
+- ``ingest.load_coco``: annotations/s of one load of coco-stats' document
+  (perfbench/coco_stats.py, seed 1);
+- ``assign.assign``: objects/s of one ``assign`` call per scene of that
+  document that has objects and a size every stride divides, as
+  ``dataset_stats`` calls it;
+- ``codec.encode_distances``: boxes/s of one call per such scene on the
+  records ``assign`` makes there, as ``assign`` calls it.
 
 A fit step is one (scene, kind) step, as loss-study counts its work, over
 loss-study's four kinds. Grids and loss inputs are built outside the
@@ -91,6 +98,7 @@ class Cases:
     """The inputs of every case, built once; ``round()`` times each case once."""
 
     def __init__(self, detbox, images: int, sizes: list[int]):
+        import coco_stats
         import infer_stream
         import loss_study
 
@@ -120,7 +128,32 @@ class Cases:
         self.work["fit.step"] = len(self.batches[0]) * len(self.kinds) * steps
         self.work["fit.compare_losses"] = sum(map(len, self.batches)) * len(self.kinds) * steps
         self.units["fit.step"] = self.units["fit.compare_losses"] = "steps/s"
+
+        self.coco_dir = tempfile.TemporaryDirectory()
+        self.coco_path = coco_stats.CocoStats(1, detbox, Path(self.coco_dir.name)).path
+        loaded = detbox.ingest.load_coco(self.coco_path)
+        self.scenes, self.encode_rows = [], []   # assign's inputs; encode_distances' inputs
+        for scene in loaded.scenes:
+            try:
+                scale = detbox.ScaleConfig().for_image(scene.image_w, scene.image_h)
+            except detbox.CodecError:   # a size no stride divides fails the scene
+                continue
+            if objects := list(scene.objects):
+                table = detbox.assign(objects, scale)
+                corners = np.array([[b.x1, b.y1, b.x2, b.y2] for b, _ in objects])
+                self.scenes.append((objects, scale))
+                self.encode_rows.append((corners[table.object_id], table.cell,
+                                         np.asarray(scale.strides)[table.scale_index]))
+        for key, work, unit in (
+                ("ingest.load_coco", loaded.n_annotations, "annotations/s"),
+                ("assign.assign", sum(len(objects) for objects, _ in self.scenes), "objects/s"),
+                ("codec.encode_distances", sum(len(rows[0]) for rows in self.encode_rows),
+                 "boxes/s")):
+            self.work[key], self.units[key] = work, unit
         self.round()   # warm up
+
+    def close(self) -> None:
+        self.coco_dir.cleanup()
 
     def decode(self, n: int):
         return self.infer.decode_grid(*self.grids[n], self.conf).detections
@@ -166,6 +199,17 @@ class Cases:
         for scenes in self.batches:
             fit.compare_losses(scenes, self.configs[0], self.kinds)
         seconds["fit.compare_losses"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        self.detbox.ingest.load_coco(self.coco_path)
+        t1 = time.perf_counter()
+        for objects, scale in self.scenes:
+            self.detbox.assign(objects, scale)
+        t2 = time.perf_counter()
+        for rows in self.encode_rows:
+            self.detbox.codec.encode_distances(*rows)
+        seconds["ingest.load_coco"], seconds["assign.assign"] = t1 - t0, t2 - t1
+        seconds["codec.encode_distances"] = time.perf_counter() - t2
         return seconds
 
 
@@ -176,9 +220,12 @@ def worker(src: Path, images: int, sizes: list[int]) -> int:
     import detbox.gradcheck  # noqa: F401   (the loss cases draw their pairs with it)
 
     cases = Cases(detbox, images, sizes)
-    print(json.dumps({"work": cases.work, "units": cases.units}), flush=True)
-    for _ in sys.stdin:
-        print(json.dumps(cases.round()), flush=True)
+    try:
+        print(json.dumps({"work": cases.work, "units": cases.units}), flush=True)
+        for _ in sys.stdin:
+            print(json.dumps(cases.round()), flush=True)
+    finally:
+        cases.close()
     return 0
 
 

@@ -38,13 +38,9 @@ from .infer import (
 from .ingest import CocoFormatError, CocoLoadResult, Scene, dataset_stats, load_coco
 from .losses import (
     DegenerateGeometryError,
-    MultitaskLoss,
-    SdiouParts,
     bce_with_logits,
     logit_loss_grad,
-    multitask_loss,
     regression_loss_grad,
-    sdiou,
     sdiou_loss,
 )
 
@@ -67,13 +63,11 @@ __all__ = [
     "FitConfig",
     "FitReport",
     "GeometryError",
-    "MultitaskLoss",
     "PredictionGrid",
     "RegressionTarget",
     "ScaleConfig",
     "Scene",
     "SceneSpec",
-    "SdiouParts",
     "apply_scale_constraints",
     "assign",
     "bce_with_logits",
@@ -94,10 +88,8 @@ __all__ = [
     "iou",
     "load_coco",
     "logit_loss_grad",
-    "multitask_loss",
     "nms",
     "regression_loss_grad",
-    "sdiou",
     "sdiou_loss",
     "to_corner",
 ]

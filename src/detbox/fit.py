@@ -34,7 +34,7 @@ from .assign import AssignMode, AssignmentTable, assign
 from .codec import ScaleConfig, decode_with_jacobian
 from .geom import BoundingBox, iou_xyxy, to_corner
 from .ingest import Scene
-from .losses import LOSS_KINDS, MultitaskLoss, head_losses, plan_loss_grad
+from .losses import LOSS_KINDS, head_losses, plan_loss_grad
 
 
 @dataclass(frozen=True)
@@ -263,9 +263,9 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
         heads = head_losses(*zip(*[(obj_logits[key_in[g]], np.ones(key_in[g].size),
                                     cls_logits[key_in[g], cls], cls_labels[key_in[g], cls])
                                    for g in scales]))
-        return [MultitaskLoss.combine(
-            [float(np.mean(k_loss[rec_in[g]])) if rec_in[g].size else 0.0 for g in scales],
-            heads).total for k_loss in loss]
+        # per scale, mean box + objectness + class, summed over the scales in order
+        return [sum((float(np.mean(k_loss[rec_in[g]])) if rec_in[g].size else 0.0) + obj + c
+                    for g, (obj, c) in zip(scales, heads)) for k_loss in loss]
 
     logits = np.zeros((n_kinds * n_keys, 4))
     loss_trace = np.empty((cfg.steps + 1, len(scenes), n_kinds))

@@ -10,6 +10,7 @@ center not strictly inside the image, or crowd regions (never assigned).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,6 +22,10 @@ from .geom import BoundingBox
 
 _NUMBER = {int, float}   # the types JSON numbers parse to; bool is not one
 _IMAGE_ID = {int, str}   # a bool or float id would alias an int one: 1 == 1.0 == True
+# what a field must be -> the types it may parse to, and the message's name for them
+_KINDS = {"number": (_NUMBER, "a number"), "size": (_NUMBER, "a number"),   # size: finite too
+          "list": ({list}, "a list"), "image_id": (_IMAGE_ID, "an id"),
+          "category_id": ({int}, "an id")}
 
 
 class CocoFormatError(ValueError):
@@ -59,17 +64,16 @@ class CocoLoadResult:
         return sum(len(s.objects) for s in self.scenes)
 
 
-def _require(mapping, key, where: str, path, number: bool = False, ident: bool = False,
-             image_id: bool = False):
+def _require(mapping, key, where: str, path, kind: str | None = None):
     try:
         value = mapping[key]
     except (KeyError, TypeError):
         raise CocoFormatError(f"{path}: missing field {key!r} in {where}") from None
-    if number and type(value) not in _NUMBER:
-        raise CocoFormatError(f"{path}: field {key!r} in {where} is not a number: {value!r}")
-    # ids are looked up in dicts and sets; image ids are also sorted
-    if ident and type(value) in (list, dict) or image_id and type(value) not in _IMAGE_ID:
-        raise CocoFormatError(f"{path}: field {key!r} in {where} is not an id: {value!r}")
+    if kind is not None and type(value) not in _KINDS[kind][0]:
+        raise CocoFormatError(f"{path}: field {key!r} in {where} is not {_KINDS[kind][1]}: "
+                              f"{value!r}")
+    if kind == "size" and not math.isfinite(value):   # 1e400 parses to inf
+        raise CocoFormatError(f"{path}: field {key!r} in {where} is not finite: {value!r}")
     return value
 
 
@@ -78,11 +82,13 @@ def load_coco(path) -> CocoLoadResult:
 
     Scenes come back ordered by image id, integer ids before string ids,
     one per listed image (empty object lists included). Raises
-    :class:`CocoFormatError` for malformed JSON, missing fields, image sizes
-    or bbox entries that are not JSON numbers, ids that are JSON lists or
-    objects, image ids that are not integers or strings, duplicate image
-    ids (``1`` and ``"1"`` too, since both would label a scene ``"1"``), or
-    annotations referencing unknown images or categories.
+    :class:`CocoFormatError` for malformed JSON, missing fields, a section
+    that is not a JSON list, image sizes that are not finite JSON numbers,
+    bbox entries or ``iscrowd`` flags that are not JSON numbers, category
+    ids that are not JSON integers, image ids that are not integers or
+    strings, duplicate image ids (``1`` and ``"1"`` too, since both would
+    label a scene ``"1"``), or annotations referencing unknown images or
+    categories.
     """
     path = Path(path)
     try:
@@ -93,40 +99,39 @@ def load_coco(path) -> CocoLoadResult:
     except json.JSONDecodeError as exc:
         raise CocoFormatError(f"{path}: invalid JSON: {exc}") from exc
 
-    images = _require(doc, "images", "document", path)
-    annotations = _require(doc, "annotations", "document", path)
-    categories = _require(doc, "categories", "document", path)
+    images, annotations, categories = (
+        _require(doc, key, "document", path, "list")
+        for key in ("images", "annotations", "categories"))
 
-    category_ids = {_require(c, "id", "category", path, ident=True) for c in categories}
+    category_ids = {_require(c, "id", "category", path, "category_id") for c in categories}
     sizes: dict[int | str, tuple[float, float]] = {}
     labels: dict[str, int | str] = {}   # each scene's source_id, so 1 and "1" collide
     for img in images:
-        img_id = _require(img, "id", "image", path, image_id=True)
+        img_id = _require(img, "id", "image", path, "image_id")
         label = str(img_id)
         if label in labels:
             other = labels[label]
             same = "" if other == img_id else f": image id {other!r} reads the same"
             raise CocoFormatError(f"{path}: duplicate image id {img_id!r}{same}")
         labels[label] = img_id
-        sizes[img_id] = (
-            float(_require(img, "width", f"image {img_id}", path, number=True)),
-            float(_require(img, "height", f"image {img_id}", path, number=True)),
-        )
+        sizes[img_id] = tuple(float(_require(img, key, f"image {img_id}", path, "size"))
+                              for key in ("width", "height"))
 
     objects: dict[int | str, list[tuple[BoundingBox, int]]] = {i: [] for i in sizes}
     skipped = SkipCounts()
     for ann in annotations:
         try:   # the common case by plain indexing
             img_id, cat, bbox = ann["image_id"], ann["category_id"], ann["bbox"]
-            fast = (type(img_id) in _IMAGE_ID and img_id in sizes and cat in category_ids
-                    and type(bbox) is list and len(bbox) == 4)
+            fast = (type(img_id) in _IMAGE_ID and img_id in sizes and type(cat) is int
+                    and cat in category_ids and type(bbox) is list and len(bbox) == 4)
         except (KeyError, TypeError):
             fast = False
         if not fast:   # each check in turn, so the first fault is the one named
-            img_id = _require(ann, "image_id", "annotation", path, image_id=True)
+            img_id = _require(ann, "image_id", "annotation", path, "image_id")
             if img_id not in sizes:
                 raise CocoFormatError(f"{path}: annotation references unknown image_id {img_id}")
-            cat = _require(ann, "category_id", f"annotation for image {img_id}", path, ident=True)
+            cat = _require(ann, "category_id", f"annotation for image {img_id}", path,
+                           "category_id")
             if cat not in category_ids:
                 raise CocoFormatError(f"{path}: annotation references undeclared category_id {cat}")
             bbox = _require(ann, "bbox", f"annotation for image {img_id}", path)
@@ -134,9 +139,11 @@ def load_coco(path) -> CocoLoadResult:
                 raise CocoFormatError(f"{path}: bbox must be [x, y, w, h], got {bbox!r}")
         if not _NUMBER.issuperset(map(type, bbox)):   # name the first entry that is no number
             where = f"bbox of annotation for image {img_id}"
-            bbox = [_require(dict(zip("xywh", bbox)), k, where, path, number=True) for k in "xywh"]
+            bbox = [_require(dict(zip("xywh", bbox)), k, where, path, "number") for k in "xywh"]
         x, y, w, h = map(float, bbox)
-        if ann.get("iscrowd", 0):
+        if type(crowd := ann.get("iscrowd", 0)) not in _NUMBER:
+            _require(ann, "iscrowd", f"annotation for image {img_id}", path, "number")
+        if crowd:
             skipped.iscrowd += 1
             continue
         if not (w > 0 and h > 0):   # NaN too
@@ -147,7 +154,7 @@ def load_coco(path) -> CocoLoadResult:
         if not (0 < cx < img_w and 0 < cy < img_h):
             skipped.center_outside += 1
             continue
-        objects[img_id].append((BoundingBox(cx, cy, w, h), int(cat)))
+        objects[img_id].append((BoundingBox(cx, cy, w, h), cat))
 
     scenes = [
         Scene(

@@ -39,7 +39,6 @@ exclude their neighborhoods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -57,88 +56,37 @@ class DegenerateGeometryError(ValueError):
     """Both boxes have collapsed to (near) points; the score is undefined."""
 
 
-@dataclass(frozen=True)
-class SdiouParts:
-    """All intermediate quantities of the distance-space score."""
-
-    penalty: float      # summed squared distance mismatch
-    inter_w: float      # overlap width, clamped at 0
-    inter_h: float      # overlap height, clamped at 0
-    cover_w: float      # covering-region width
-    cover_h: float      # covering-region height
-    inter_diag2: float  # squared overlap diagonal
-    cover_diag2: float  # squared covering diagonal
-    score: float
-    loss: float
-
-
 def _dist_array(x) -> np.ndarray:
     if isinstance(x, RegressionTarget):
         return x.as_array()
     return np.asarray(x, dtype=float)
 
 
-def _check_rho(rho: float) -> float:
-    if not 0 <= rho < np.inf:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    return rho
-
-
-def _sdiou_core(pred: np.ndarray, truth: np.ndarray, rho: float):
-    diff = truth - pred
-    s = np.add.reduce(diff * diff, axis=-1)
-    mn = np.minimum(truth, pred)
-    mx = np.maximum(truth, pred)
-    # (width, height) pairs of the overlap, before and after its clamp, and the cover
-    inner_raw = mn[..., :2] + mn[..., 2:] - 1.0
-    inner = np.maximum(inner_raw, 0.0)
-    cover = mx[..., :2] + mx[..., 2:] - 1.0
-    i, c = (sq[..., 0] + sq[..., 1] for sq in (inner * inner, cover * cover))
-    if (c <= _COVER_EPS).any():
-        raise DegenerateGeometryError(
-            "covering diagonal is zero: both boxes have collapsed to points"
-        )
-    numer = i - rho * s
-    return s, inner_raw, inner, cover, i, c, numer, numer / c
-
-
 def sdiou_loss(pred, truth, rho: float = 1.0) -> np.ndarray:
-    """Vectorized loss over (..., 4) distance arrays."""
-    *_, score = _sdiou_core(_dist_array(pred), _dist_array(truth), _check_rho(rho))
-    return 1.0 - score
-
-
-def sdiou(pred, truth, rho: float = 1.0) -> SdiouParts:
-    """Score one prediction against one truth, exposing every term."""
-    p = _dist_array(pred).reshape(4)
-    t = _dist_array(truth).reshape(4)
-    s, _, (wi, hi), (wc, hc), i, c, _, score = _sdiou_core(p, t, _check_rho(rho))
-    return SdiouParts(
-        penalty=float(s),
-        inter_w=float(wi),
-        inter_h=float(hi),
-        cover_w=float(wc),
-        cover_h=float(hc),
-        inter_diag2=float(i),
-        cover_diag2=float(c),
-        score=float(score),
-        loss=float(1.0 - score),
-    )
-
-
-def sdiou_loss_grad(pred, truth, rho: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Loss and its gradient in the predicted distances, vectorized.
-
-    Returns ``(loss, grad)`` with shapes ``(...,)`` and ``(..., 4)``.
-    """
-    return _plan_sdiou(_dist_array(truth), "sdiou", rho, 0)(_dist_array(pred))
+    """Vectorized loss over (..., 4) distance arrays: the loss that
+    ``regression_loss_grad(pred, truth, "sdiou", rho)`` returns."""
+    return regression_loss_grad(pred, truth, "sdiou", rho)[0]
 
 
 def _plan_sdiou(t: np.ndarray, kind, rho: float, ndim: int):
-    _check_rho(rho)
+    if not 0 <= rho < np.inf:
+        raise ValueError(f"rho must be >= 0, got {rho}")
 
     def step(p: np.ndarray):
-        s, inner_raw, inner, cover, i, c, numer, score = _sdiou_core(p, t, rho)
+        diff = t - p
+        s = np.add.reduce(diff * diff, axis=-1)
+        mn = np.minimum(t, p)
+        mx = np.maximum(t, p)
+        # (width, height) pairs of the overlap, before and after its clamp, and the cover
+        inner_raw = mn[..., :2] + mn[..., 2:] - 1.0
+        inner = np.maximum(inner_raw, 0.0)
+        cover = mx[..., :2] + mx[..., 2:] - 1.0
+        i, c = (sq[..., 0] + sq[..., 1] for sq in (inner * inner, cover * cover))
+        if (c <= _COVER_EPS).any():
+            raise DegenerateGeometryError(
+                "covering diagonal is zero: both boxes have collapsed to points"
+            )
+        numer = i - rho * s
         # the prediction moves an extent only through the components where it
         # drives the min (overlap) or the max (cover); (l, t, r, b) reads the
         # (width, height) pair twice
@@ -149,7 +97,7 @@ def _plan_sdiou(t: np.ndarray, kind, rho: float, ndim: int):
         ds = 2.0 * (p - t)
         c4 = c[..., None]
         dscore = ((di - rho * ds) * c4 - numer[..., None] * dc) / (c4 * c4)
-        return 1.0 - score, -dscore
+        return 1.0 - numer / c, -dscore
 
     return step
 
@@ -374,41 +322,14 @@ def bce_with_logits(logits, labels) -> np.ndarray:
     return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
 
-@dataclass(frozen=True)
-class MultitaskLoss:
-    per_scale: tuple[float, ...]
-    total: float
-
-    @classmethod
-    def combine(cls, box_losses: Sequence[float],
-                heads: Sequence[tuple[float, float]]) -> MultitaskLoss:
-        """Per scale box + objectness + class from :func:`head_losses`, in order."""
-        per_scale = tuple(float(box) + obj + cls_ for box, (obj, cls_) in zip(box_losses, heads))
-        return cls(per_scale=per_scale, total=float(sum(per_scale)))
-
-
 def head_losses(obj_logits: Sequence[np.ndarray], obj_labels: Sequence[np.ndarray],
                 cls_logits: Sequence[np.ndarray],
                 cls_labels: Sequence[np.ndarray]) -> list[tuple[float, float]]:
     """Per scale, the mean objectness and mean class binary cross entropy from
-    logits (an empty array contributes 0). They do not depend on the box
-    loss, so box losses of several kinds can share them."""
+    logits (an empty array contributes 0). The multitask objective of
+    :func:`~detbox.fit.fit_scenes` adds them to each scale's mean box loss.
+    They do not depend on the box loss, so box losses of several kinds can
+    share them."""
     means = [[float(np.mean(b)) if b.size else 0.0 for b in map(bce_with_logits, z, y)]
              for z, y in ((obj_logits, obj_labels), (cls_logits, cls_labels))]
     return list(zip(*means))
-
-
-def multitask_loss(box_losses: Sequence[float], obj_logits: Sequence[np.ndarray],
-                   obj_labels: Sequence[np.ndarray], cls_logits: Sequence[np.ndarray],
-                   cls_labels: Sequence[np.ndarray]) -> MultitaskLoss:
-    """Per-scale sum of box, objectness, and classification terms.
-
-    Classification and objectness use mean binary cross entropy from logits
-    (empty arrays contribute 0); the box term arrives pre-reduced per scale.
-    The total is the plain sum over scales.
-    """
-    n = len(box_losses)
-    if not (len(obj_logits) == len(obj_labels) == len(cls_logits) == len(cls_labels) == n):
-        raise ValueError("all per-scale sequences must have equal length")
-    return MultitaskLoss.combine(
-        box_losses, head_losses(obj_logits, obj_labels, cls_logits, cls_labels))

@@ -21,7 +21,9 @@ CASES = {"infer.decode_grid": "cells/s", "infer.e2e.call": "images/s",
          "infer.nms.60": "detections/s",
          **{f"losses.regression_loss_grad.{kind}": "pairs/s"
             for kind in ("sdiou", "mse", "iou", "giou", "diou", "ciou")},
-         "fit.step": "steps/s", "fit.compare_losses": "steps/s"}
+         "fit.step": "steps/s", "fit.compare_losses": "steps/s",
+         "ingest.load_coco": "annotations/s", "assign.assign": "objects/s",
+         "codec.encode_distances": "boxes/s"}
 FIELDS = {"unit", "work", "min_s", "median_s", "rate_at_min", "rate_at_median"}
 
 

@@ -379,6 +379,29 @@ class TestAssignStats:
         assert "duplicate image id '1': image id 1 reads the same" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ('"images": [', '"images": null, "_": [', "field 'images' in document is not a list: None"),
+        ('"annotations": [', '"annotations": 3, "_": [',
+         "field 'annotations' in document is not a list: 3"),
+        ('"width": 640', '"width": 1e400', "field 'width' in image 1 is not finite: inf"),
+        ('"categories": [{"id": 1}]', '"categories": [{"id": 1.5}]',
+         "field 'id' in category is not an id: 1.5"),
+        ('"category_id": 1', '"category_id": 1.0',
+         "field 'category_id' in annotation for image 1 is not an id: 1.0"),
+        ('"category_id": 1', '"category_id": 1, "iscrowd": [1]',
+         "field 'iscrowd' in annotation for image 1 is not a number: [1]"),
+    ], ids=["images-null", "annotations-3", "width-1e400", "category-1.5", "category_id-1.0",
+            "iscrowd-list"])
+    def test_field_of_the_wrong_json_type_exits_2(self, worked_scene, capsys, old, new,
+                                                  message):
+        # each once raised a TypeError or OverflowError, or was read as another value
+        text = worked_scene.read_text()
+        assert old in text
+        worked_scene.write_text(text.replace(old, new))
+        assert main(["assign-stats", "--scene", str(worked_scene)]) == 2
+        err = capsys.readouterr().err
+        assert f"{worked_scene}: {message}" in err and "Traceback" not in err
+
     def test_image_size_flag_rejected(self, capsys, tmp_path):
         assert_image_size_rejected(["assign-stats", "--scene", str(COCO_FIXTURE)], capsys,
                                    tmp_path)
@@ -665,6 +688,43 @@ class TestGoldenBytes:
         assert capsys.readouterr().err == (
             "detbox detect: cells_in=336 dropped_degenerate=74 dets_out=192 kept=188\n"
             "detbox detect: cells_in=336 dropped_degenerate=74 dets_out=192 kept=114\n")
+
+    # argv after the subcommand, then the sha256 of each file it writes; the
+    # scene file goes by a relative name, since the config echo carries it
+    @pytest.mark.parametrize("argv,digests", [
+        (["encode", "--scene", "scene.json", "--output", "a.csv"],
+         {"a.csv": "ff009413fe833da47ed650d1c46c73a0d84c729b770a3dbba8f78f67899b802b"}),
+        (["assign-stats", "--scene", "scene.json", "--output", "a.json"],
+         {"a.json": "6a9fd5b62a84474f7f412320b6ea0605267bff56ee277c79079d6766aa5298e9"}),
+        (["assign-stats", "--scene", "scene.json", "--mode", "center", "--predictions", "4",
+          "--output", "a.json"],
+         {"a.json": "be3e255877816c9e0a924b6d48961685bc5cbe55578eb01f771738f3dc49c152"}),
+        (["assign-stats", "--scene", "scene.json", "--thresholds", "0,64,128,inf",
+          "--output", "a.json"],
+         {"a.json": "f1a4393f39de3ec74335c13c8321bb7819bbbec811547636db80832ab930f118"}),
+        (["audit", "--scene", "scene.json", "--output", "a.json"],
+         {"a.json": "21302de632afae7ce0689b4b3ccc52b331caebda5b773c549cd624e6a2deaa85"}),
+        (["fit", "--steps", "20", "--output", "a.json", "--trace", "a.csv"],
+         {"a.json": "5208072a416ac07120fbb1ba82210933b140d58dde137c2aba5e2a777a2cae14",
+          "a.csv": "c09517d0482910233f2e40de2d662dffb9345fad459a15bdd0ab4027af554a34"}),
+        (["fit", "--steps", "20", "--multitask", "--output", "a.json", "--trace", "a.csv"],
+         {"a.json": "bc8706694f9bab9156e51cd642c14cf5be1abd5046109c30d0495998543d92fb",
+          "a.csv": "bc9e12e82dcda1877f30cd45ceeef2341dd639b7ba714406aa62155e40d93007"}),
+        (["compare-losses", "--scenes", "3", "--steps", "20", "--output", "a.csv"],
+         {"a.csv": "4dcbe214a94c9002c82718912c5ff7b2e984b2f076cb1b915c253a0c26c14fa3"}),
+        (["gradcheck", "--samples", "50", "--loss", "sdiou", "--output", "a.json"],
+         {"a.json": "ac9f0331f1ea04406439eb69137f2a7f37ec34cd906e1e7294dee4bc87a19b5a"}),
+        (["gradcheck", "--samples", "50", "--loss", "ciou", "--output", "a.json"],
+         {"a.json": "d741d36a9d690841b6cb025b5e42c1113fae5ef4e8ec14060750551ac36664f3"}),
+    ], ids=["encode", "assign-stats", "assign-stats-center-4", "assign-stats-thresholds",
+            "audit", "fit-trace", "fit-multitask", "compare-losses", "gradcheck-sdiou",
+            "gradcheck-ciou"])
+    def test_subcommand(self, tmp_path, monkeypatch, capsys, argv, digests):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "scene.json").write_bytes(COCO_FIXTURE.read_bytes())
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("", "")
+        assert {name: _sha256(name) for name in digests} == digests
 
 
 class TestNmsCommandMemory:

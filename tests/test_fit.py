@@ -16,7 +16,10 @@ from detbox import (
     compare_losses,
     fit_scene,
     fit_scenes,
+    assign,
+    decode_distances,
     generate_scene,
+    sdiou_loss,
 )
 from detbox.fit import check_size_bounds
 from detbox.losses import LOSS_KINDS
@@ -131,6 +134,20 @@ class TestMultitask:
         multi = fit_scene(scene, FitConfig(steps=0, multitask=True))
         assert multi.loss_trace[0] > 3 * 2 * math.log(2)
         assert plain.loss_trace[0] > 0
+
+    def test_three_term_sum(self):
+        # at zero logits each scale with records costs its mean box loss plus
+        # ln 2 for objectness and ln 2 for class, unweighted, in scale order
+        scene = generate_scene(SceneSpec(n_objects=3), seed=5)
+        cfg = FitConfig(steps=0, multitask=True)
+        scale = cfg.scale.for_image(scene.image_w, scene.image_h)
+        table = assign(list(scene.objects), scale, cfg.mode)
+        gain = np.asarray(scale.gains)[table.scale_index, None]
+        usable = np.all((table.target > 0.0) & (table.target < 4.0 * gain), axis=1)
+        box = sdiou_loss(decode_distances(np.zeros(4), gain[usable]), table.target[usable])
+        at = table.scale_index[usable]
+        expected = sum(box[at == k].mean() + 2 * math.log(2) for k in np.unique(at))
+        assert fit_scene(scene, cfg).loss_trace[0] == pytest.approx(expected, rel=1e-12)
 
     def test_multitask_descends(self):
         # box terms converge quickly; the mean-reduced cross-entropy terms

@@ -233,6 +233,78 @@ class TestMalformed:
         with pytest.raises(CocoFormatError, match=match):
             load_coco(path)
 
+    @pytest.mark.parametrize("section, value", [
+        ("images", None), ("annotations", 3), ("categories", {"id": 1}), ("images", "abc"),
+    ])
+    def test_section_that_is_not_a_list(self, tmp_path, section, value):
+        doc = {"images": [], "annotations": [], "categories": []}
+        doc[section] = value
+        with pytest.raises(CocoFormatError) as exc:
+            load_coco(self._write(tmp_path, doc))
+        assert str(exc.value).endswith(
+            f"field {section!r} in document is not a list: {value!r}")
+
+    @pytest.mark.parametrize("field, text, value", [
+        ("width", "1e400", "inf"), ("height", "-1e400", "-inf"), ("width", "NaN", "nan"),
+    ])
+    def test_image_size_that_is_not_finite(self, tmp_path, field, text, value):
+        # json reads each of these as a float, which no pyramid can be sized from
+        path = tmp_path / "bad.json"
+        image = {"id": 1, "width": 64, "height": 64, field: "SIZE"}
+        path.write_text(json.dumps({"images": [image], "annotations": [], "categories": []})
+                        .replace('"SIZE"', text))
+        with pytest.raises(CocoFormatError) as exc:
+            load_coco(path)
+        assert str(exc.value).endswith(f"field {field!r} in image 1 is not finite: {value}")
+
+    @pytest.mark.parametrize("section, field, value, where", [
+        ("categories", "id", 1.5, "category"),
+        ("categories", "id", "1", "category"),
+        ("categories", "id", True, "category"),
+        ("annotations", "category_id", 1.0, "annotation for image 1"),
+        ("annotations", "category_id", True, "annotation for image 1"),
+        ("annotations", "category_id", "1", "annotation for image 1"),
+    ])
+    def test_category_id_that_is_not_an_integer(self, tmp_path, section, field, value, where):
+        # 1.0 and true would pass as the declared 1, and 1.5 would become class 1
+        doc = {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2]}],
+            "categories": [{"id": 1}],
+        }
+        doc[section][0][field] = value
+        with pytest.raises(CocoFormatError) as exc:
+            load_coco(self._write(tmp_path, doc))
+        assert str(exc.value).endswith(f"field {field!r} in {where} is not an id: {value!r}")
+
+    @pytest.mark.parametrize("value", [[1], "1", True, None, {"crowd": 1}])
+    def test_iscrowd_that_is_not_a_number(self, tmp_path, value):
+        path = self._write(tmp_path, {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2],
+                             "iscrowd": value}],
+            "categories": [{"id": 1}],
+        })
+        with pytest.raises(CocoFormatError) as exc:
+            load_coco(path)
+        assert str(exc.value).endswith(
+            f"field 'iscrowd' in annotation for image 1 is not a number: {value!r}")
+
+    @pytest.mark.parametrize("ann, message", [
+        ({"image_id": 9, "category_id": 1.0}, "unknown image_id 9"),
+        ({"image_id": 1, "category_id": 1.0, "bbox": None}, "is not an id: 1.0"),
+        ({"image_id": 1, "category_id": 1, "bbox": [1, 1, 2, None], "iscrowd": "1"},
+         "field 'h' in bbox"),
+    ])
+    def test_new_checks_keep_the_first_fault_first(self, tmp_path, ann, message):
+        path = self._write(tmp_path, {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [ann],
+            "categories": [{"id": 1}],
+        })
+        with pytest.raises(CocoFormatError, match=message):
+            load_coco(path)
+
     def test_list_image_id_after_an_unknown_one(self, tmp_path):
         # the first fault is still the one named
         path = self._write(tmp_path, {

@@ -16,15 +16,15 @@ from detbox import (
     bce_with_logits,
     giou as giou_oracle,
     iou as iou_oracle,
-    multitask_loss,
     regression_loss_grad,
-    sdiou,
     sdiou_loss,
 )
 from detbox import gradcheck
 from detbox.codec import decode_distances, encode_logit_array
 from detbox.gradcheck import central_diff, run_gradcheck, sample_pair
-from detbox.losses import LOSS_KINDS, DegenerateGeometryError, logit_loss_grad, plan_loss_grad
+from detbox.losses import (
+    LOSS_KINDS, DegenerateGeometryError, head_losses, logit_loss_grad, plan_loss_grad,
+)
 
 
 def _random_truth(rng, gain=2.0):
@@ -38,32 +38,26 @@ def _random_truth(rng, gain=2.0):
 
 
 class TestSdiouValues:
+    # the worked pair: overlap 4 x 2.5 (I = 22.25), cover 5 x 2.5 (C = 31.25),
+    # penalty S = 1, so the score is (22.25 - 1) / 31.25 = 0.68
+    WORKED = (2, 1.75, 3, 1.75), (3, 1.75, 3, 1.75)
+
     def test_identity_fixed_point(self, rng):
         for _ in range(200):
             t = _random_truth(rng)
-            parts = sdiou(t, t)
-            assert parts.penalty == 0.0
-            assert parts.inter_diag2 == parts.cover_diag2
-            assert parts.score == 1.0
-            assert parts.loss == 0.0
+            assert sdiou_loss(t, t) == 0.0
+            # without the penalty the overlap equals the cover
+            assert sdiou_loss(t, t, rho=0.0) == 0.0
 
     def test_worked_example(self):
-        parts = sdiou((2, 1.75, 3, 1.75), (3, 1.75, 3, 1.75))
-        assert parts.penalty == 1.0
-        assert parts.inter_w == 4.0 and parts.inter_h == 2.5
-        assert parts.cover_w == 5.0 and parts.cover_h == 2.5
-        assert parts.inter_diag2 == 22.25 and parts.cover_diag2 == 31.25
-        np.testing.assert_allclose(parts.score, 0.68, atol=1e-15)
-        np.testing.assert_allclose(parts.loss, 0.32, atol=1e-15)
+        np.testing.assert_allclose(sdiou_loss(*self.WORKED), 0.32, atol=1e-15)
+        np.testing.assert_allclose(sdiou_loss(*self.WORKED, rho=0.0), 1 - 22.25 / 31.25,
+                                   atol=1e-15)
 
     def test_clamped_overlap_example(self):
-        parts = sdiou((0, 0, 0, 0), (1, 1, 1, 1))
-        assert parts.inter_w == 0.0 and parts.inter_h == 0.0
-        assert parts.inter_diag2 == 0.0
-        assert parts.cover_diag2 == 2.0
-        assert parts.penalty == 4.0
-        assert parts.score == -2.0
-        assert parts.loss == 3.0
+        # the overlap clamps to 0 x 0, the cover is 1 x 1 (C = 2) and S = 4
+        assert sdiou_loss((0, 0, 0, 0), (1, 1, 1, 1)) == 3.0
+        assert sdiou_loss((0, 0, 0, 0), (1, 1, 1, 1), rho=0.0) == 1.0
 
     def test_any_perturbation_is_punished(self, rng):
         for _ in range(300):
@@ -79,28 +73,24 @@ class TestSdiouValues:
     def test_symmetric_in_roles(self, rng):
         for _ in range(200):
             a, b = _random_truth(rng), _random_truth(rng)
-            pa, pb = sdiou(a, b), sdiou(b, a)
-            assert pa.penalty == pb.penalty
-            assert pa.inter_diag2 == pb.inter_diag2
-            assert pa.cover_diag2 == pb.cover_diag2
-            assert pa.score == pb.score
+            assert sdiou_loss(a, b) == sdiou_loss(b, a)
+            assert sdiou_loss(a, b, rho=0.0) == sdiou_loss(b, a, rho=0.0)
 
     def test_score_bounded_and_overlap_inside_cover(self, rng):
         for _ in range(300):
             a, b = _random_truth(rng), _random_truth(rng)
-            parts = sdiou(a, b)
-            assert parts.score <= 1.0
-            assert 0.0 <= parts.inter_diag2 <= parts.cover_diag2
+            assert sdiou_loss(a, b) >= 0.0
+            # 1 - I / C, with the overlap's diagonal inside the cover's
+            assert 0.0 <= sdiou_loss(a, b, rho=0.0) <= 1.0
 
     def test_rho_scales_the_penalty(self):
-        pred, truth = (2, 1.75, 3, 1.75), (3, 1.75, 3, 1.75)
-        l1 = sdiou(pred, truth, rho=1.0).loss
-        l2 = sdiou(pred, truth, rho=2.0).loss
+        l1 = sdiou_loss(*self.WORKED, rho=1.0)
+        l2 = sdiou_loss(*self.WORKED, rho=2.0)
         np.testing.assert_allclose(l2 - l1, 1.0 / 31.25, atol=1e-15)
 
     def test_degenerate_cover_rejected(self):
         with pytest.raises(DegenerateGeometryError):
-            sdiou((0.5, 0.5, 0.5, 0.5), (0.5, 0.5, 0.5, 0.5))
+            sdiou_loss((0.5, 0.5, 0.5, 0.5), (0.5, 0.5, 0.5, 0.5))
 
     def test_scale_drift_shrinks_with_box_size(self):
         drifts = []
@@ -389,33 +379,23 @@ class TestPlannedStep:
 
 
 class TestMultitask:
-    def test_single_scale_sum(self):
-        out = multitask_loss(
-            [0.5],
-            [np.array([0.0])], [np.array([1.0])],    # bce(0, 1) = ln 2
-            [np.zeros(0)], [np.zeros(0)],
-        )
-        np.testing.assert_allclose(out.per_scale[0], math.log(2) + 0.5, atol=1e-12)
-        assert out.total == out.per_scale[0]
-
-    def test_three_term_sum(self):
-        # box + mean objectness bce + mean class bce, unweighted
-        out = multitask_loss([0.5], [np.array([0.0])], [np.array([1.0])],
-                             [np.array([[0.0]])], [np.array([[0.0]])])
-        np.testing.assert_allclose(out.total, 0.5 + 2 * math.log(2), atol=1e-12)
+    def test_zero_logits_cost_ln2(self):
+        # one (objectness, class) pair per scale; an empty array contributes 0
+        heads = head_losses([np.array([0.0]), np.array([0.0, 0.0])],
+                            [np.array([1.0]), np.array([1.0, 1.0])],
+                            [np.array([[0.0]]), np.zeros((0, 3))],
+                            [np.array([[0.0]]), np.zeros((0, 3))])
+        np.testing.assert_allclose(heads, [(math.log(2), math.log(2)), (math.log(2), 0.0)],
+                                   atol=1e-12)
 
     def test_saturated_logits_vanish(self):
-        out = multitask_loss(
-            [0.0] * 3,
-            [np.full(4, 40.0)] * 3, [np.ones(4)] * 3,
-            [np.full((4, 2), -40.0)] * 3, [np.zeros((4, 2))] * 3,
-        )
-        assert out.total < 1e-12
+        heads = head_losses([np.full(4, 40.0)] * 3, [np.ones(4)] * 3,
+                            [np.full((4, 2), -40.0)] * 3, [np.zeros((4, 2))] * 3)
+        assert len(heads) == 3 and max(map(max, heads)) < 1e-12
 
     def test_label_validation(self):
         with pytest.raises(ValueError, match="labels"):
-            multitask_loss([0.0], [np.array([1.0])], [np.array([0.5])],
-                           [np.zeros(0)], [np.zeros(0)])
+            head_losses([np.array([1.0])], [np.array([0.5])], [np.zeros(0)], [np.zeros(0)])
 
     def test_bce_stability(self):
         z = np.array([-800.0, 800.0, 0.0])
