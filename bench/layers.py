@@ -31,15 +31,22 @@ Cases, keyed like perfbench's spans:
   batch (perfbench/loss_study.py, seed 1): the seconds of ``fit_scenes`` at
   loss-study's step count minus those at 0 steps, so assignment and setup
   drop out;
+- ``fit.step.multitask``: the same with ``multitask=True``, which adds the
+  objectness and class terms to every step;
 - ``fit.compare_losses``: steps/s of loss-study's timed calls,
   ``compare_losses`` at its step count on its three batches;
+- ``fit.compare_losses.N``: scenes/s of one ``compare_losses`` call on N
+  one-object synthetic scenes at seeds 0 to N - 1, as
+  ``detbox compare-losses --scenes N`` runs it (N = 100);
 - ``ingest.load_coco``: annotations/s of one load of coco-stats' document
   (perfbench/coco_stats.py, seed 1);
 - ``assign.assign``: objects/s of one ``assign`` call per scene of that
   document that has objects and a size every stride divides, as
   ``dataset_stats`` calls it;
 - ``codec.encode_distances``: boxes/s of one call per such scene on the
-  records ``assign`` makes there, as ``assign`` calls it.
+  records ``assign`` makes there, as ``assign`` calls it;
+- ``codec.decode_distances``: boxes/s of one call per such scene on seeded
+  logits for those records, with each record's gain.
 
 A fit step is one (scene, kind) step, as loss-study counts its work, over
 loss-study's four kinds. Grids and loss inputs are built outside the
@@ -97,7 +104,7 @@ def dense_grid(detbox, n: int, seed: int = 0):
 class Cases:
     """The inputs of every case, built once; ``round()`` times each case once."""
 
-    def __init__(self, detbox, images: int, sizes: list[int]):
+    def __init__(self, detbox, images: int, sizes: list[int], n_scenes: int):
         import coco_stats
         import infer_stream
         import loss_study
@@ -121,18 +128,26 @@ class Cases:
         self.pred, self.truth = (np.array(rows) for rows in list(zip(*pairs))[:2])
         self.kinds, self.batches = loss_study.KINDS, loss_study.LossStudy(1, detbox).batches
         steps = loss_study.STEPS
-        self.configs = [detbox.FitConfig(steps=n) for n in (steps, 0)]
+        self.configs = {multitask: [detbox.FitConfig(steps=n, multitask=multitask)
+                                    for n in (steps, 0)] for multitask in (False, True)}
+        self.compare_key = f"fit.compare_losses.{n_scenes}"
+        self.compare_scenes = [detbox.generate_scene(detbox.SceneSpec(), i)
+                               for i in range(n_scenes)]
         for kind in detbox.losses.LOSS_KINDS:
             self.work[f"losses.regression_loss_grad.{kind}"] = LOSS_CALLS * LOSS_PAIRS
             self.units[f"losses.regression_loss_grad.{kind}"] = "pairs/s"
-        self.work["fit.step"] = len(self.batches[0]) * len(self.kinds) * steps
+        for key in ("fit.step", "fit.step.multitask"):
+            self.work[key] = len(self.batches[0]) * len(self.kinds) * steps
         self.work["fit.compare_losses"] = sum(map(len, self.batches)) * len(self.kinds) * steps
-        self.units["fit.step"] = self.units["fit.compare_losses"] = "steps/s"
+        for key in ("fit.step", "fit.step.multitask", "fit.compare_losses"):
+            self.units[key] = "steps/s"
+        self.work[self.compare_key], self.units[self.compare_key] = n_scenes, "scenes/s"
 
         self.coco_dir = tempfile.TemporaryDirectory()
         self.coco_path = coco_stats.CocoStats(1, detbox, Path(self.coco_dir.name)).path
         loaded = detbox.ingest.load_coco(self.coco_path)
-        self.scenes, self.encode_rows = [], []   # assign's inputs; encode_distances' inputs
+        # the inputs of assign, encode_distances and decode_distances
+        self.scenes, self.encode_rows, self.decode_rows = [], [], []
         for scene in loaded.scenes:
             try:
                 scale = detbox.ScaleConfig().for_image(scene.image_w, scene.image_h)
@@ -144,10 +159,14 @@ class Cases:
                 self.scenes.append((objects, scale))
                 self.encode_rows.append((corners[table.object_id], table.cell,
                                          np.asarray(scale.strides)[table.scale_index]))
+                self.decode_rows.append((rng.normal(size=(len(table), 4)),
+                                         np.asarray(scale.gains)[table.scale_index, None]))
         for key, work, unit in (
                 ("ingest.load_coco", loaded.n_annotations, "annotations/s"),
                 ("assign.assign", sum(len(objects) for objects, _ in self.scenes), "objects/s"),
                 ("codec.encode_distances", sum(len(rows[0]) for rows in self.encode_rows),
+                 "boxes/s"),
+                ("codec.decode_distances", sum(len(rows[0]) for rows in self.decode_rows),
                  "boxes/s")):
             self.work[key], self.units[key] = work, unit
         self.round()   # warm up
@@ -191,14 +210,18 @@ class Cases:
             for _ in range(LOSS_CALLS):
                 losses.regression_loss_grad(self.pred, self.truth, kind)
             seconds[f"losses.regression_loss_grad.{kind}"] = time.perf_counter() - t0
-        for cfg, sign in zip(self.configs, (1.0, -1.0)):   # steps, less setup
-            t0 = time.perf_counter()
-            fit.fit_scenes(self.batches[0], cfg, self.kinds)
-            seconds["fit.step"] += sign * (time.perf_counter() - t0)
+        for multitask, key in ((False, "fit.step"), (True, "fit.step.multitask")):
+            for cfg, sign in zip(self.configs[multitask], (1.0, -1.0)):   # steps, less setup
+                t0 = time.perf_counter()
+                fit.fit_scenes(self.batches[0], cfg, self.kinds)
+                seconds[key] += sign * (time.perf_counter() - t0)
         t0 = time.perf_counter()
         for scenes in self.batches:
-            fit.compare_losses(scenes, self.configs[0], self.kinds)
-        seconds["fit.compare_losses"] = time.perf_counter() - t0
+            fit.compare_losses(scenes, self.configs[False][0], self.kinds)
+        t1 = time.perf_counter()
+        fit.compare_losses(self.compare_scenes, self.configs[False][0], self.kinds)
+        seconds["fit.compare_losses"] = t1 - t0
+        seconds[self.compare_key] = time.perf_counter() - t1
 
         t0 = time.perf_counter()
         self.detbox.ingest.load_coco(self.coco_path)
@@ -208,18 +231,22 @@ class Cases:
         t2 = time.perf_counter()
         for rows in self.encode_rows:
             self.detbox.codec.encode_distances(*rows)
+        t3 = time.perf_counter()
+        for rows in self.decode_rows:
+            self.detbox.codec.decode_distances(*rows)
         seconds["ingest.load_coco"], seconds["assign.assign"] = t1 - t0, t2 - t1
-        seconds["codec.encode_distances"] = time.perf_counter() - t2
+        seconds["codec.encode_distances"] = t3 - t2
+        seconds["codec.decode_distances"] = time.perf_counter() - t3
         return seconds
 
 
-def worker(src: Path, images: int, sizes: list[int]) -> int:
+def worker(src: Path, images: int, sizes: list[int], n_scenes: int) -> int:
     """Serve rounds over stdin/stdout: one line in, one JSON line out."""
     sys.path.insert(0, str(src))
     import detbox
     import detbox.gradcheck  # noqa: F401   (the loss cases draw their pairs with it)
 
-    cases = Cases(detbox, images, sizes)
+    cases = Cases(detbox, images, sizes, n_scenes)
     try:
         print(json.dumps({"work": cases.work, "units": cases.units}), flush=True)
         for _ in sys.stdin:
@@ -246,12 +273,14 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=9)
     parser.add_argument("--images", type=int, default=200, help="infer-stream pool size")
     parser.add_argument("--sizes", default="1000,5000", help="table sizes for suppress and nms")
+    parser.add_argument("--scenes", type=int, default=100,
+                        help="scene count of the one-call compare_losses case")
     parser.add_argument("--output", type=Path, default=ROOT / "BENCH_1.json")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     sizes = [int(n) for n in args.sizes.split(",")]
     if args.worker:
-        return worker(args.worker, args.images, sizes)
+        return worker(args.worker, args.images, sizes, args.scenes)
 
     with tempfile.TemporaryDirectory() as scratch:
         checkouts = {"working tree": ROOT}
@@ -266,7 +295,7 @@ def main(argv=None) -> int:
         for name, root in checkouts.items():
             workers[name] = subprocess.Popen(
                 [sys.executable, __file__, "--worker", str(root / "src"), "--images",
-                 str(args.images), "--sizes", args.sizes],
+                 str(args.images), "--sizes", args.sizes, "--scenes", str(args.scenes)],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         try:
             heads = {name: json.loads(w.stdout.readline()) for name, w in workers.items()}

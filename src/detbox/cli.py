@@ -173,12 +173,14 @@ def _resolve(args: argparse.Namespace) -> EffectiveConfig:
     return EffectiveConfig(**values)
 
 
+def _config_line(echo: dict) -> str:
+    """The ``# config:`` header line of a CSV or JSONL output."""
+    return "# config: " + json.dumps(echo, sort_keys=True) + "\n"
+
+
 def _csv_text(echo: dict, header: list[str], rows: list[list]) -> str:
-    lines = ["# config: " + json.dumps(echo, sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return _config_line(echo) + "\n".join(lines) + "\n"
 
 
 def _json_text(echo: dict, payload: dict) -> str:
@@ -198,8 +200,7 @@ def _mode_from_args(args) -> AssignMode:
     )
 
 
-def _cmd_encode(args) -> int:
-    cfg = _resolve(args)
+def _cmd_encode(args, cfg: EffectiveConfig) -> int:
     mode = _mode_from_args(args)
     result = load_coco(args.scene)
     scale = cfg.scale()
@@ -214,8 +215,7 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
-    cfg = _resolve(args)
+def _cmd_gradcheck(args, cfg: EffectiveConfig) -> int:
     result = run_gradcheck(
         kind=args.loss,
         samples=args.samples,
@@ -260,8 +260,7 @@ def _fit_config(args, cfg: EffectiveConfig, **extra) -> FitConfig:
                      mode=_mode_from_args(args), scale=cfg.scale(), **extra)
 
 
-def _cmd_fit(args) -> int:
-    cfg = _resolve(args)
+def _cmd_fit(args, cfg: EffectiveConfig) -> int:
     scenes = _scenes_from_args(args, cfg, n_scenes=1)
     fit_cfg = _fit_config(args, cfg, loss=args.loss, multitask=args.multitask)
     reports = fit_scenes(scenes, fit_cfg)[0]
@@ -289,8 +288,7 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_compare_losses(args) -> int:
-    cfg = _resolve(args)
+def _cmd_compare_losses(args, cfg: EffectiveConfig) -> int:
     kinds = _parse_list(str)(args.losses)
     scenes = _scenes_from_args(args, cfg, n_scenes=args.scenes)
     rows = compare_losses(scenes, _fit_config(args, cfg), kinds)
@@ -307,8 +305,7 @@ def _cmd_compare_losses(args) -> int:
     return 0
 
 
-def _cmd_assign_stats(args) -> int:
-    cfg = _resolve(args)
+def _cmd_assign_stats(args, cfg: EffectiveConfig) -> int:
     mode = _mode_from_args(args)
     result = load_coco(args.scene)
     stats = dataset_stats(result.scenes, cfg.scale(), mode)
@@ -327,8 +324,7 @@ def _cmd_assign_stats(args) -> int:
     return 0
 
 
-def _cmd_audit(args) -> int:
-    cfg = _resolve(args)
+def _cmd_audit(args, cfg: EffectiveConfig) -> int:
     result = load_coco(args.scene)
     stats = dataset_stats(result.scenes, cfg.scale(), AssignMode(location_strategy="center"))
     echo = cfg.echo(command="audit", scene=str(args.scene))
@@ -336,8 +332,7 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def _cmd_nms(args) -> int:
-    cfg = _resolve(args)
+def _cmd_nms(args, cfg: EffectiveConfig) -> int:
     try:
         text = Path(args.detections).read_text()
     except OSError as exc:
@@ -346,13 +341,11 @@ def _cmd_nms(args) -> int:
     confident = table.select(table.score >= cfg.conf_threshold)
     kept = nms(confident, cfg.nms_threshold)
     echo = cfg.echo(command="nms", n_input=len(table), n_kept=len(kept))
-    body = "# config: " + json.dumps(echo, sort_keys=True) + "\n" + detections_to_jsonl(kept)
-    _write_atomic(args.output, body)
+    _write_atomic(args.output, _config_line(echo) + detections_to_jsonl(kept))
     return 0
 
 
-def _cmd_detect(args) -> int:
-    cfg = _resolve(args)
+def _cmd_detect(args, cfg: EffectiveConfig) -> int:
     archive = np.load(args.grid)
     if not isinstance(archive, np.lib.npyio.NpzFile):
         raise ValueError(f"grid {args.grid}: not an np.savez archive")
@@ -367,8 +360,7 @@ def _cmd_detect(args) -> int:
           f"dropped_degenerate={decoded.dropped_degenerate} "
           f"dets_out={len(decoded.detections)} kept={len(kept)}", file=sys.stderr)
     echo = cfg.echo(command="detect", grid=str(args.grid))
-    _write_atomic(args.output, "# config: " + json.dumps(echo, sort_keys=True) + "\n"
-                  + detections_to_jsonl(kept))
+    _write_atomic(args.output, _config_line(echo) + detections_to_jsonl(kept))
     return 0
 
 
@@ -469,7 +461,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, _resolve(args))
     except (CocoFormatError, CodecError, AssignmentError, GeometryError, ValueError, OSError,
             zipfile.BadZipFile) as exc:
         print(f"detbox {args.command}: error: {exc}", file=sys.stderr)

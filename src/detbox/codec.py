@@ -94,13 +94,16 @@ class ScaleConfig:
         """The same strides and gains sized to an image.
 
         Returns ``self`` when the size already matches, else a cached copy
-        validated like any new config: a size that some stride does not
-        divide raises :class:`CodecError` on every call.
+        validated like any new config: a size that is not a whole number,
+        or that some stride does not divide, raises :class:`CodecError` on
+        every call.
         """
-        image_w, image_h = int(image_w), int(image_h)
         if (image_w, image_h) == (self.image_w, self.image_h):
             return self
-        return _resized(self, image_w=image_w, image_h=image_h)
+        w, h = int(image_w), int(image_h)
+        if (w, h) != (image_w, image_h):
+            raise CodecError(f"image size must be whole numbers, got {image_w:.9g}x{image_h:.9g}")
+        return _resized(self, image_w=w, image_h=h)
 
 
 _resized = functools.lru_cache(maxsize=256)(replace)   # a raised CodecError is never cached

@@ -25,6 +25,7 @@ IoU over time, and how many update steps each object needed to cross the
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from .assign import AssignMode, AssignmentTable, assign
 from .codec import ScaleConfig, decode_with_jacobian
 from .geom import BoundingBox, iou_xyxy, to_corner
 from .ingest import Scene
-from .losses import LOSS_KINDS, head_losses, plan_loss_grad
+from .losses import LOSS_KINDS, bce_with_logits, plan_loss_grad
 
 
 @dataclass(frozen=True)
@@ -255,17 +256,19 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
         cls_labels[np.arange(n_keys), rec.class_id[first_sorted]] = 1.0
         cls_div = (key_count * key_classes)[:, None]
 
-    def objective(loss: np.ndarray, i: int):
-        """Scene i's objective under each kind, from the (kinds, rows) losses."""
+    def objectives(loss: np.ndarray) -> list:
+        """Each scene's objective under each kind, from the (kinds, rows) losses."""
         if not cfg.multitask:
-            return loss[:, rec_off[i]:rec_off[i + 1]].sum(axis=1)
-        scales, cls = range(i * n_scales, (i + 1) * n_scales), slice(n_classes[i])
-        heads = head_losses(*zip(*[(obj_logits[key_in[g]], np.ones(key_in[g].size),
-                                    cls_logits[key_in[g], cls], cls_labels[key_in[g], cls])
-                                   for g in scales]))
+            return [loss[:, rec_off[i]:rec_off[i + 1]].sum(axis=1) for i in range(len(scenes))]
+        obj, cls = bce_with_logits(obj_logits, 1.0), bce_with_logits(cls_logits, cls_labels)
+        # per (scene, scale), the mean objectness and class cross entropy; the
+        # kinds share them, and an empty group adds 0
+        heads = [(float(np.mean(obj[k])), float(np.mean(cls[k, :n_classes[g // n_scales]])))
+                 if k.size else (0.0, 0.0) for g, k in enumerate(key_in)]
         # per scale, mean box + objectness + class, summed over the scales in order
-        return [sum((float(np.mean(k_loss[rec_in[g]])) if rec_in[g].size else 0.0) + obj + c
-                    for g, (obj, c) in zip(scales, heads)) for k_loss in loss]
+        return [[sum((float(np.mean(k_loss[rec_in[g]])) if rec_in[g].size else 0.0)
+                     + heads[g][0] + heads[g][1] for g in range(i * n_scales, (i + 1) * n_scales))
+                 for k_loss in loss] for i in range(len(scenes))]
 
     logits = np.zeros((n_kinds * n_keys, 4))
     loss_trace = np.empty((cfg.steps + 1, len(scenes), n_kinds))
@@ -277,7 +280,7 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
         d, jacobian = decode_with_jacobian(logits[row_key], gain)
         iou_trace[step] = best_iou_per_object(d)
         loss, grad_d = loss_grad(d)
-        loss_trace[step] = [objective(loss, i) for i in range(len(scenes))]
+        loss_trace[step] = objectives(loss)
         if step == cfg.steps:
             break
 
@@ -313,14 +316,8 @@ def fit_scene(scene: Scene, cfg: FitConfig = FitConfig()) -> FitReport:
 
 def _median_steps(values: list) -> float:
     """Median where never-converged counts as infinity."""
-    vals = sorted(math.inf if v is None else float(v) for v in values)
-    if not vals:
-        return math.inf
-    mid = len(vals) // 2
-    if len(vals) % 2:
-        return vals[mid]
-    lo, hi = vals[mid - 1], vals[mid]
-    return math.inf if math.isinf(lo) or math.isinf(hi) else (lo + hi) / 2
+    vals = [math.inf if v is None else float(v) for v in values]
+    return statistics.median(vals) if vals else math.inf
 
 
 def compare_losses(

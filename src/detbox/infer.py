@@ -78,6 +78,8 @@ class PredictionGrid:
     levels: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        if any(np.iscomplexobj(a) for a in self.levels):   # a float cast drops the imaginary part
+            raise ValueError("levels must be real, got a complex array")
         object.__setattr__(
             self, "levels", tuple(np.asarray(a, dtype=float) for a in self.levels)
         )

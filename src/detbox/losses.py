@@ -39,8 +39,6 @@ exclude their neighborhoods.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .codec import RegressionTarget, decode_with_jacobian
@@ -69,9 +67,6 @@ def sdiou_loss(pred, truth, rho: float = 1.0) -> np.ndarray:
 
 
 def _plan_sdiou(t: np.ndarray, kind, rho: float, ndim: int):
-    if not 0 <= rho < np.inf:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-
     def step(p: np.ndarray):
         diff = t - p
         s = np.add.reduce(diff * diff, axis=-1)
@@ -244,6 +239,8 @@ def plan_loss_grad(truth, kind, pred_shape, rho: float = 1.0):
     t, shape = _dist_array(truth), tuple(pred_shape)
     if bad := [k for k in ([kind] if isinstance(kind, str) else kind) if k not in LOSS_KINDS]:
         raise ValueError(f"unknown loss kind {bad[0]!r}; valid: {', '.join(LOSS_KINDS)}")
+    if not 0 <= rho < np.inf:   # read by sdiou alone, but checked for every kind
+        raise ValueError(f"rho must be >= 0, got {rho}")
     if isinstance(kind, str):
         run = next(plan for names, plan in _PLANNERS if kind in names)(
             t, kind, rho, max(len(shape), t.ndim))
@@ -307,7 +304,7 @@ def logit_loss_grad(
     return loss, grad_d * jac
 
 
-# --- composite objective ----------------------------------------------------
+# --- head terms of the multitask objective in fit.fit_scenes ---------------
 
 
 def bce_with_logits(logits, labels) -> np.ndarray:
@@ -320,16 +317,3 @@ def bce_with_logits(logits, labels) -> np.ndarray:
     if np.any((y != 0.0) & (y != 1.0)):
         raise ValueError("labels must be 0 or 1")
     return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-
-
-def head_losses(obj_logits: Sequence[np.ndarray], obj_labels: Sequence[np.ndarray],
-                cls_logits: Sequence[np.ndarray],
-                cls_labels: Sequence[np.ndarray]) -> list[tuple[float, float]]:
-    """Per scale, the mean objectness and mean class binary cross entropy from
-    logits (an empty array contributes 0). The multitask objective of
-    :func:`~detbox.fit.fit_scenes` adds them to each scale's mean box loss.
-    They do not depend on the box loss, so box losses of several kinds can
-    share them."""
-    means = [[float(np.mean(b)) if b.size else 0.0 for b in map(bce_with_logits, z, y)]
-             for z, y in ((obj_logits, obj_labels), (cls_logits, cls_labels))]
-    return list(zip(*means))

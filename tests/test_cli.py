@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,8 +119,9 @@ class TestGradcheck:
         assert a.read_bytes() == b.read_bytes()
 
     def test_negative_rho_exits_2(self, capsys):
-        assert main(["gradcheck", "--rho", "-1", "--samples", "20"]) == 2
-        assert "rho must be >= 0" in capsys.readouterr().err
+        for kind in ("sdiou", "mse"):   # rho is checked for every kind, not only where it is read
+            assert main(["gradcheck", "--loss", kind, "--rho", "-1", "--samples", "20"]) == 2
+            assert "rho must be >= 0, got -1.0" in capsys.readouterr().err
 
     def test_impossible_tolerance_fails_with_1(self, tmp_path):
         code = main(["gradcheck", "--samples", "20", "--tolerance", "1e-18",
@@ -180,6 +182,11 @@ class TestGradcheck:
      "learning_rate must be finite and > 0"),
     (["fit", "--rho", "nan", "--steps", "3"], "rho must be >= 0"),
     (["gradcheck", "--rho", "nan", "--samples", "5"], "rho must be >= 0"),
+    (["fit", "--loss", "giou", "--rho", "inf", "--steps", "3"], "rho must be >= 0"),
+    (["fit", "--loss", "ciou", "--rho", "nan", "--steps", "3"], "rho must be >= 0"),
+    (["gradcheck", "--loss", "mse", "--rho", "nan", "--samples", "5"], "rho must be >= 0"),
+    (["compare-losses", "--losses", "giou,mse", "--rho", "inf", "--scenes", "1", "--steps", "3"],
+     "rho must be >= 0"),
     (["detect", "--grid", "GRID", "--conf-threshold", "nan"], "conf_threshold must be finite"),
     (["detect", "--grid", "GRID", "--nms-threshold", "nan"], "nms_threshold must be finite"),
     (["detect", "--grid", "GRID", "--nms-threshold", "inf"], "nms_threshold must be finite"),
@@ -187,12 +194,15 @@ class TestGradcheck:
     (["nms", "--detections", "DETS", "--nms-threshold", "nan"], "nms_threshold must be finite"),
     (["nms", "--detections", "DETS", "--nms-threshold", "inf"], "nms_threshold must be finite"),
 ], ids=["fit-lr-nan", "compare-losses-lr-inf", "fit-rho-nan", "gradcheck-rho-nan",
+        "fit-giou-rho-inf", "fit-ciou-rho-nan", "gradcheck-mse-rho-nan",
+        "compare-losses-giou-mse-rho-inf",
         "detect-conf-nan", "detect-nms-nan", "detect-nms-inf",
         "nms-conf-nan", "nms-nms-nan", "nms-nms-inf"])
 def test_non_finite_setting_exits_2(argv, message, tmp_path, capsys):
-    # a NaN or infinite step never converges, and a NaN rho is no verdict on the
-    # gradients; a NaN confidence threshold keeps nothing and a NaN or infinite
-    # IoU threshold suppresses nothing, on inputs that are valid otherwise
+    # a NaN or infinite step never converges, and a NaN or infinite rho is no
+    # verdict on the gradients, whether the kind reads it or not; a NaN confidence
+    # threshold keeps nothing and a NaN or infinite IoU threshold suppresses
+    # nothing, on inputs that are valid otherwise
     dets = tmp_path / "dets.jsonl"
     dets.write_text(_det_line(0, 0, 10, 10, 0.9, 1) + "\n")
     files = {"GRID": str(_detect_grid(tmp_path)[0]), "DETS": str(dets)}
@@ -222,8 +232,9 @@ class TestFit:
         assert main(["fit", "--loss", "hinge"]) == 2
 
     def test_negative_rho_exits_2(self, capsys):
-        assert main(["fit", "--rho", "-1", "--steps", "3"]) == 2
-        assert "rho must be >= 0" in capsys.readouterr().err
+        for kind in ("sdiou", "giou"):   # rho is checked for every kind, not only where it is read
+            assert main(["fit", "--loss", kind, "--rho", "-1", "--steps", "3"]) == 2
+            assert "rho must be >= 0, got -1.0" in capsys.readouterr().err
 
     def test_scale_flags_reach_the_harness(self, tmp_path):
         # a single-stride pyramid leaves at most 3 positive cells per object
@@ -315,6 +326,20 @@ class TestAssignStats:
         err = capsys.readouterr().err
         assert f"{worked_scene}: field '{field}' in {where} is not a number: {value!r}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["assign-stats"], ["encode"], ["audit"],
+                                      ["fit", "--steps", "1"]], ids=lambda a: a[0])
+    def test_fractional_image_size_exits_2(self, worked_scene, capsys, argv):
+        # the center test reads the true width, so a center at x = 640.2 is inside
+        # it; the pyramid has no fractional size to truncate it to
+        doc = json.loads(worked_scene.read_text())
+        doc["images"][0]["width"] = 640.5
+        doc["annotations"].append({"id": 2, "image_id": 1, "category_id": 1,
+                                   "bbox": [630.2, 50, 20, 20]})
+        worked_scene.write_text(json.dumps(doc))
+        assert main([*argv, "--scene", str(worked_scene)]) == 2
+        err = capsys.readouterr().err
+        assert f"detbox {argv[0]}: error: image size must be whole numbers, got 640.5x480\n" == err
 
     @pytest.mark.parametrize("section, field, value", [
         ("images", "id", [1]), ("annotations", "image_id", [1]),
@@ -610,7 +635,7 @@ class TestDetectCommand:
                      "--output", str(out)]) == 0
         assert [d.class_id for d in detections_from_jsonl(out.read_text())] == [2]
 
-    @pytest.mark.parametrize("bad", ["missing_key", "level_count", "shape", "not_npz"])
+    @pytest.mark.parametrize("bad", ["missing_key", "level_count", "shape", "not_npz", "complex"])
     def test_bad_grid_exits_2(self, tmp_path, capsys, bad):
         _, levels, _ = _detect_grid(tmp_path)
         path = tmp_path / "bad.npz"
@@ -620,11 +645,16 @@ class TestDetectCommand:
             np.savez(path, *levels[:2])
         elif bad == "shape":
             np.savez(path, levels[0][:-1], *levels[1:])
+        elif bad == "complex":   # a float cast would drop the imaginary part
+            np.savez(path, levels[0], levels[1] + 1j, levels[2])
         else:
             path.write_text("not an archive")
-        assert main(["detect", "--grid", str(path)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no ComplexWarning either
+            assert main(["detect", "--grid", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("detbox detect: error:") and "Traceback" not in err
+        assert ("levels must be real" in err) == (bad == "complex")
 
 
 def _tie_heavy_detections(path, n=400, seed=7):

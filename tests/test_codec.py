@@ -70,6 +70,14 @@ class TestScaleConfig:
         with pytest.raises(CodecError, match="does not divide image size 640x427"):
             scale.for_image(640, 427)
 
+    @pytest.mark.parametrize("size, shown", [((640.5, 480), "640.5x480"),
+                                             ((640.0, 479.75), "640x479.75")])
+    def test_for_image_rejects_a_size_that_is_not_whole(self, scale, size, shown):
+        # truncating would size the pyramid to an image the file never states
+        for _ in range(2):   # and a raised error is never cached
+            with pytest.raises(CodecError, match=f"image size must be whole numbers, got {shown}$"):
+                scale.for_image(*size)
+
     def test_for_image_copy_equals_replace(self):
         base = ScaleConfig(strides=(8, 24, 72), gains=(2.0, 4.0, 16.0), image_w=576, image_h=576)
         assert base.for_image(1152, 288.0) == replace(base, image_w=1152, image_h=288)

@@ -135,10 +135,15 @@ class TestMultitask:
         assert multi.loss_trace[0] > 3 * 2 * math.log(2)
         assert plain.loss_trace[0] > 0
 
-    def test_three_term_sum(self):
+    @pytest.mark.parametrize("spec, finest_empty", [
+        (SceneSpec(n_objects=3), False),
+        (SceneSpec(n_objects=3, size_min=150.0, size_max=160.0), True),
+    ], ids=["every-scale", "empty-finest-scale"])
+    def test_three_term_sum(self, spec, finest_empty):
         # at zero logits each scale with records costs its mean box loss plus
-        # ln 2 for objectness and ln 2 for class, unweighted, in scale order
-        scene = generate_scene(SceneSpec(n_objects=3), seed=5)
+        # ln 2 for objectness and ln 2 for class, unweighted, in scale order;
+        # a scale without usable records contributes 0
+        scene = generate_scene(spec, seed=5)
         cfg = FitConfig(steps=0, multitask=True)
         scale = cfg.scale.for_image(scene.image_w, scene.image_h)
         table = assign(list(scene.objects), scale, cfg.mode)
@@ -146,6 +151,7 @@ class TestMultitask:
         usable = np.all((table.target > 0.0) & (table.target < 4.0 * gain), axis=1)
         box = sdiou_loss(decode_distances(np.zeros(4), gain[usable]), table.target[usable])
         at = table.scale_index[usable]
+        assert (0 not in at) == finest_empty
         expected = sum(box[at == k].mean() + 2 * math.log(2) for k in np.unique(at))
         assert fit_scene(scene, cfg).loss_trace[0] == pytest.approx(expected, rel=1e-12)
 

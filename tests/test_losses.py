@@ -23,7 +23,7 @@ from detbox import gradcheck
 from detbox.codec import decode_distances, encode_logit_array
 from detbox.gradcheck import central_diff, run_gradcheck, sample_pair
 from detbox.losses import (
-    LOSS_KINDS, DegenerateGeometryError, head_losses, logit_loss_grad, plan_loss_grad,
+    LOSS_KINDS, DegenerateGeometryError, logit_loss_grad, plan_loss_grad,
 )
 
 
@@ -372,30 +372,27 @@ class TestPlannedStep:
         step = plan_loss_grad(np.ones((3, 4)) * 2.0, ("giou", "mse"), (2, 3, 4))
         with pytest.raises(ValueError, match=r"planned for prediction rows of shape \(2, 3, 4\)"):
             step(np.ones((2, 1, 4)))
-        with pytest.raises(ValueError, match="rho must be >= 0"):
-            plan_loss_grad(np.ones(4), ("mse", "sdiou"), (2, 4), rho=-1.0)
+        for kind in (("mse", "sdiou"), "giou", ("mse", "ciou")):   # not only where sdiou reads it
+            with pytest.raises(ValueError, match=r"rho must be >= 0, got -1\.0"):
+                plan_loss_grad(np.ones(4), kind, (2, 4), rho=-1.0)
         with pytest.raises(ValueError, match="'huber'.*valid"):
             plan_loss_grad(np.ones(4), "huber", (4,))
 
 
 class TestMultitask:
     def test_zero_logits_cost_ln2(self):
-        # one (objectness, class) pair per scale; an empty array contributes 0
-        heads = head_losses([np.array([0.0]), np.array([0.0, 0.0])],
-                            [np.array([1.0]), np.array([1.0, 1.0])],
-                            [np.array([[0.0]]), np.zeros((0, 3))],
-                            [np.array([[0.0]]), np.zeros((0, 3))])
-        np.testing.assert_allclose(heads, [(math.log(2), math.log(2)), (math.log(2), 0.0)],
-                                   atol=1e-12)
+        # each objectness and class term costs ln 2 at zero logits, either label
+        out = bce_with_logits(np.zeros((2, 3)), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        np.testing.assert_allclose(out, math.log(2), atol=1e-12)
 
     def test_saturated_logits_vanish(self):
-        heads = head_losses([np.full(4, 40.0)] * 3, [np.ones(4)] * 3,
-                            [np.full((4, 2), -40.0)] * 3, [np.zeros((4, 2))] * 3)
-        assert len(heads) == 3 and max(map(max, heads)) < 1e-12
+        out = bce_with_logits(np.array([[40.0, -40.0, -40.0]] * 4), np.eye(1, 3).repeat(4, 0))
+        assert out.shape == (4, 3) and out.max() < 1e-12
+        assert bce_with_logits(np.full(4, 40.0), 1.0).max() < 1e-12
 
     def test_label_validation(self):
         with pytest.raises(ValueError, match="labels"):
-            head_losses([np.array([1.0])], [np.array([0.5])], [np.zeros(0)], [np.zeros(0)])
+            bce_with_logits(np.array([1.0]), np.array([0.5]))
 
     def test_bce_stability(self):
         z = np.array([-800.0, 800.0, 0.0])
