@@ -35,9 +35,9 @@ Cases, keyed like perfbench's spans:
   objectness and class terms to every step;
 - ``fit.compare_losses``: steps/s of loss-study's timed calls,
   ``compare_losses`` at its step count on its three batches;
-- ``fit.compare_losses.N``: scenes/s of one ``compare_losses`` call on N
-  one-object synthetic scenes at seeds 0 to N - 1, as
-  ``detbox compare-losses --scenes N`` runs it (N = 100);
+- ``fit.compare_losses.100``: scenes/s of one ``compare_losses`` call on
+  ``COMPARE_SCENES`` (100) one-object synthetic scenes at seeds 0 to 99, as
+  ``detbox compare-losses --scenes 100`` runs it;
 - ``ingest.load_coco``: annotations/s of one load of coco-stats' document
   (perfbench/coco_stats.py, seed 1);
 - ``assign.assign``: objects/s of one ``assign`` call per scene of that
@@ -81,6 +81,8 @@ from common import environment, source_lines  # noqa: E402
 
 CLASSES, STRIDES, GAINS = 80, (8, 16, 32), (2.0, 4.0, 16.0)
 LOSS_PAIRS, LOSS_CALLS = 200, 50   # rows per regression_loss_grad call, calls per round
+COMPARE_SCENES = 100   # the scene count of ROADMAP aim 1's loss comparison
+COMPARE_KEY = f"fit.compare_losses.{COMPARE_SCENES}"
 
 
 def dense_grid(detbox, n: int, seed: int = 0):
@@ -104,7 +106,7 @@ def dense_grid(detbox, n: int, seed: int = 0):
 class Cases:
     """The inputs of every case, built once; ``round()`` times each case once."""
 
-    def __init__(self, detbox, images: int, sizes: list[int], n_scenes: int):
+    def __init__(self, detbox, images: int, sizes: list[int]):
         import coco_stats
         import infer_stream
         import loss_study
@@ -130,9 +132,8 @@ class Cases:
         steps = loss_study.STEPS
         self.configs = {multitask: [detbox.FitConfig(steps=n, multitask=multitask)
                                     for n in (steps, 0)] for multitask in (False, True)}
-        self.compare_key = f"fit.compare_losses.{n_scenes}"
         self.compare_scenes = [detbox.generate_scene(detbox.SceneSpec(), i)
-                               for i in range(n_scenes)]
+                               for i in range(COMPARE_SCENES)]
         for kind in detbox.losses.LOSS_KINDS:
             self.work[f"losses.regression_loss_grad.{kind}"] = LOSS_CALLS * LOSS_PAIRS
             self.units[f"losses.regression_loss_grad.{kind}"] = "pairs/s"
@@ -141,7 +142,7 @@ class Cases:
         self.work["fit.compare_losses"] = sum(map(len, self.batches)) * len(self.kinds) * steps
         for key in ("fit.step", "fit.step.multitask", "fit.compare_losses"):
             self.units[key] = "steps/s"
-        self.work[self.compare_key], self.units[self.compare_key] = n_scenes, "scenes/s"
+        self.work[COMPARE_KEY], self.units[COMPARE_KEY] = COMPARE_SCENES, "scenes/s"
 
         self.coco_dir = tempfile.TemporaryDirectory()
         self.coco_path = coco_stats.CocoStats(1, detbox, Path(self.coco_dir.name)).path
@@ -221,7 +222,7 @@ class Cases:
         t1 = time.perf_counter()
         fit.compare_losses(self.compare_scenes, self.configs[False][0], self.kinds)
         seconds["fit.compare_losses"] = t1 - t0
-        seconds[self.compare_key] = time.perf_counter() - t1
+        seconds[COMPARE_KEY] = time.perf_counter() - t1
 
         t0 = time.perf_counter()
         self.detbox.ingest.load_coco(self.coco_path)
@@ -240,13 +241,13 @@ class Cases:
         return seconds
 
 
-def worker(src: Path, images: int, sizes: list[int], n_scenes: int) -> int:
+def worker(src: Path, images: int, sizes: list[int]) -> int:
     """Serve rounds over stdin/stdout: one line in, one JSON line out."""
     sys.path.insert(0, str(src))
     import detbox
     import detbox.gradcheck  # noqa: F401   (the loss cases draw their pairs with it)
 
-    cases = Cases(detbox, images, sizes, n_scenes)
+    cases = Cases(detbox, images, sizes)
     try:
         print(json.dumps({"work": cases.work, "units": cases.units}), flush=True)
         for _ in sys.stdin:
@@ -273,14 +274,12 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=9)
     parser.add_argument("--images", type=int, default=200, help="infer-stream pool size")
     parser.add_argument("--sizes", default="1000,5000", help="table sizes for suppress and nms")
-    parser.add_argument("--scenes", type=int, default=100,
-                        help="scene count of the one-call compare_losses case")
     parser.add_argument("--output", type=Path, default=ROOT / "BENCH_1.json")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     sizes = [int(n) for n in args.sizes.split(",")]
     if args.worker:
-        return worker(args.worker, args.images, sizes, args.scenes)
+        return worker(args.worker, args.images, sizes)
 
     with tempfile.TemporaryDirectory() as scratch:
         checkouts = {"working tree": ROOT}
@@ -295,7 +294,7 @@ def main(argv=None) -> int:
         for name, root in checkouts.items():
             workers[name] = subprocess.Popen(
                 [sys.executable, __file__, "--worker", str(root / "src"), "--images",
-                 str(args.images), "--sizes", args.sizes, "--scenes", str(args.scenes)],
+                 str(args.images), "--sizes", args.sizes],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         try:
             heads = {name: json.loads(w.stdout.readline()) for name, w in workers.items()}

@@ -102,7 +102,7 @@ class ScaleConfig:
             return self
         w, h = int(image_w), int(image_h)
         if (w, h) != (image_w, image_h):
-            raise CodecError(f"image size must be whole numbers, got {image_w:.9g}x{image_h:.9g}")
+            raise CodecError(f"image size must be whole numbers, got {image_w:.17g}x{image_h:.17g}")
         return _resized(self, image_w=w, image_h=h)
 
 

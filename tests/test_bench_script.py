@@ -22,7 +22,7 @@ CASES = {"infer.decode_grid": "cells/s", "infer.e2e.call": "images/s",
          **{f"losses.regression_loss_grad.{kind}": "pairs/s"
             for kind in ("sdiou", "mse", "iou", "giou", "diou", "ciou")},
          "fit.step": "steps/s", "fit.step.multitask": "steps/s",
-         "fit.compare_losses": "steps/s", "fit.compare_losses.3": "scenes/s",
+         "fit.compare_losses": "steps/s", "fit.compare_losses.100": "scenes/s",
          "ingest.load_coco": "annotations/s", "assign.assign": "objects/s",
          "codec.encode_distances": "boxes/s", "codec.decode_distances": "boxes/s"}
 FIELDS = {"unit", "work", "min_s", "median_s", "rate_at_min", "rate_at_median"}
@@ -31,7 +31,7 @@ FIELDS = {"unit", "work", "min_s", "median_s", "rate_at_min", "rate_at_median"}
 def run_bench(tmp_path, *extra):
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(ROOT / "bench" / "layers.py"), "--images", "2",
-                    "--rounds", "2", "--sizes", "30,60", "--scenes", "3", "--output", str(out),
+                    "--rounds", "2", "--sizes", "30,60", "--output", str(out),
                     *extra],
                    cwd=ROOT, check=True, capture_output=True, timeout=300)
     return json.loads(out.read_text())
@@ -57,7 +57,7 @@ def test_writes_every_case_with_the_environment(tmp_path):
     assert layers["infer.decode_grid"]["work"] == 2 * (80 * 80 + 40 * 40 + 20 * 20)
     # (scene, kind) steps over loss-study's four kinds: 2 scenes, then 6 in three batches
     assert layers["fit.step"]["work"] == layers["fit.step.multitask"]["work"] == 2 * 4 * STEPS
-    assert layers["fit.compare_losses.3"]["work"] == 3
+    assert layers["fit.compare_losses.100"]["work"] == 100
     assert layers["fit.compare_losses"]["work"] == 6 * 4 * STEPS
 
 

@@ -71,9 +71,12 @@ class TestScaleConfig:
             scale.for_image(640, 427)
 
     @pytest.mark.parametrize("size, shown", [((640.5, 480), "640.5x480"),
-                                             ((640.0, 479.75), "640x479.75")])
+                                             ((640.0, 479.75), "640x479.75"),
+                                             ((640.0000000001, 480), "640.00000000010004x480"),
+                                             ((1234567890.5, 480), "1234567890.5x480")])
     def test_for_image_rejects_a_size_that_is_not_whole(self, scale, size, shown):
-        # truncating would size the pyramid to an image the file never states
+        # truncating would size the pyramid to an image the file never states,
+        # and a size close to whole must not print as one
         for _ in range(2):   # and a raised error is never cached
             with pytest.raises(CodecError, match=f"image size must be whole numbers, got {shown}$"):
                 scale.for_image(*size)
