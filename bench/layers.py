@@ -27,6 +27,9 @@ Cases, keyed like perfbench's spans:
 - ``losses.regression_loss_grad.<kind>``: pairs/s of one call per kind on
   200 seeded (prediction, truth) rows, drawn as the gradient checker draws
   them;
+- ``gradcheck.run_gradcheck``: samples/s of loss-study's gradcheck
+  operations at seed 1, each a ``run_gradcheck`` call per loss kind at
+  that kind's fd step and loss-study's sample count;
 - ``fit.step``: steps/s of the fit loop alone on loss-study's 1+20-object
   batch (perfbench/loss_study.py, seed 1): the seconds of ``fit_scenes`` at
   loss-study's step count minus those at 0 steps, so assignment and setup
@@ -128,7 +131,11 @@ class Cases:
         rng = np.random.default_rng(1)
         pairs = [detbox.gradcheck.sample_pair(rng, detbox.ScaleConfig()) for _ in range(LOSS_PAIRS)]
         self.pred, self.truth = (np.array(rows) for rows in list(zip(*pairs))[:2])
-        self.kinds, self.batches = loss_study.KINDS, loss_study.LossStudy(1, detbox).batches
+        self.study = loss_study.LossStudy(1, detbox)
+        self.kinds, self.batches = loss_study.KINDS, self.study.batches
+        self.work["gradcheck.run_gradcheck"] = (len(self.study.gradcheck_seeds) * len(self.kinds)
+                                                * loss_study.SAMPLES_PER_KIND)
+        self.units["gradcheck.run_gradcheck"] = "samples/s"
         steps = loss_study.STEPS
         self.configs = {multitask: [detbox.FitConfig(steps=n, multitask=multitask)
                                     for n in (steps, 0)] for multitask in (False, True)}
@@ -211,6 +218,10 @@ class Cases:
             for _ in range(LOSS_CALLS):
                 losses.regression_loss_grad(self.pred, self.truth, kind)
             seconds[f"losses.regression_loss_grad.{kind}"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        for seed in self.study.gradcheck_seeds:
+            self.study.gradcheck(seed)
+        seconds["gradcheck.run_gradcheck"] = time.perf_counter() - t0
         for multitask, key in ((False, "fit.step"), (True, "fit.step.multitask")):
             for cfg, sign in zip(self.configs[multitask], (1.0, -1.0)):   # steps, less setup
                 t0 = time.perf_counter()
@@ -245,7 +256,7 @@ def worker(src: Path, images: int, sizes: list[int]) -> int:
     """Serve rounds over stdin/stdout: one line in, one JSON line out."""
     sys.path.insert(0, str(src))
     import detbox
-    import detbox.gradcheck  # noqa: F401   (the loss cases draw their pairs with it)
+    import detbox.gradcheck  # noqa: F401   (the loss and gradcheck cases use it)
 
     cases = Cases(detbox, images, sizes)
     try:

@@ -195,9 +195,10 @@ def encode_logit_array(d: np.ndarray, gain) -> np.ndarray:
     first offending entry, by component (``l``, ``t``, ``r``, ``b``) when
     the last axis holds distance quadruples.
     """
-    d, gain = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(gain, dtype=float))
+    d, gain = np.asarray(d, dtype=float), np.asarray(gain, dtype=float)
     bad = (d <= 0.0) | (d >= 4.0 * gain)
     if np.any(bad):
+        d, gain = np.broadcast_arrays(d, gain)
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         name = "ltrb"[idx[-1]] if d.shape[-1:] == (4,) else "d"
         raise CodecError(

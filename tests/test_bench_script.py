@@ -13,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from loss_study import STEPS  # noqa: E402
+from loss_study import GRADCHECK_OPS, KINDS, SAMPLES_PER_KIND, STEPS  # noqa: E402
 
 CASES = {"infer.decode_grid": "cells/s", "infer.e2e.call": "images/s",
          "infer.e2e.read_kept": "images/s", "infer.suppress.30": "detections/s",
@@ -21,6 +21,7 @@ CASES = {"infer.decode_grid": "cells/s", "infer.e2e.call": "images/s",
          "infer.nms.60": "detections/s",
          **{f"losses.regression_loss_grad.{kind}": "pairs/s"
             for kind in ("sdiou", "mse", "iou", "giou", "diou", "ciou")},
+         "gradcheck.run_gradcheck": "samples/s",
          "fit.step": "steps/s", "fit.step.multitask": "steps/s",
          "fit.compare_losses": "steps/s", "fit.compare_losses.100": "scenes/s",
          "ingest.load_coco": "annotations/s", "assign.assign": "objects/s",
@@ -59,6 +60,9 @@ def test_writes_every_case_with_the_environment(tmp_path):
     assert layers["fit.step"]["work"] == layers["fit.step.multitask"]["work"] == 2 * 4 * STEPS
     assert layers["fit.compare_losses.100"]["work"] == 100
     assert layers["fit.compare_losses"]["work"] == 6 * 4 * STEPS
+    # loss-study's gradcheck operations: one run_gradcheck call per kind
+    assert layers["gradcheck.run_gradcheck"]["work"] == (
+        GRADCHECK_OPS * len(KINDS) * SAMPLES_PER_KIND)
 
 
 def test_compare_times_a_revision_too(tmp_path):

@@ -168,6 +168,19 @@ class TestGradcheck:
         assert main(["gradcheck", "--samples", "5", "--fd-step", step]) == 2
         assert "fd step must be finite and nonzero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--tolerance", "-1"], "tolerance must be finite and > 0, got -1.0"),
+        (["--tolerance", "0"], "tolerance must be finite and > 0, got 0.0"),
+        # 0.1 rejects every draw; 0.01 leaves no box width to draw
+        (["--gains", "0.1,0.1,0.1"], "at gains (0.1, 0.1, 0.1)"),
+        (["--gains", "0.01,0.01,0.01"], "at gains (0.01, 0.01, 0.01)"),
+    ], ids=["tolerance-negative", "tolerance-zero", "gains-0.1", "gains-0.01"])
+    def test_unusable_setting_exits_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "gc.json"
+        assert main(["gradcheck", "--samples", "5", *flags, "--output", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_image_passes(self, tmp_path):
         # 96 pixels cannot hold the 6-stride boxes drawn on larger images
         out = tmp_path / "gc.json"
@@ -193,16 +206,22 @@ class TestGradcheck:
     (["nms", "--detections", "DETS", "--conf-threshold", "nan"], "conf_threshold must be finite"),
     (["nms", "--detections", "DETS", "--nms-threshold", "nan"], "nms_threshold must be finite"),
     (["nms", "--detections", "DETS", "--nms-threshold", "inf"], "nms_threshold must be finite"),
+    (["gradcheck", "--tolerance", "nan", "--samples", "5"],
+     "tolerance must be finite and > 0, got nan"),
+    (["gradcheck", "--tolerance", "inf", "--samples", "5"],
+     "tolerance must be finite and > 0, got inf"),
 ], ids=["fit-lr-nan", "compare-losses-lr-inf", "fit-rho-nan", "gradcheck-rho-nan",
         "fit-giou-rho-inf", "fit-ciou-rho-nan", "gradcheck-mse-rho-nan",
         "compare-losses-giou-mse-rho-inf",
         "detect-conf-nan", "detect-nms-nan", "detect-nms-inf",
-        "nms-conf-nan", "nms-nms-nan", "nms-nms-inf"])
+        "nms-conf-nan", "nms-nms-nan", "nms-nms-inf",
+        "gradcheck-tolerance-nan", "gradcheck-tolerance-inf"])
 def test_non_finite_setting_exits_2(argv, message, tmp_path, capsys):
     # a NaN or infinite step never converges, and a NaN or infinite rho is no
     # verdict on the gradients, whether the kind reads it or not; a NaN confidence
     # threshold keeps nothing and a NaN or infinite IoU threshold suppresses
-    # nothing, on inputs that are valid otherwise
+    # nothing, and a NaN gradcheck tolerance fails every check and an infinite
+    # one none, on inputs that are valid otherwise
     dets = tmp_path / "dets.jsonl"
     dets.write_text(_det_line(0, 0, 10, 10, 0.9, 1) + "\n")
     files = {"GRID": str(_detect_grid(tmp_path)[0]), "DETS": str(dets)}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from detbox import (
     BoundingBox,
@@ -26,6 +26,20 @@ from detbox.codec import (
 )
 
 from conftest import random_box
+
+
+def reference_encode_logit_array(d, gain):
+    """``encode_logit_array`` with its operands broadcast before the range test."""
+    d, gain = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(gain, dtype=float))
+    bad = (d <= 0.0) | (d >= 4.0 * gain)
+    if np.any(bad):
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        name = "ltrb"[idx[-1]] if d.shape[-1:] == (4,) else "d"
+        raise CodecError(
+            f"component {name}={d[idx]:.6g} at index {idx} not representable: "
+            f"open interval (0, {4.0 * gain[idx]:.6g})"
+        )
+    return logit(np.sqrt(d / gain) / 2.0)
 
 
 class TestScaleConfig:
@@ -207,6 +221,26 @@ class TestEncodeLogit:
             encode_logit_array(np.array([2, 2, 8.0, 2]), scale.gains[0])
         with pytest.raises(CodecError, match="t="):
             encode_logit_array(np.array([2, 0.0, 2, 2]), scale.gains[0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=st.integers(2, 6), data=st.data(), per_row=st.booleans(),
+           points=st.booleans(), width=st.sampled_from([4, 3]))
+    def test_later_row_names_the_same_entry(self, rows, data, per_row, points, width):
+        # the first bad entry sits in a later row, among more bad entries
+        gain = np.array([2.0, 4.0, 16.0, 0.5, 1.0, 8.0])[:rows, None] if per_row else 2.0
+        row_gain = np.broadcast_to(gain, (rows, 1))
+        d = 1.5 * row_gain * np.ones(width)
+        for _ in range(data.draw(st.integers(1, 3))):
+            row = data.draw(st.integers(1, rows - 1))
+            col = data.draw(st.integers(0, width - 1))
+            d[row, col] = data.draw(st.sampled_from([0.0, -1.0, 4.0, 1e9])) * row_gain[row, 0]
+        if points:   # run_gradcheck's (n, 1, 4) points against (n, 1, 1) gains
+            d, gain = d[:, None], np.asarray(gain)[..., None]
+        with pytest.raises(CodecError) as want:
+            reference_encode_logit_array(d, gain)
+        with pytest.raises(CodecError) as got:
+            encode_logit_array(d, gain)
+        assert str(got.value) == str(want.value)
 
     def test_round_trip(self, scale, rng):
         for i, g in enumerate(scale.gains):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from detbox import (
     sdiou_loss,
 )
 from detbox import gradcheck
-from detbox.codec import decode_distances, encode_logit_array
+from detbox.codec import decode_distances, encode_distances, encode_logit_array
 from detbox.gradcheck import central_diff, run_gradcheck, sample_pair
 from detbox.losses import (
     LOSS_KINDS, DegenerateGeometryError, logit_loss_grad, plan_loss_grad,
@@ -218,6 +219,106 @@ class TestLogitGradients:
             denom = max(np.linalg.norm(grad), np.linalg.norm(fd), 1e-8)
             worst = max(worst, np.linalg.norm(grad - fd) / denom)
         assert worst < 1e-5
+
+
+# --- referees: the array-test sampler and the two-call gradcheck loop ---------
+
+
+def _reference_near_switch(pred, truth, margin):
+    if np.any(np.abs(pred - truth) < margin):
+        return True
+    wi = min(truth[0], pred[0]) + min(truth[2], pred[2]) - 1.0
+    hi = min(truth[1], pred[1]) + min(truth[3], pred[3]) - 1.0
+    return abs(wi) < margin or abs(hi) < margin
+
+
+def reference_sample_pair(rng, scale, margin=1e-3, max_tries=1000):
+    """``sample_pair`` with its accept tests on arrays."""
+    for _ in range(max_tries):
+        scale_index = int(rng.integers(scale.num_scales))
+        stride = scale.strides[scale_index]
+        gain = scale.gains[scale_index]
+        top = min(6.0 * stride, 3.0 * gain * stride)
+        w = rng.uniform(0.2 * stride, min(top, scale.image_w - 2))
+        h = rng.uniform(0.2 * stride, min(top, scale.image_h - 2))
+        cx = rng.uniform(w / 2 + 1, scale.image_w - w / 2 - 1)
+        cy = rng.uniform(h / 2 + 1, scale.image_h - h / 2 - 1)
+        corners = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+        truth = encode_distances(corners, (int(cx // stride), int(cy // stride)), stride)
+        if np.any(truth >= 4.0 * gain):
+            continue
+        pred = decode_distances(rng.uniform(-2.5, 2.5, size=4), gain)
+        if _reference_near_switch(pred, truth, margin):
+            continue
+        return pred, truth, scale_index
+    raise RuntimeError("could not sample a pair away from gradient switch points")
+
+
+def _reference_worst_rel_err(a, b):
+    na, nb, nd = (np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) for x in (a, b, a - b))
+    err = nd / np.maximum(np.maximum(na, nb), 1e-8)
+    return float(np.max(np.where(np.isnan(err), np.inf, err)))
+
+
+def reference_gradcheck(kind, samples, seed, scale=ScaleConfig(), rho=1.0, h=None):
+    """``run_gradcheck`` as one batch of two loss calls: distances, then logits."""
+    h = gradcheck.FD_STEPS[kind] if h is None else h
+    rng = np.random.default_rng(seed)
+    preds, truths, scale_index = zip(*(reference_sample_pair(rng, scale) for _ in range(samples)))
+    pred, truth = np.stack(preds)[:, None], np.stack(truths)[:, None]
+    gain = np.asarray(scale.gains)[list(scale_index)][:, None, None]
+    logits = encode_logit_array(pred, gain)
+    step = h * np.eye(4)
+    worst = []
+    for fn, x in ((lambda d: regression_loss_grad(d, truth, kind, rho), pred),
+                  (lambda p: logit_loss_grad(p, truth, gain, kind, rho), logits)):
+        loss, grad = fn(np.concatenate([x, x + step, x - step], axis=1))
+        fd = (loss[:, 1:5] - loss[:, 5:]) / (2.0 * h)
+        worst.append(_reference_worst_rel_err(grad[:, 0], fd))
+    return gradcheck.GradcheckResult(kind, samples, *worst, 1e-5, h)
+
+
+SAMPLER_SCALES = (
+    ScaleConfig(),
+    ScaleConfig(strides=(8, 24, 72), gains=(2.0, 4.0, 16.0), image_w=576, image_h=576),
+    ScaleConfig(image_w=320, image_h=96),
+)
+
+
+class TestGradcheckReferees:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), which=st.sampled_from(range(len(SAMPLER_SCALES))),
+           draws=st.integers(1, 12))
+    def test_sample_pair_equals_array_sampler(self, seed, which, draws):
+        scale = SAMPLER_SCALES[which]
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            pred, truth, si = sample_pair(mine, scale)
+            ref_pred, ref_truth, ref_si = reference_sample_pair(theirs, scale)
+            assert si == ref_si
+            assert pred.tobytes() == ref_pred.tobytes() and truth.tobytes() == ref_truth.tobytes()
+        assert mine.random() == theirs.random()
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), samples=st.sampled_from([1, 2, 7]),
+           h=st.sampled_from([None, 1e-4, 1e-6]), rho=st.sampled_from([0.0, 0.5, 1.0]),
+           chunk=st.sampled_from([1, 3, gradcheck.CHUNK_SAMPLES]))
+    def test_gradcheck_equals_two_call_loop(self, kind, seed, samples, h, rho, chunk):
+        want = reference_gradcheck(kind, samples, seed, rho=rho, h=h)
+        with mock.patch.object(gradcheck, "CHUNK_SAMPLES", chunk):
+            got = run_gradcheck(kind, samples=samples, seed=seed, rho=rho, h=h)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("gains", [(0.1, 0.1, 0.1), (0.01, 0.01, 0.01), (0.01, 4.0, 16.0)])
+    def test_gains_too_small_to_draw_from_raise(self, gains):
+        with pytest.raises(ValueError, match=rf"at gains \({gains[0]}, "):
+            run_gradcheck(samples=5, scale=ScaleConfig(gains=gains))
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0, 0.0])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        with pytest.raises(ValueError, match=f"tolerance must be finite and > 0, got {tolerance}"):
+            run_gradcheck(samples=5, tolerance=tolerance)
 
 
 class TestBaselines:
