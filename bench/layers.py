@@ -43,6 +43,9 @@ Cases, keyed like perfbench's spans:
   ``detbox compare-losses --scenes 100`` runs it;
 - ``ingest.load_coco``: annotations/s of one load of coco-stats' document
   (perfbench/coco_stats.py, seed 1);
+- ``ingest.dataset_stats``: objects/s of one ``dataset_stats`` call on
+  every scene of that document whose size every stride divides, empty
+  ones too, as ``detbox assign-stats`` runs it on a file of such scenes;
 - ``assign.assign``: objects/s of one ``assign`` call per scene of that
   document that has objects and a size every stride divides, as
   ``dataset_stats`` calls it;
@@ -154,13 +157,14 @@ class Cases:
         self.coco_dir = tempfile.TemporaryDirectory()
         self.coco_path = coco_stats.CocoStats(1, detbox, Path(self.coco_dir.name)).path
         loaded = detbox.ingest.load_coco(self.coco_path)
-        # the inputs of assign, encode_distances and decode_distances
-        self.scenes, self.encode_rows, self.decode_rows = [], [], []
+        # the inputs of dataset_stats, assign, encode_distances and decode_distances
+        self.sized, self.scenes, self.encode_rows, self.decode_rows = [], [], [], []
         for scene in loaded.scenes:
             try:
                 scale = detbox.ScaleConfig().for_image(scene.image_w, scene.image_h)
             except detbox.CodecError:   # a size no stride divides fails the scene
                 continue
+            self.sized.append(scene)
             if objects := list(scene.objects):
                 table = detbox.assign(objects, scale)
                 corners = np.array([[b.x1, b.y1, b.x2, b.y2] for b, _ in objects])
@@ -171,6 +175,7 @@ class Cases:
                                          np.asarray(scale.gains)[table.scale_index, None]))
         for key, work, unit in (
                 ("ingest.load_coco", loaded.n_annotations, "annotations/s"),
+                ("ingest.dataset_stats", sum(len(s.objects) for s in self.sized), "objects/s"),
                 ("assign.assign", sum(len(objects) for objects, _ in self.scenes), "objects/s"),
                 ("codec.encode_distances", sum(len(rows[0]) for rows in self.encode_rows),
                  "boxes/s"),
@@ -238,17 +243,19 @@ class Cases:
         t0 = time.perf_counter()
         self.detbox.ingest.load_coco(self.coco_path)
         t1 = time.perf_counter()
+        self.detbox.ingest.dataset_stats(self.sized, self.detbox.ScaleConfig())
+        t2 = time.perf_counter()
         for objects, scale in self.scenes:
             self.detbox.assign(objects, scale)
-        t2 = time.perf_counter()
+        t3 = time.perf_counter()
         for rows in self.encode_rows:
             self.detbox.codec.encode_distances(*rows)
-        t3 = time.perf_counter()
+        t4 = time.perf_counter()
         for rows in self.decode_rows:
             self.detbox.codec.decode_distances(*rows)
-        seconds["ingest.load_coco"], seconds["assign.assign"] = t1 - t0, t2 - t1
-        seconds["codec.encode_distances"] = t3 - t2
-        seconds["codec.decode_distances"] = time.perf_counter() - t3
+        seconds["ingest.load_coco"], seconds["ingest.dataset_stats"] = t1 - t0, t2 - t1
+        seconds["assign.assign"], seconds["codec.encode_distances"] = t3 - t2, t4 - t3
+        seconds["codec.decode_distances"] = time.perf_counter() - t4
         return seconds
 
 

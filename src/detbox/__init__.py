@@ -10,6 +10,7 @@ from .assign import (
     AssignmentTable,
     apply_scale_constraints,
     assign,
+    assign_scenes,
     center_collision_audit,
 )
 from .codec import (
@@ -70,6 +71,7 @@ __all__ = [
     "SceneSpec",
     "apply_scale_constraints",
     "assign",
+    "assign_scenes",
     "bce_with_logits",
     "center_cell",
     "center_collision_audit",

@@ -12,7 +12,9 @@ and grid clipping, never on its width or height, so the positive-sample
 count per object is size-independent. Alternative strategies (segment
 midpoints, box corners) and per-scale size constraints are provided for
 ablation studies. :func:`assign` evaluates every candidate cell of a scene
-in one array pass and returns an :class:`AssignmentTable` of columns.
+in one array pass and returns an :class:`AssignmentTable` of columns;
+:func:`assign_scenes` runs the same pass over many scenes at once, each
+sized to its own image.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codec import RegressionTarget, ScaleConfig, encode, encode_distances
+from .codec import CodecError, RegressionTarget, ScaleConfig, encode, encode_distances
 from .geom import BoundingBox, iou, to_corner
 
 
@@ -45,6 +48,9 @@ _GROUPS = {
     "four_corners_plus_center": ("corners", "center"),
 }
 LOCATION_STRATEGIES = tuple(_GROUPS)
+# (k, k) masks of j < i, to drop a candidate that repeats an earlier one;
+# np.tril would build the mask again on every call
+_BELOW = functools.cache(lambda k: np.tri(k, k, -1, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,7 @@ class AssignmentRecord:
 
 @dataclass(frozen=True, eq=False)
 class AssignmentTable:
-    """All positive samples of a scene as columns, one row per record.
+    """All positive samples of one or more scenes as columns, one row per record.
 
     ``object_id``, ``class_id``, ``scale_index`` and ``quadrant`` are
     ``(n,)`` ints, ``cell`` is ``(n, 2)`` ints and ``target`` is ``(n, 4)``
@@ -148,8 +154,47 @@ def assign(
     strictly inside the image, and :class:`~detbox.codec.CodecError` for a
     center-cell distance that is not positive.
     """
+    return _assign(objects, (scale.image_w, scale.image_h), scale, mode)
+
+
+def assign_scenes(
+    scenes: Sequence,
+    scale: ScaleConfig,
+    mode: AssignMode = AssignMode(),
+) -> tuple[AssignmentTable, np.ndarray]:
+    """:func:`assign` on each :class:`~detbox.ingest.Scene` and ``scale``
+    sized to its image by ``for_image``, all in one array pass.
+
+    Returns one table, object ids numbered across the scenes, and the
+    offsets: scene ``i`` owns ids ``offsets[i]`` up to ``offsets[i + 1]``.
+    An error is the one that those calls, in scene order, raise first.
+    """
+    sized = []
+    try:
+        for scene in scenes:
+            sized.append(scale.for_image(scene.image_w, scene.image_h))
+        counts = [len(scene.objects) for scene in scenes]
+        sizes = [(s.image_w, s.image_h) for s in sized]
+        # one (w, h) when the scenes share a size, else one per object
+        image = sizes[0] if len(set(sizes)) == 1 else np.repeat(sizes, counts, 0).reshape(-1, 2)
+        objects = [o for scene in scenes for o in scene.objects]
+        return _assign(objects, image, scale, mode), np.array([0, *accumulate(counts)])
+    except (AssignmentError, CodecError):
+        # an error of the pass names neither its scene nor that scene's size,
+        # and an earlier scene may fail too: replay the scenes sized so far,
+        # one by one, so that the first to fail raises its own error
+        for scene, cfg in zip(scenes, sized):
+            assign(scene.objects, cfg, mode)
+        raise
+
+
+def _assign(objects, image, scale: ScaleConfig, mode: AssignMode) -> AssignmentTable:
+    """:func:`assign`'s array pass, ``image`` one (w, h) or one per object."""
+    if not objects and mode.scale_thresholds is None:   # the pass's columns, without its cost
+        return AssignmentTable(*np.zeros((3, 0), np.int64), np.zeros((0, 2), np.int64),
+                               np.zeros((0, 4)), np.zeros(0, np.int64))
     boxes = np.array([(b.cx, b.cy, b.w, b.h) for b, _ in objects], dtype=float).reshape(-1, 4)
-    image = np.array([scale.image_w, scale.image_h])
+    image = np.asarray(image)                                          # (2,) or (objects, 2)
     outside = np.flatnonzero(~((0 < boxes[:, :2]) & (boxes[:, :2] < image)).all(axis=1))
     if outside.size:
         i = int(outside[0])
@@ -174,8 +219,8 @@ def assign(
     }
     cand = np.concatenate([groups[g]() for g in _GROUPS[mode.location_strategy]], axis=-2)
     z = np.ascontiguousarray(cand).view(complex)[..., 0]   # (objects, scales, k): (x, y) as one
-    keep = ~np.tril(z[..., :, None] == z[..., None, :], -1).any(axis=-1)
-    inside = (cand >= 0) & (cand < image // s)
+    keep = ~((z[..., :, None] == z[..., None, :]) & _BELOW(z.shape[-1])).any(axis=-1)
+    inside = (cand >= 0) & (cand < image[..., None, None, :] // s)  # each object's grid
     keep &= inside[..., 0] & inside[..., 1]
 
     object_id, scale_index, _ = np.nonzero(keep)

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assign import LOCATION_STRATEGIES, AssignMode, AssignmentError, assign
+from .assign import LOCATION_STRATEGIES, AssignMode, AssignmentError, assign_scenes
 from .codec import CodecError, ScaleConfig
 from .fit import FitConfig, SceneSpec, check_size_bounds, compare_losses, fit_scenes, generate_scene
 from .geom import GeometryError
@@ -202,13 +202,13 @@ def _mode_from_args(args) -> AssignMode:
 
 def _cmd_encode(args, cfg: EffectiveConfig) -> int:
     mode = _mode_from_args(args)
-    result = load_coco(args.scene)
-    scale = cfg.scale()
-    rows = []
-    for scene in result.scenes:
-        t = assign(list(scene.objects), scale.for_image(scene.image_w, scene.image_h), mode)
-        columns = (t.object_id, t.class_id, t.scale_index, *t.cell.T, *t.target.T)
-        rows += ([scene.source_id, *row] for row in zip(*(c.tolist() for c in columns)))
+    scenes = load_coco(args.scene).scenes
+    t, offsets = assign_scenes(scenes, cfg.scale(), mode)
+    scene_of = np.searchsorted(offsets, t.object_id, side="right") - 1
+    object_id = t.object_id - offsets[scene_of]   # numbered within its scene
+    columns = (scene_of, object_id, t.class_id, t.scale_index, *t.cell.T, *t.target.T)
+    ids = [scene.source_id for scene in scenes]
+    rows = [[ids[i], *row] for i, *row in zip(*(c.tolist() for c in columns))]
     echo = cfg.echo(command="encode", mode=mode.location_strategy, scene=str(args.scene))
     header = ["scene", "object", "class", "scale", "cell_x", "cell_y", "l", "t", "r", "b"]
     _write_atomic(args.output, _csv_text(echo, header, rows))

@@ -7,11 +7,12 @@ decoded boxes toward the ground truth, isolating the loss geometry from
 optimizer tricks. Logits start at zero, so every decoded distance starts
 at its scale's gain.
 
-One engine, :func:`fit_scenes`, runs every fit. It assigns each scene once,
-concatenates the usable records of all scenes, keeps one logit copy per
-loss kind, and steps them all in a single loop. The loss call is planned
-once per fit; each step makes one decode (one ``expit``) and one planned
-loss call over every kind's rows, and does the rest once over every row.
+One engine, :func:`fit_scenes`, runs every fit. It assigns all scenes in
+one :func:`~detbox.assign.assign_scenes` call, keeps the usable records,
+keeps one logit copy per loss kind, and steps them all in a single loop.
+The loss call is planned once per fit; each step makes one decode (one
+``expit``) and one planned loss call over every kind's rows, and does the
+rest once over every row.
 :func:`fit_scene` and :func:`compare_losses` call it.
 
 Records whose targets fall outside the representable open interval
@@ -26,12 +27,12 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
 
-from .assign import AssignMode, AssignmentTable, assign
+from .assign import AssignMode, assign_scenes
 from .codec import ScaleConfig, decode_with_jacobian
 from .geom import BoundingBox, iou_xyxy, to_corner
 from .ingest import Scene
@@ -195,23 +196,19 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
     kinds = (cfg.loss,) if kinds is None else tuple(kinds)
     for kind in kinds:
         replace(cfg, loss=kind)  # FitConfig rejects an unknown kind
+    table, obj_off = assign_scenes(scenes, cfg.scale, cfg.mode)   # checks the mode on no scenes too
     if not scenes or not kinds:
         return [[] for _ in kinds]
     # every scene's pyramid has the configured strides and gains
     gains, n_scales, n_kinds = np.array(cfg.scale.gains), cfg.scale.num_scales, len(kinds)
-    tables, n_excluded = [], []
-    for scene in scenes:
-        scale = cfg.scale.for_image(scene.image_w, scene.image_h)
-        table = assign(list(scene.objects), scale, cfg.mode)
-        limit = 4.0 * gains[table.scale_index, None]
-        tables.append(table.select(np.all((table.target > 0.0) & (table.target < limit), axis=1)))
-        n_excluded.append(len(table) - len(tables[-1]))
-    rec = AssignmentTable(*(np.concatenate([getattr(t, f.name) for t in tables])
-                            for f in fields(AssignmentTable)))
-    rec_off = np.cumsum([0, *map(len, tables)])
-    obj_off = np.cumsum([0, *(len(scene.objects) for scene in scenes)])
-    scene_of = np.repeat(np.arange(len(scenes)), np.diff(rec_off))
-    obj = rec.object_id + obj_off[scene_of]
+    limit = 4.0 * gains[table.scale_index, None]
+    usable = np.all((table.target > 0.0) & (table.target < limit), axis=1)
+    rec = table.select(usable)
+    obj = rec.object_id                              # numbered across the scenes
+    scene_of_obj = np.repeat(np.arange(len(scenes)), np.diff(obj_off))
+    n_excluded = np.bincount(scene_of_obj[table.object_id[~usable]], minlength=len(scenes))
+    scene_of = scene_of_obj[obj]
+    rec_off = np.searchsorted(obj, obj_off).tolist()   # rows run by object, so by scene
     group = scene_of * n_scales + rec.scale_index    # one group per (scene, scale)
     # one logit set per (scene, scale, cell, quadrant), numbered by first occurrence
     keys = np.column_stack([scene_of, rec.scale_index, rec.cell, rec.quadrant])
@@ -248,7 +245,8 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
         key_in = [np.flatnonzero(key_group == g) for g in range(n_groups)]
         # objectness and class logits do not depend on the kind; class logits
         # are padded to the widest scene's class count, and nothing reads the pad
-        n_classes = [int(t.class_id.max()) + 1 if len(t) else 1 for t in tables]
+        n_classes = [int(rec.class_id[a:b].max()) + 1 if b > a else 1
+                     for a, b in zip(rec_off, rec_off[1:])]
         key_classes = np.array(n_classes)[scene_of[first_sorted]]
         obj_logits = np.zeros(n_keys)
         cls_logits = np.zeros((n_keys, max(n_classes)))
@@ -291,20 +289,22 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
             obj_logits -= cfg.learning_rate * ((expit(obj_logits) - 1.0) / key_count)
             cls_logits -= cfg.learning_rate * ((expit(cls_logits) - cls_labels) / cls_div)
 
+    has_records = np.zeros(n_objects, dtype=bool)
+    has_records[obj] = True
     reports = [[] for _ in kinds]
     for k, kind in enumerate(kinds):
-        for i, table in enumerate(tables):
+        for i in range(len(scenes)):
             trace = iou_trace[:, k, obj_off[i]:obj_off[i + 1]].copy()
             final = trace[-1].copy()
             included = final[~np.isnan(final)]
-            excluded = np.setdiff1d(np.arange(obj_off[i + 1] - obj_off[i]), table.object_id)
+            excluded = np.flatnonzero(~has_records[obj_off[i]:obj_off[i + 1]])
             reports[k].append(FitReport(
                 loss_kind=kind, steps=cfg.steps, learning_rate=cfg.learning_rate,
                 loss_trace=loss_trace[:, i, k].copy(), iou_trace=trace, final_iou=final,
                 steps_to_iou90=_steps_to(trace, 0.90), steps_to_iou99=_steps_to(trace, 0.99),
                 success_rate=float(np.mean(included > 0.99)) if included.size else 0.0,
-                excluded_objects=tuple(excluded.tolist()), n_records=len(table),
-                n_records_excluded=n_excluded[i],
+                excluded_objects=tuple(excluded.tolist()), n_records=rec_off[i + 1] - rec_off[i],
+                n_records_excluded=int(n_excluded[i]),
             ))
     return reports
 

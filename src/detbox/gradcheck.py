@@ -46,6 +46,7 @@ class GradcheckResult:
     worst_rel_err_logit: float
     tolerance: float
     fd_step: float
+    samples_per_scale: tuple[int, ...]   # drawn at each scale index; a 0 is a scale unchecked
 
     @property
     def worst_rel_err(self) -> float:
@@ -134,7 +135,8 @@ def run_gradcheck(
 
     ``h`` defaults to the kind's step in :data:`FD_STEPS`; a zero or
     non-finite step, or a tolerance that is not finite and positive,
-    raises :class:`ValueError`.
+    raises :class:`ValueError`. A scale whose gain is too small to draw
+    from is skipped while another can be drawn: ``samples_per_scale`` shows it.
     """
     if samples <= 0:
         raise ValueError(f"samples must be > 0, got {samples}")
@@ -145,11 +147,13 @@ def run_gradcheck(
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     rng = np.random.default_rng(seed)
     worst = np.zeros(2)    # distances, logits
+    per_scale = [0] * scale.num_scales
     step = h * np.eye(4)
     for start in range(0, samples, CHUNK_SAMPLES):
         n = min(CHUNK_SAMPLES, samples - start)
         preds, truths, scale_index = zip(*(sample_pair(rng, scale) for _ in range(n)))
         pred, truth = np.stack(preds)[:, None], np.stack(truths)[:, None]   # (n, 1, 4)
+        per_scale = [count + scale_index.count(k) for k, count in enumerate(per_scale)]
         gain = np.asarray(scale.gains)[list(scale_index)][:, None, None]
         logits = encode_logit_array(pred, gain)
         # each space's point and the rows of both sides, as central_diff builds them
@@ -168,4 +172,5 @@ def run_gradcheck(
         worst_rel_err_logit=float(worst[1]),
         tolerance=tolerance,
         fd_step=h,
+        samples_per_scale=tuple(per_scale),
     )

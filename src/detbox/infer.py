@@ -369,9 +369,10 @@ def detections_from_jsonl(text: str) -> DetectionTable:
     Lines starting with '#' are skipped (file headers). A line's score
     becomes its objectness, its best class score is 1 and its class a
     column, so ranking and class identity survive; the cell does not.
-    Every field must be a finite JSON number, the corners in order, the
-    class and scale whole numbers within int64 (``2.0`` reads as 2) and
-    the class at least 0; any other line raises ``bad detection on line N``.
+    Each line must be a JSON object. Every field must be a finite JSON
+    number, the corners in order, the class and scale whole numbers within
+    int64 (``2.0`` reads as 2) and the class at least 0; any other line
+    raises ``bad detection on line N``.
     """
     floats, ids = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -380,6 +381,8 @@ def detections_from_jsonl(text: str) -> DetectionTable:
             continue
         try:
             rec = json.loads(line)
+            if type(rec) is not dict:
+                raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
             values = [rec[k] for k in _FIELDS]
             for k, v in zip(_FIELDS, values):
                 if type(v) not in (int, float) or not math.isfinite(v):   # bool, str, None, NaN

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .assign import AssignMode, assign, center_collision_audit
+from .assign import AssignMode, assign_scenes, center_collision_audit
 from .codec import ScaleConfig
 from .geom import BoundingBox
 
@@ -184,22 +185,16 @@ def dataset_stats(
     positive samples per object, per-scale record counts, and per-scale
     collision totals with their (scene, cell, objects) details.
     """
-    counts: list[int] = []
-    per_scale_records = np.zeros(scale.num_scales, dtype=np.int64)
+    table, offsets = assign_scenes(scenes, scale, mode)
+    # objects filtered out at every scale still count as zero positives
+    counts = np.bincount(table.object_id, minlength=offsets[-1]).tolist()
     collisions = {i: 0 for i in range(scale.num_scales)}
     details = []
-    n_objects = 0
     for scene in scenes:
-        cfg = scale.for_image(scene.image_w, scene.image_h)
-        n_objects += len(scene.objects)
         if not scene.objects:
             continue
-        table = assign(scene.objects, cfg, mode)
-        # objects filtered out at every scale still count as zero positives
-        counts.extend(np.bincount(table.object_id, minlength=len(scene.objects)).tolist())
-        per_scale_records += np.bincount(table.scale_index, minlength=scale.num_scales)
-        audit = center_collision_audit(scene.objects, cfg)
-        for scale_index, hits in audit.items():
+        # the audit reads only the strides, which every scene's pyramid shares
+        for scale_index, hits in center_collision_audit(scene.objects, scale).items():
             collisions[scale_index] += len(hits)
             for cell, ids in hits:
                 details.append(
@@ -210,18 +205,17 @@ def dataset_stats(
                         "objects": list(ids),
                     }
                 )
-    counts.sort()
-    mid = len(counts) // 2   # the median of integers, as np.median gives it
+    per_scale_records = np.bincount(table.scale_index, minlength=scale.num_scales)
     positives = {
-        "min": counts[0] if counts else 0,
-        "median": (counts[mid] + counts[~mid]) / 2 if counts else 0.0,
-        "max": counts[-1] if counts else 0,
+        "min": min(counts, default=0),
+        "median": float(statistics.median(counts)) if counts else 0.0,
+        "max": max(counts, default=0),
         "total": sum(counts),
         "per_scale": {str(k): int(v) for k, v in enumerate(per_scale_records)},
     }
     return {
         "n_scenes": len(scenes),
-        "n_objects": n_objects,
+        "n_objects": len(counts),
         "positives": positives,
         "collisions": {
             "per_scale": {str(k): int(v) for k, v in collisions.items()},

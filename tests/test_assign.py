@@ -2,6 +2,7 @@
 
 import math
 from collections import defaultdict
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,10 +12,14 @@ from hypothesis import strategies as st
 from detbox import (
     AssignMode,
     AssignmentError,
+    AssignmentTable,
     BoundingBox,
+    CodecError,
+    Scene,
     ScaleConfig,
     apply_scale_constraints,
     assign,
+    assign_scenes,
     center_cell,
     center_collision_audit,
 )
@@ -449,3 +454,99 @@ class TestAuditAgainstReference:
         assert report == {0: [((12, 12), (0, 2))], 1: [((6, 6), (0, 2))], 2: [((3, 3), (0, 2))]}
         assert center_collision_audit([], scale) == reference_audit([], scale)
         assert center_collision_audit([], scale) == {0: [], 1: [], 2: []}
+
+
+def per_scene_assign(scenes, scale, mode):
+    """One ``for_image`` and ``assign`` call per scene in turn, object ids
+    numbered across the scenes: the loop that ``assign_scenes`` replaces."""
+    tables, first = [assign([], scale, mode)], 0   # the columns of no scenes
+    for scene in scenes:
+        table = assign(list(scene.objects), scale.for_image(scene.image_w, scene.image_h), mode)
+        tables.append(AssignmentTable(table.object_id + first,
+                                      *(getattr(table, f.name) for f in fields(table)[1:])))
+        first += len(scene.objects)
+    return AssignmentTable(*(np.concatenate([getattr(t, f.name) for t in tables])
+                             for f in fields(AssignmentTable)))
+
+
+@st.composite
+def _scene_cases(draw):
+    """Scenes of mixed sizes, some empty; some fail, each in one of the ways
+    the per-scene loop can: a size ``for_image`` rejects, a center outside
+    the image, or a center-cell distance that rounds to 0."""
+    _, scale, mode = draw(_assign_cases())   # strides, strategy, thresholds, quadrants
+    unit, fine = scale.strides[-1], scale.strides[0]
+    side = st.integers(1, 1280 // unit).map(lambda k: unit * k)
+    sizes = draw(st.lists(st.tuples(side, side), min_size=1, max_size=3))   # some shared
+    scenes = []
+    for i in range(draw(st.sampled_from([3, 2, 4, 1, 5, 0]))):
+        w, h = draw(st.sampled_from(sizes))
+        # centers on grid lines and midlines too, and boxes wider than the image
+        coord = [st.integers(1, n // 4 - 1).map(lambda k: 4.0 * k)
+                 | st.floats(0, n, exclude_min=True, exclude_max=True) for n in (w, h)]
+        box = st.builds(BoundingBox, *coord, st.floats(0.01, 900.0), st.floats(0.01, 900.0))
+        objects = draw(st.lists(st.tuples(box, st.integers(0, 4)), max_size=5))
+        fault = draw(st.sampled_from([None] * 16 + ["size", "fraction", "outside", "center_cell"]))
+        if fault == "size":
+            w += fine // 2
+        elif fault == "fraction":
+            h += 0.5
+        elif fault == "outside":
+            cx = draw(st.sampled_from([0.0, -3.0, float(w), w + 9.5, math.nan]))
+            objects.insert(draw(st.integers(0, len(objects))), (BoundingBox(cx, 1.0, 2.0, 2.0), 0))
+        elif fault == "center_cell" and w > fine:
+            # the box's right edge rounds onto its center cell's left side
+            cx = float(fine * draw(st.integers(1, w // fine - 1)))
+            objects.append((BoundingBox(cx, h / 2, 1e-15, 4.0), 1))
+        size = draw(st.sampled_from([(w, h), (float(w), float(h))]))
+        scenes.append(Scene(*size, tuple(objects), source_id=str(i)))
+    return scenes, scale, mode
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (AssignmentError, CodecError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAssignScenes:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_scene_cases())
+    def test_equals_per_scene_assign(self, case):
+        scenes, scale, mode = case
+        want = _outcome(per_scene_assign, scenes, scale, mode)
+        got = _outcome(assign_scenes, scenes, scale, mode)
+        if isinstance(want, tuple):   # the first scene that fails, with its own error
+            assert got == want
+            return
+        table, offsets = got
+        assert offsets.tolist() == [0, *np.cumsum([len(s.objects) for s in scenes]).tolist()]
+        for f in fields(AssignmentTable):
+            a, b = getattr(table, f.name), getattr(want, f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+    def test_no_objects_give_the_columns_of_the_array_pass(self, scale):
+        # with thresholds, assign runs its array pass even on no objects
+        full = AssignMode(scale_thresholds=(0, 8, 16, math.inf))
+        none, pass_on_none = assign([], scale), assign([], scale, full)
+        for f in fields(AssignmentTable):
+            got, want = getattr(none, f.name), getattr(pass_on_none, f.name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
+
+    def test_each_scene_is_clipped_to_its_own_grid(self, scale):
+        box = (BoundingBox(318.0, 101.0, 6.0, 6.0), 0)   # past its cell's midlines
+        table, offsets = assign_scenes([Scene(640, 640, (box,)), Scene(320, 320, (box,))], scale)
+        assert offsets.tolist() == [0, 1, 2]
+        small = {(0, (39, 12)), (0, (39, 13)), (1, (19, 6)), (1, (19, 5)), (2, (9, 3)),
+                 (2, (9, 2))}
+        assert _cells(r for r in table if r.object_id == 1) == small
+        assert _cells(r for r in table if r.object_id == 0) == small | {
+            (0, (40, 12)), (1, (20, 6)), (2, (10, 3))}
+
+    def test_the_first_failing_scene_raises(self, scale):
+        outside = Scene(320, 320, ((BoundingBox(400.0, 10.0, 4.0, 4.0), 0),))
+        with pytest.raises(CodecError, match="stride 8 does not divide image size 100x64"):
+            assign_scenes([Scene(640, 640, ()), Scene(100, 64, ()), outside], scale)
+        with pytest.raises(AssignmentError, match=r"object 0 center .* inside image 320x320"):
+            assign_scenes([Scene(640, 640, ()), outside, Scene(100, 64, ())], scale)

@@ -24,7 +24,8 @@ CASES = {"infer.decode_grid": "cells/s", "infer.e2e.call": "images/s",
          "gradcheck.run_gradcheck": "samples/s",
          "fit.step": "steps/s", "fit.step.multitask": "steps/s",
          "fit.compare_losses": "steps/s", "fit.compare_losses.100": "scenes/s",
-         "ingest.load_coco": "annotations/s", "assign.assign": "objects/s",
+         "ingest.load_coco": "annotations/s", "ingest.dataset_stats": "objects/s",
+         "assign.assign": "objects/s",
          "codec.encode_distances": "boxes/s", "codec.decode_distances": "boxes/s"}
 FIELDS = {"unit", "work", "min_s", "median_s", "rate_at_min", "rate_at_median"}
 
@@ -59,6 +60,8 @@ def test_writes_every_case_with_the_environment(tmp_path):
     # (scene, kind) steps over loss-study's four kinds: 2 scenes, then 6 in three batches
     assert layers["fit.step"]["work"] == layers["fit.step.multitask"]["work"] == 2 * 4 * STEPS
     assert layers["fit.compare_losses.100"]["work"] == 100
+    # both count the objects of the scenes whose size every stride divides
+    assert layers["ingest.dataset_stats"]["work"] == layers["assign.assign"]["work"]
     assert layers["fit.compare_losses"]["work"] == 6 * 4 * STEPS
     # loss-study's gradcheck operations: one run_gradcheck call per kind
     assert layers["gradcheck.run_gradcheck"]["work"] == (

@@ -328,6 +328,18 @@ class TestAssignStats:
     def test_missing_path_exits_2(self):
         assert main(["assign-stats", "--scene", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("images", [[{"id": 1, "width": 640, "height": 480}], []])
+    @pytest.mark.parametrize("command", [["assign-stats"], ["encode"], ["fit", "--steps", "2"],
+                                         ["compare-losses", "--steps", "2"]])
+    def test_wrong_threshold_count_exits_2_without_objects(self, tmp_path, capsys, command,
+                                                           images):
+        path, out = tmp_path / "scene.json", tmp_path / "out"
+        path.write_text(json.dumps({"images": images, "annotations": [], "categories": []}))
+        assert main([*command, "--scene", str(path), "--thresholds", "0,inf",
+                     "--output", str(out)]) == 2
+        assert "need 4 thresholds for 3 scales, got 2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value, where", [
         *(("y", v, "bbox of annotation for image 1") for v in (None, "a", True, "10")),
         ("width", "abc", "image 1"), ("width", None, "image 1"),
@@ -588,6 +600,17 @@ class TestNmsCommand:
         assert main(["nms", "--detections", str(src), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert "bad detection on line 2" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, kind", [("[0, 0, 10, 10]", "list"), ('"det"', "str"),
+                                            ("3.5", "float"), ("null", "NoneType")])
+    def test_line_that_is_not_an_object_exits_2(self, tmp_path, capsys, line, kind):
+        src = tmp_path / "dets.jsonl"
+        src.write_text(line + "\n")
+        out = tmp_path / "kept.jsonl"
+        assert main(["nms", "--detections", str(src), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"detbox nms: error: bad detection on line 1: expected a JSON object, got {kind}\n")
         assert not out.exists()
 
     def test_reads_back_what_it_writes(self, tmp_path):

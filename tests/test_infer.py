@@ -751,6 +751,14 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="line 2"):
             detections_from_jsonl(text)
 
+    @pytest.mark.parametrize("line, kind", [("[1, 2]", "list"), ('"x1"', "str"), ("7", "int"),
+                                            ("null", "NoneType")])
+    def test_line_that_is_not_an_object_is_a_bad_line(self, line, kind):
+        good = '{"x1":0,"y1":0,"x2":1,"y2":1,"score":0.5,"class":0,"scale":0}'
+        with pytest.raises(ValueError) as info:
+            detections_from_jsonl(f"{good}\n{line}\n")
+        assert str(info.value) == f"bad detection on line 2: expected a JSON object, got {kind}"
+
     def test_negative_class_is_a_bad_line(self):
         text = ('{"x1":0,"y1":0,"x2":1,"y2":1,"score":0.5,"class":0,"scale":0}\n'
                 '{"x1":0,"y1":0,"x2":1,"y2":1,"score":0.5,"class":-1,"scale":0}\n')

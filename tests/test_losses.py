@@ -275,7 +275,8 @@ def reference_gradcheck(kind, samples, seed, scale=ScaleConfig(), rho=1.0, h=Non
         loss, grad = fn(np.concatenate([x, x + step, x - step], axis=1))
         fd = (loss[:, 1:5] - loss[:, 5:]) / (2.0 * h)
         worst.append(_reference_worst_rel_err(grad[:, 0], fd))
-    return gradcheck.GradcheckResult(kind, samples, *worst, 1e-5, h)
+    per_scale = np.bincount(scale_index, minlength=scale.num_scales)
+    return gradcheck.GradcheckResult(kind, samples, *worst, 1e-5, h, tuple(per_scale.tolist()))
 
 
 SAMPLER_SCALES = (
@@ -314,6 +315,14 @@ class TestGradcheckReferees:
     def test_gains_too_small_to_draw_from_raise(self, gains):
         with pytest.raises(ValueError, match=rf"at gains \({gains[0]}, "):
             run_gradcheck(samples=5, scale=ScaleConfig(gains=gains))
+
+    def test_reports_samples_per_scale(self):
+        # a gain of 0.1 draws no pair at scale 0, so that scale goes unchecked
+        skipped = run_gradcheck(samples=200, scale=ScaleConfig(gains=(0.1, 4.0, 16.0)))
+        assert skipped.passed and skipped.samples_per_scale[0] == 0
+        assert sum(skipped.samples_per_scale) == 200 and min(skipped.samples_per_scale[1:]) > 0
+        full = run_gradcheck(samples=200)
+        assert sum(full.samples_per_scale) == 200 and min(full.samples_per_scale) > 0
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0, 0.0])
     def test_tolerance_must_be_finite_and_positive(self, tolerance):
