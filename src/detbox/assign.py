@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .codec import CodecError, RegressionTarget, ScaleConfig, encode, encode_distances
-from .geom import BoundingBox, iou, to_corner
+from .geom import BoundingBox, overlaps
 
 
 class AssignmentError(ValueError):
@@ -279,15 +279,15 @@ def center_collision_audit(
 
     For each scale, reports ``(cell, object_ids)`` for every cell that is
     the true center cell of at least two objects whose boxes overlap
-    (reference IoU > 0); objects sharing a cell without overlapping are
-    not. A center that is not finite raises :class:`AssignmentError`.
+    (:func:`~detbox.geom.overlaps`: IoU > 0, and a zero-area box overlaps
+    nothing). A center that is not finite raises :class:`AssignmentError`.
     """
     report: dict[int, list[tuple[tuple[int, int], tuple[int, ...]]]] = {}
     centers = np.array([(b.cx, b.cy) for b, _ in objects], dtype=float).reshape(-1, 1, 2)
     cells = np.floor(centers / np.array(scale.strides)[:, None])      # (objects, scales, 2)
     if not np.isfinite(cells).all():
         raise AssignmentError("object center is not finite")
-    corner = functools.cache(lambda i: to_corner(objects[i][0]))
+    boxes = [(b.x1, b.y1, b.x2, b.y2) for b, _ in objects]
     for scale_index, column in enumerate(cells.transpose(1, 0, 2).tolist()):
         keys = list(map(tuple, column))
         hits = report[scale_index] = []
@@ -297,10 +297,8 @@ def center_collision_audit(
         for object_id, key in enumerate(keys):
             by_cell[key].append(object_id)
         for cell, ids in sorted(item for item in by_cell.items() if len(item[1]) > 1):
-            overlapping = tuple(
-                i for i in ids
-                if any(i != j and iou(corner(i), corner(j)) > 0 for j in ids)
-            )
+            overlapping = tuple(i for i in ids
+                                if any(i != j and overlaps(boxes[i], boxes[j]) for j in ids))
             if len(overlapping) >= 2:
                 hits.append(((int(cell[0]), int(cell[1])), overlapping))
     return report

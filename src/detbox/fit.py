@@ -34,9 +34,11 @@ from scipy.special import expit
 
 from .assign import AssignMode, assign_scenes
 from .codec import ScaleConfig, decode_with_jacobian
-from .geom import BoundingBox, iou_xyxy, to_corner
+from .geom import BoundingBox, iou_xyxy
 from .ingest import Scene
 from .losses import LOSS_KINDS, bce_with_logits, plan_loss_grad
+
+N_CLASSES = 3   # synthetic class ids are drawn from range(N_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -58,13 +60,10 @@ class SceneSpec:
     n_objects: int = 1
     size_min: float = 72.0
     size_max: float = 108.0
-    n_classes: int = 3
 
     def __post_init__(self) -> None:
         if self.n_objects < 0:
             raise ValueError(f"n_objects must be >= 0, got {self.n_objects}")
-        if self.n_classes < 1:
-            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
         if not (0 < self.size_min <= self.size_max):
             raise ValueError(
                 f"size bounds must satisfy 0 < min <= max, got "
@@ -87,7 +86,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> Scene:
         h = rng.uniform(spec.size_min, spec.size_max)
         cx = rng.uniform(w / 2, spec.image_w - w / 2)
         cy = rng.uniform(h / 2, spec.image_h - h / 2)
-        class_id = int(rng.integers(0, spec.n_classes))
+        class_id = int(rng.integers(0, N_CLASSES))
         objects.append((BoundingBox(cx, cy, w, h), class_id))
     return Scene(
         image_w=spec.image_w,
@@ -209,13 +208,11 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
     n_excluded = np.bincount(scene_of_obj[table.object_id[~usable]], minlength=len(scenes))
     scene_of = scene_of_obj[obj]
     rec_off = np.searchsorted(obj, obj_off).tolist()   # rows run by object, so by scene
-    group = scene_of * n_scales + rec.scale_index    # one group per (scene, scale)
     # one logit set per (scene, scale, cell, quadrant), numbered by first occurrence
     keys = np.column_stack([scene_of, rec.scale_index, rec.cell, rec.quadrant])
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    first_sorted = np.sort(first)
     n_keys, n_objects = len(first), obj_off[-1]
-    truth = np.array([to_corner(b).as_array() for s in scenes for b, _ in s.objects])
+    truth = np.array([(b.x1, b.y1, b.x2, b.y2) for s in scenes for b, _ in s.objects])
     truth = truth.reshape(-1, 4)[obj]
     gain, stride = gains[rec.scale_index, None], np.array(cfg.scale.strides)[rec.scale_index]
     # rows are (kind, record): kind k owns logit sets [k * n_keys, (k + 1) * n_keys)
@@ -223,26 +220,31 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
     row_key = by_kind * n_keys + np.argsort(np.argsort(first))[inverse.reshape(-1)]
     # one bincount bin per (logit set, component) adds gradients in row order
     bins = (row_key[..., None] * 4 + np.arange(4)).ravel()
-    # rows sorted stably by (kind, object), so an object's best IoU is a max over a run
-    row_obj = (by_kind * n_objects + obj).ravel()
-    by_obj = np.argsort(row_obj, kind="stable")
-    owners, starts = np.unique(row_obj[by_obj], return_index=True)
+    # rows run by (kind, object), so an object's best IoU is a max over a run
+    owners, starts = np.unique(by_kind * n_objects + obj, return_index=True)
     # a box is stride * (corner + d * side): x1 = stride * (x + 1 - l), ..., y2 = stride * (y + b)
     corner, side = np.concatenate([rec.cell + 1.0, rec.cell], axis=1), np.array([-1.0, -1, 1, 1])
 
     def best_iou_per_object(d: np.ndarray) -> np.ndarray:
         best = np.full(n_kinds * n_objects, np.nan)   # NaN for an object without records
         iou = iou_xyxy(stride[:, None] * (corner + d * side), truth).ravel()
-        best[owners] = np.maximum.reduceat(iou[by_obj], starts)
+        best[owners] = np.maximum.reduceat(iou, starts)
         return best.reshape(n_kinds, n_objects)
 
     if cfg.multitask:
+        if (low := rec.class_id.min(initial=0)) < 0:
+            raise ValueError(f"multitask class ids must be >= 0, got {low}")
+        group = scene_of * n_scales + rec.scale_index    # one group per (scene, scale)
+        first_sorted = np.sort(first)
         n_groups, key_group = len(scenes) * n_scales, group[first_sorted]
+        rows_per_group = np.bincount(group, minlength=n_groups)
+        keys_per_group = np.bincount(key_group, minlength=n_groups)
+        # each group's rows and logit sets in ascending order, from one stable sort of each
+        rec_in = np.split(np.argsort(group, kind="stable"), np.cumsum(rows_per_group)[:-1])
+        key_in = np.split(np.argsort(key_group, kind="stable"), np.cumsum(keys_per_group)[:-1])
         # box gradients carry the per-(scene, scale) mean reduction
-        row_count = np.bincount(group, minlength=n_groups)[group, None]
-        key_count = np.bincount(key_group, minlength=n_groups).astype(float)[key_group]
-        rec_in = [np.flatnonzero(group == g) for g in range(n_groups)]
-        key_in = [np.flatnonzero(key_group == g) for g in range(n_groups)]
+        row_count = rows_per_group[group, None]
+        key_count = keys_per_group.astype(float)[key_group]
         # objectness and class logits do not depend on the kind; class logits
         # are padded to the widest scene's class count, and nothing reads the pad
         n_classes = [int(rec.class_id[a:b].max()) + 1 if b > a else 1

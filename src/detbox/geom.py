@@ -120,6 +120,11 @@ def giou(a: CornerBox, b: CornerBox) -> float:
     return inter / union - (hull - union) / hull
 
 
+def overlaps(a: tuple, b: tuple) -> bool:
+    """Whether two (x1, y1, x2, y2) boxes share an area; a zero-area box shares none."""
+    return min(a[2], b[2]) > max(a[0], b[0]) and min(a[3], b[3]) > max(a[1], b[1])
+
+
 def iou_xyxy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise IoU over (..., 4) corner-form arrays, broadcasting over
     paired rows: (n, 4) with (n, 4), or (k, 1, 4) with (n, 4) for a (k, n)

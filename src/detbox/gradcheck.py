@@ -36,6 +36,7 @@ from .losses import regression_loss_grad
 
 FD_STEPS = {"sdiou": 1e-6, "mse": 1e-6, "iou": 1e-4, "giou": 1e-4, "diou": 1e-6, "ciou": 1e-6}
 CHUNK_SAMPLES = 4096 // 18   # 18 rows a sample: about 3 MB of rows per chunk
+SWITCH_MARGIN, MAX_TRIES = 1e-3, 1000   # sample_pair's exclusion margin and draws per pair
 
 
 @dataclass(frozen=True)
@@ -66,25 +67,20 @@ def _worst_rel_err(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(np.where(np.isnan(err), np.inf, err), axis=0)
 
 
-def _near_switch(pred: list, truth: list, margin: float) -> bool:
-    if any(abs(p - t) < margin for p, t in zip(pred, truth)):
+def _near_switch(pred: list, truth: list) -> bool:
+    if any(abs(p - t) < SWITCH_MARGIN for p, t in zip(pred, truth)):
         return True
     wi = min(truth[0], pred[0]) + min(truth[2], pred[2]) - 1.0
     hi = min(truth[1], pred[1]) + min(truth[3], pred[3]) - 1.0
-    return abs(wi) < margin or abs(hi) < margin
+    return abs(wi) < SWITCH_MARGIN or abs(hi) < SWITCH_MARGIN
 
 
-def sample_pair(
-    rng: np.random.Generator,
-    scale: ScaleConfig,
-    margin: float = 1e-3,
-    max_tries: int = 1000,
-) -> tuple[np.ndarray, np.ndarray, int]:
+def sample_pair(rng: np.random.Generator, scale: ScaleConfig) -> tuple[np.ndarray, np.ndarray, int]:
     """One (pred, truth, scale_index) triple away from gradient switches.
 
     Gains too small to encode the boxes drawn raise :class:`ValueError`.
     """
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         scale_index = int(rng.integers(scale.num_scales))
         stride = scale.strides[scale_index]
         gain = scale.gains[scale_index]
@@ -102,7 +98,7 @@ def sample_pair(
         if max(t) >= 4.0 * gain:
             continue
         pred = decode_distances(rng.uniform(-2.5, 2.5, size=4), gain)
-        if _near_switch(pred.tolist(), t, margin):
+        if _near_switch(pred.tolist(), t):
             continue
         return pred, truth, scale_index
     raise ValueError(

@@ -257,6 +257,16 @@ class TestCollisionAudit:
         report = center_collision_audit(objects, scale)
         assert report[2] == [((3, 3), (0, 1))]
 
+    def test_sliver_box_is_in_no_collision(self, scale):
+        # a 1e-14 px wide box at x = 105, whose corners round to x1 == x2,
+        # in the center cell of two overlapping boxes at every scale
+        sliver = BoundingBox(105 + 0.5e-14, 110, 1e-14, 10)
+        assert sliver.x1 == sliver.x2 == 105.0
+        objects = [(BoundingBox(110, 110, 20, 20), 0), (sliver, 1),
+                   (BoundingBox(111, 111, 20, 20), 2)]
+        report = center_collision_audit(objects, scale)
+        assert report == {0: [((13, 13), (0, 2))], 1: [((6, 6), (0, 2))], 2: [((3, 3), (0, 2))]}
+
     def test_center_that_is_not_finite(self, scale):
         with pytest.raises(AssignmentError, match="not finite"):
             center_collision_audit([(BoundingBox(math.nan, 100, 4, 4), 0)], scale)

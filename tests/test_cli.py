@@ -232,6 +232,37 @@ def test_non_finite_setting_exits_2(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["nms", "--detections", "MISSING"], "cannot read detections"),
+    (["nms", "--detections", "REVERSED"], "bad detection on line 1: corners out of order"),
+    (["gradcheck", "--samples", "5", "--config", "MISSING"], "No such file or directory"),
+    (["gradcheck", "--samples", "5", "--config", "NOT_JSON"], "Expecting property name"),
+    (["gradcheck", "--samples", "5", "--config", "LIST"], "expected a JSON object"),
+    (["gradcheck", "--samples", "5", "--config", "NO_STRIDES"],
+     "at least one stride is required"),
+    (["gradcheck", "--samples", "5", "--strides", "0,8"], "strides must be positive"),
+    (["fit", "--objects", "-1", "--steps", "1"], "n_objects must be >= 0, got -1"),
+    (["fit", "--image-size", "96", "--size-max", "100", "--steps", "1"],
+     "size_max must be smaller than the image"),
+], ids=["nms-missing-file", "nms-x2-below-x1", "config-missing-file", "config-not-json",
+        "config-list", "config-no-strides", "zero-stride", "negative-objects",
+        "size-max-above-image"])
+def test_input_that_fails_a_check_exits_2(argv, message, tmp_path, capsys):
+    files = {"MISSING": tmp_path / "missing", "REVERSED": tmp_path / "reversed.jsonl",
+             "NOT_JSON": tmp_path / "not.json", "LIST": tmp_path / "list.json",
+             "NO_STRIDES": tmp_path / "no_strides.json"}
+    files["REVERSED"].write_text(_det_line(10, 0, 5, 10, 0.9, 1) + "\n")
+    files["NOT_JSON"].write_text("{strides: 8}")
+    files["LIST"].write_text("[8, 16]")
+    files["NO_STRIDES"].write_text(json.dumps({"strides": []}))
+    out = tmp_path / "out"
+    assert main([str(files.get(a, a)) for a in argv] + ["--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.err.startswith(f"detbox {argv[0]}: error:") and captured.out == ""
+    assert not out.exists()
+
+
 class TestFit:
     def test_default_single_object_converges(self, tmp_path):
         out = tmp_path / "fit.json"
@@ -264,6 +295,18 @@ class TestFit:
         doc = json.loads(out.read_text())
         assert doc["config"]["strides"] == [8]
         assert doc["reports"][0]["n_records"] <= 3
+
+    def test_negative_class_id_exits_2_with_multitask(self, worked_scene, tmp_path, capsys):
+        doc = json.loads(worked_scene.read_text())
+        doc["annotations"][0]["category_id"] = doc["categories"][0]["id"] = -1
+        worked_scene.write_text(json.dumps(doc))
+        out = tmp_path / "fit.json"
+        argv = ["fit", "--scene", str(worked_scene), "--steps", "2", "--output", str(out)]
+        assert main(argv + ["--multitask"]) == 2
+        err = capsys.readouterr().err
+        assert err == "detbox fit: error: multitask class ids must be >= 0, got -1\n"
+        assert not out.exists()
+        assert main(argv) == 0   # a plain fit reads no class
 
     def test_coco_scene_input(self, worked_scene, tmp_path):
         out = tmp_path / "fit.json"
@@ -474,6 +517,21 @@ class TestAudit:
     def test_image_size_flag_rejected(self, capsys, tmp_path):
         assert_image_size_rejected(["audit", "--scene", str(COCO_FIXTURE)], capsys, tmp_path)
 
+    @pytest.mark.parametrize("command", ["assign-stats", "audit"])
+    def test_sliver_box_is_in_no_collision(self, tmp_path, command):
+        # the second box's corners round to x1 == x2 == 105: it has no area,
+        # so it overlaps nothing, though its center shares the first's cells
+        doc = {"images": [{"id": 1, "width": 640, "height": 480}],
+               "annotations": [{"id": 1, "image_id": 1, "category_id": 1,
+                                "bbox": [100, 100, 20, 20]},
+                               {"id": 2, "image_id": 1, "category_id": 1,
+                                "bbox": [105, 105, 1e-14, 10]}],
+               "categories": [{"id": 1}]}
+        scene, out = tmp_path / "sliver.json", tmp_path / "out.json"
+        scene.write_text(json.dumps(doc))
+        assert main([command, "--scene", str(scene), "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["collisions"]["details"] == []
+
 
 def test_scene_files_size_their_own_pyramids(tmp_path):
     """Strides that divide every scene's size but not the synthetic 640x640."""
@@ -677,8 +735,19 @@ class TestDetectCommand:
                      "--output", str(out)]) == 0
         assert [d.class_id for d in detections_from_jsonl(out.read_text())] == [2]
 
-    @pytest.mark.parametrize("bad", ["missing_key", "level_count", "shape", "not_npz", "complex"])
-    def test_bad_grid_exits_2(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize("bad, message", [
+        ("missing_key", "levels must be ['arr_0', 'arr_1', 'arr_2']"),
+        ("level_count", "grid has 2 levels, scale config 3"),
+        ("shape", "level 0 is (79, 80), expected (80, 80)"),
+        ("not_npz", "pickled"),   # numpy reads a file that is not an archive as a pickle
+        ("complex", "levels must be real"),
+        ("npy", "not an np.savez archive"),
+        ("flat", "levels must be 3-d"),
+        ("channels", "levels disagree on channel count"),
+        ("five_channels", "need at least 6 channels"),
+    ], ids=["missing_key", "level_count", "shape", "not_npz", "complex", "npy", "flat",
+            "channels", "five_channels"])
+    def test_bad_grid_exits_2(self, tmp_path, capsys, bad, message):
         _, levels, _ = _detect_grid(tmp_path)
         path = tmp_path / "bad.npz"
         if bad == "missing_key":
@@ -689,6 +758,15 @@ class TestDetectCommand:
             np.savez(path, levels[0][:-1], *levels[1:])
         elif bad == "complex":   # a float cast would drop the imaginary part
             np.savez(path, levels[0], levels[1] + 1j, levels[2])
+        elif bad == "npy":   # one level, saved on its own
+            path = tmp_path / "bad.npy"
+            np.save(path, levels[0])
+        elif bad == "flat":
+            np.savez(path, levels[0][..., 0], *levels[1:])
+        elif bad == "channels":
+            np.savez(path, levels[0], levels[1][..., :-1], levels[2])
+        elif bad == "five_channels":
+            np.savez(path, *(level[..., :5] for level in levels))
         else:
             path.write_text("not an archive")
         with warnings.catch_warnings():
@@ -696,6 +774,7 @@ class TestDetectCommand:
             assert main(["detect", "--grid", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("detbox detect: error:") and "Traceback" not in err
+        assert message in err
         assert ("levels must be real" in err) == (bad == "complex")
 
 

@@ -21,7 +21,7 @@ from detbox import (
     generate_scene,
     sdiou_loss,
 )
-from detbox.fit import check_size_bounds
+from detbox.fit import N_CLASSES, check_size_bounds
 from detbox.losses import LOSS_KINDS
 
 
@@ -42,7 +42,7 @@ class TestGenerateScene:
             assert 0 < box.cx < spec.image_w
             assert 0 < box.cy < spec.image_h
             assert spec.size_min <= box.w <= spec.size_max
-            assert 0 <= class_id < spec.n_classes
+            assert 0 <= class_id < N_CLASSES
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -154,6 +154,14 @@ class TestMultitask:
         assert (0 not in at) == finest_empty
         expected = sum(box[at == k].mean() + 2 * math.log(2) for k in np.unique(at))
         assert fit_scene(scene, cfg).loss_trace[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_negative_class_id_is_rejected_before_the_first_step(self):
+        # a class id indexes the class head, so -1 would train class 2's column
+        scene = Scene(640, 640, ((BoundingBox(100, 60, 40, 20), -1),
+                                 (BoundingBox(300, 200, 60, 50), 2)), "negative")
+        with pytest.raises(ValueError, match="class ids must be >= 0, got -1"):
+            fit_scene(scene, FitConfig(steps=1, multitask=True))
+        assert fit_scene(scene, FitConfig(steps=1)).steps == 1   # a plain fit reads no class
 
     def test_multitask_descends(self):
         # box terms converge quickly; the mean-reduced cross-entropy terms

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from detbox import BoundingBox, CornerBox, GeometryError, giou, iou, to_corner
-from detbox.geom import iou_xyxy
+from detbox.geom import iou_xyxy, overlaps
 
 from conftest import random_box
 
@@ -46,6 +46,22 @@ def test_iou_rejects_zero_area():
         iou(CornerBox(0, 0, 0, 1), CornerBox(0, 0, 1, 1))
     with pytest.raises(GeometryError):
         giou(CornerBox(0, 0, 1, 1), CornerBox(2, 2, 2, 2))
+
+
+def test_overlaps_is_iou_above_zero(rng):
+    # random pairs, then a box touching a's right edge and one spanning a's rows
+    for _ in range(500):
+        a, b = to_corner(random_box(rng)), to_corner(random_box(rng))
+        for c in (b, CornerBox(a.x2, b.y1, a.x2 + b.w, b.y2), CornerBox(b.x1, a.y1, b.x2, a.y2)):
+            xyxy = (a.x1, a.y1, a.x2, a.y2), (c.x1, c.y1, c.x2, c.y2)
+            assert overlaps(*xyxy) == overlaps(*xyxy[::-1]) == (iou(a, c) > 0)
+
+
+def test_zero_area_box_overlaps_nothing():
+    box = (0.0, 0.0, 10.0, 10.0)
+    for sliver in [(5.0, 2.0, 5.0, 8.0), (2.0, 5.0, 8.0, 5.0), (5.0, 5.0, 5.0, 5.0)]:
+        assert not overlaps(box, sliver) and not overlaps(sliver, box)
+        assert not overlaps(sliver, sliver)
 
 
 def test_giou_examples():
