@@ -346,10 +346,10 @@ def _cmd_nms(args, cfg: EffectiveConfig) -> int:
 
 
 def _cmd_detect(args, cfg: EffectiveConfig) -> int:
-    archive = np.load(args.grid)
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ValueError(f"grid {args.grid}: not an np.savez archive")
-    with archive:
+    with open(args.grid, "rb") as f:   # np.load reads a file without a zip header as a pickle
+        if f.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
+            raise ValueError(f"grid {args.grid}: not an np.savez archive")
+    with np.load(args.grid) as archive:
         names = [f"arr_{i}" for i in range(len(archive.files))]
         if set(archive.files) != set(names):
             raise ValueError(f"grid {args.grid}: levels must be {names}, got {archive.files}")

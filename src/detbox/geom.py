@@ -125,19 +125,26 @@ def overlaps(a: tuple, b: tuple) -> bool:
     return min(a[2], b[2]) > max(a[0], b[0]) and min(a[3], b[3]) > max(a[1], b[1])
 
 
-def iou_xyxy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise IoU over (..., 4) corner-form arrays, broadcasting over
-    paired rows: (n, 4) with (n, 4), or (k, 1, 4) with (n, 4) for a (k, n)
-    table, with the same arithmetic per pair. Agrees with :func:`iou` on
-    non-degenerate inputs (cross-checked in the test suite); degenerate rows
-    yield 0 instead of raising.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+def xyxy_area(c) -> np.ndarray:
+    """The areas of boxes given as corner columns ``(x1, y1, x2, y2)``; 0 for a negative extent."""
+    return np.maximum(c[2] - c[0], 0.0) * np.maximum(c[3] - c[1], 0.0)
+
+
+def iou_columns(a, b, area_a, area_b) -> np.ndarray:
+    """IoU of boxes given as corner columns ``(x1, y1, x2, y2)`` with their
+    :func:`xyxy_area`, broadcasting as ufuncs do. Bit for bit :func:`iou` on
+    boxes of positive area (cross-checked in the test suite); 0, not an error,
+    where the union is not positive."""
+    iw = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+    ih = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    area_a = np.maximum(a[..., 2] - a[..., 0], 0.0) * np.maximum(a[..., 3] - a[..., 1], 0.0)
-    area_b = np.maximum(b[..., 2] - b[..., 0], 0.0) * np.maximum(b[..., 3] - b[..., 1], 0.0)
     union = area_a + area_b - inter
-    return np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
+    return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0.0)
+
+
+def iou_xyxy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`iou_columns` over (..., 4) corner-form arrays, broadcasting over
+    paired rows: (n, 4) with (n, 4), or (k, 1, 4) with (n, 4) for a (k, n) table."""
+    a, b = (np.asarray(x, dtype=float) for x in (a, b))
+    a, b = [a[..., k] for k in range(4)], [b[..., k] for k in range(4)]   # moveaxis costs more
+    return iou_columns(a, b, xyxy_area(a), xyxy_area(b))

@@ -25,10 +25,11 @@ Greedy suppression is class-wise: a detection is removed only by a
 higher-ranked kept detection of the same class overlapping it with IoU
 strictly above the threshold. Ranking is objectness times the best class
 probability, with ties broken by (scale, cell_y, cell_x, class) for
-determinism. :func:`suppress` scores same-class pairs with :func:`geom.iou_xyxy`,
-whose arithmetic matches the scalar referee :func:`geom.iou` bit for bit
-on boxes of positive area, and resolves greedy with array steps. The IoU
-with a zero-area box is 0, so such a box is kept and suppresses nothing.
+determinism. :func:`suppress` scores same-class pairs on corner columns
+with :func:`geom.iou_columns`, whose arithmetic matches the scalar referee
+:func:`geom.iou` bit for bit on boxes of positive area, and resolves greedy
+with array steps. The IoU with a zero-area box is 0, so such a box is kept
+and suppresses nothing.
 :func:`nms` returns a table's survivors as a view of it, which builds no
 row until one is read.
 """
@@ -45,11 +46,11 @@ import numpy as np
 from scipy.special import expit
 
 from .codec import ScaleConfig, decode_distances
-from .geom import CornerBox, iou_xyxy
+from .geom import CornerBox, iou_columns, xyxy_area
 
 DEFAULT_CONF_THRESHOLD = 0.001
 DEFAULT_NMS_THRESHOLD = 0.6
-PAIR_CHUNK = 8192     # IoU pairs per iou_xyxy call in nms: bounds its memory
+PAIR_CHUNK = 8192     # same-class pairs per suppress block and IoU call: bounds its memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,11 +296,12 @@ def suppress(
     class overlaps it with IoU strictly above the threshold. Boxes of
     different classes never interact, and a zero-area box overlaps nothing.
 
-    Boxes go in blocks with at most PAIR_CHUNK same-class pairs, scored by
-    one :func:`geom.iou_xyxy` call. Rounds of array steps suppress what a
-    kept box overlaps and keep boxes whose overlapping predecessors are all
-    suppressed, until every box is decided; then the block's kept boxes
-    suppress what they overlap beyond it, PAIR_CHUNK pairs per call.
+    Boxes, as corner columns with one area each, go in blocks with at most
+    PAIR_CHUNK same-class pairs, scored by one :func:`geom.iou_columns` call.
+    Rounds of array steps suppress what a kept box overlaps and keep boxes
+    whose overlapping predecessors are all suppressed, until every box is
+    decided; then the block's kept boxes suppress what they overlap beyond
+    it, PAIR_CHUNK pairs per call.
     """
     order = np.lexsort((table.class_id, table.cell[:, 0], table.cell[:, 1],
                         table.scale_index, -table.score))
@@ -307,7 +309,9 @@ def suppress(
     # class's coordinates: the offset changes how the IoU rounds, so pairs
     # near the threshold could flip against the scalar referee.
     by_class = np.argsort(table.class_id[order], kind="stable")
-    boxes, class_id = table.boxes[order[by_class]], table.class_id[order[by_class]]
+    class_id = table.class_id[order[by_class]]
+    cols = np.asarray(table.boxes, dtype=float).T.take(order[by_class], axis=1)   # x1..y2
+    area = xyxy_area(cols)
     n = len(order)
     suppressed = np.zeros(n, dtype=bool)
     start, span = 0, PAIR_CHUNK   # every box before start is decided
@@ -328,10 +332,12 @@ def suppress(
         if not rows:   # no live box is left
             break
         j = np.repeat(np.arange(rows), before[:rows])
-        i = j - before[j] + np.arange(j.size) - (ends - before)[j]
-        over = iou_xyxy(boxes[live[i]], boxes[live[j]]) > iou_threshold
+        i = np.arange(j.size) + (np.arange(rows) - ends[:rows]).take(j)
+        block, block_area = cols.take(live[:rows], axis=1), area.take(live[:rows])
+        over = iou_columns([c.take(i) for c in block], [c.take(j) for c in block],
+                           block_area.take(i), block_area.take(j)) > iou_threshold
         i, j = i[over], j[over]
-        kept, dropped = np.zeros((2, rows), dtype=bool)
+        kept, dropped = np.bincount(j, minlength=rows) == 0, np.zeros(rows, dtype=bool)
         while not (kept | dropped).all():
             dropped[j[kept[i]]] = True
             blocked = np.bincount(j[~dropped[i]], minlength=rows) > 0
@@ -339,12 +345,14 @@ def suppress(
         suppressed[live[:rows][dropped]] = True
         # Only the last class goes on past the block; its kept boxes suppress there.
         last = live_class[rows - 1]
-        heads = boxes[live[:rows][kept & (live_class[:rows] == last)], None]
+        heads = live[:rows][kept & (live_class[:rows] == last)]
+        head = cols[:, heads, None]
         tail = live[rows:np.searchsorted(live_class, last, side="right")]
         step = max(1, PAIR_CHUNK // len(heads))
         for s in range(0, tail.size, step):
             part = tail[s:s + step]
-            suppressed[part[(iou_xyxy(heads, boxes[part]) > iou_threshold).any(axis=0)]] = True
+            over = iou_columns(head, cols[:, part], area[heads, None], area[part])
+            suppressed[part[(over > iou_threshold).any(axis=0)]] = True
         span = 2 * (live[rows - 1] + 1 - start)
         start = live[rows - 1] + 1
     return order[np.sort(by_class[~suppressed])]

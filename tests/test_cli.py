@@ -739,13 +739,14 @@ class TestDetectCommand:
         ("missing_key", "levels must be ['arr_0', 'arr_1', 'arr_2']"),
         ("level_count", "grid has 2 levels, scale config 3"),
         ("shape", "level 0 is (79, 80), expected (80, 80)"),
-        ("not_npz", "pickled"),   # numpy reads a file that is not an archive as a pickle
+        ("not_npz", "not an np.savez archive"),   # numpy would read it as a pickle
+        ("empty", "not an np.savez archive"),
         ("complex", "levels must be real"),
         ("npy", "not an np.savez archive"),
         ("flat", "levels must be 3-d"),
         ("channels", "levels disagree on channel count"),
         ("five_channels", "need at least 6 channels"),
-    ], ids=["missing_key", "level_count", "shape", "not_npz", "complex", "npy", "flat",
+    ], ids=["missing_key", "level_count", "shape", "not_npz", "empty", "complex", "npy", "flat",
             "channels", "five_channels"])
     def test_bad_grid_exits_2(self, tmp_path, capsys, bad, message):
         _, levels, _ = _detect_grid(tmp_path)
@@ -767,6 +768,8 @@ class TestDetectCommand:
             np.savez(path, levels[0], levels[1][..., :-1], levels[2])
         elif bad == "five_channels":
             np.savez(path, *(level[..., :5] for level in levels))
+        elif bad == "empty":
+            path.write_bytes(b"")
         else:
             path.write_text("not an archive")
         with warnings.catch_warnings():
@@ -774,7 +777,7 @@ class TestDetectCommand:
             assert main(["detect", "--grid", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("detbox detect: error:") and "Traceback" not in err
-        assert message in err
+        assert message in err and "allow_pickle" not in err
         assert ("levels must be real" in err) == (bad == "complex")
 
 

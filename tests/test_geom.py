@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from detbox import BoundingBox, CornerBox, GeometryError, giou, iou, to_corner
-from detbox.geom import iou_xyxy, overlaps
+from detbox.geom import iou_columns, iou_xyxy, overlaps, xyxy_area
 
 from conftest import random_box
 
@@ -129,4 +129,26 @@ def test_vectorized_iou_matches_oracle(rng):
         np.array([b.as_array() for b in boxes_b]),
     )
     want = np.array([iou(a, b) for a, b in zip(boxes_a, boxes_b)])
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(got, want)   # bit for bit on boxes of positive area
+
+
+def test_column_iou_matches_oracle(rng):
+    # paired columns, then (k, 1) columns against (n,) ones for a (k, n) table
+    boxes_a = [to_corner(random_box(rng)) for _ in range(40)]
+    boxes_b = [to_corner(random_box(rng)) for _ in range(60)]
+    a = np.array([box.as_array() for box in boxes_a]).T
+    b = np.array([box.as_array() for box in boxes_b]).T
+    paired = iou_columns(a, b[:, :40], xyxy_area(a), xyxy_area(b[:, :40]))
+    np.testing.assert_array_equal(paired, [iou(p, q) for p, q in zip(boxes_a, boxes_b)])
+    table = iou_columns(a[:, :, None], b, xyxy_area(a)[:, None], xyxy_area(b))
+    np.testing.assert_array_equal(table, [[iou(p, q) for q in boxes_b] for p in boxes_a])
+    np.testing.assert_array_equal(table, iou_xyxy(a.T[:, None], b.T))
+
+
+def test_column_iou_of_zero_area_and_touching_boxes_is_0():
+    box = (0.0, 0.0, 10.0, 10.0)
+    others = [(5.0, 2.0, 5.0, 8.0), (2.0, 5.0, 8.0, 5.0), (5.0, 5.0, 5.0, 5.0),   # zero area
+              (10.0, 0.0, 20.0, 10.0), (0.0, 10.0, 10.0, 20.0), (10.0, 10.0, 20.0, 20.0)]
+    a, b = np.array([box] * len(others)).T, np.array(others).T
+    assert iou_columns(a, b, xyxy_area(a), xyxy_area(b)).tolist() == [0.0] * len(others)
+    assert iou_columns(b, b, xyxy_area(b), xyxy_area(b)).tolist() == [0.0] * 3 + [1.0] * 3

@@ -1,6 +1,7 @@
 """Grid decoding, greedy suppression, and the detection wire format."""
 
 import dataclasses
+import math
 import tracemalloc
 from unittest import mock
 
@@ -276,6 +277,28 @@ def detection_sets(draw):
     return dets
 
 
+@st.composite
+def box_rows(draw):
+    """One or two rows of boxes along x, of one or two classes, ranked along
+    the row, against it or shuffled: a class's later boxes mostly lie past
+    the boxes a block keeps, and chains keep most of their boxes. Rows may
+    repeat boxes (step 0), and boxes may have zero width."""
+    dets = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 25))
+        step, width = draw(st.sampled_from([0, 2, 5, 8, 10, 13])), draw(st.sampled_from([0, 4, 10]))
+        x0, y = draw(st.integers(0, 30)), draw(st.sampled_from([0, 5, 20]))
+        ranks = draw(st.one_of(st.just(range(n)), st.just(range(n)[::-1]),
+                               st.permutations(range(n))))
+        class_id = draw(st.integers(0, 1))
+        dets += [make_det(x0 + step * k, y, x0 + step * k + width, y + 10, 0.9 - 0.01 * r, class_id)
+                 for k, r in enumerate(ranks)]
+    return dets
+
+
+THRESHOLDS = [-0.5, 0.0, 0.5, 1.0, 1.01]   # -0.5 suppresses every same-class box after the first
+
+
 class TestNmsAgainstReference:
     def test_zero_area_box_kept_and_never_suppresses(self):
         flat = make_det(5, 5, 5, 15, 0.9, class_id=1)     # zero width
@@ -287,14 +310,14 @@ class TestNmsAgainstReference:
         assert nms(dets, 0.0) == reference_nms(dets, 0.0)
 
     @settings(max_examples=300, deadline=None)
-    @given(dets=detection_sets(), threshold=st.sampled_from([0.0, 0.5, 1.01]))
+    @given(dets=detection_sets(), threshold=st.sampled_from(THRESHOLDS))
     def test_matches_reference(self, dets, threshold):
         got = nms(dets, threshold)
         want = reference_nms(dets, threshold)
         assert [id(d) for d in got] == [id(d) for d in want]
 
     @settings(max_examples=300, deadline=None)
-    @given(dets=detection_sets(), threshold=st.sampled_from([0.0, 0.5, 1.01]),
+    @given(dets=detection_sets(), threshold=st.sampled_from(THRESHOLDS),
            chunk=st.sampled_from([1, 3, 7]))
     def test_matches_reference_in_small_chunks(self, dets, threshold, chunk):
         # blocks of a few boxes: classes run on past a block, and overlap
@@ -303,6 +326,24 @@ class TestNmsAgainstReference:
             got = nms(dets, threshold)
         want = reference_nms(dets, threshold)
         assert [id(d) for d in got] == [id(d) for d in want]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dets=box_rows(), threshold=st.sampled_from(THRESHOLDS), chunk=st.integers(1, 7))
+    def test_matches_reference_on_rows_past_the_kept_extent(self, dets, threshold, chunk):
+        # small blocks leave most of a row to the tail step of each block's kept boxes
+        with mock.patch.object(infer, "PAIR_CHUNK", chunk):
+            got = nms(dets, threshold)
+        assert [id(d) for d in got] == [id(d) for d in reference_nms(dets, threshold)]
+
+    @pytest.mark.parametrize("chunk", [1, 3, infer.PAIR_CHUNK])
+    def test_nan_threshold_keeps_every_box(self, chunk):
+        # no IoU is above NaN; the referee's `<=` would suppress every overlap,
+        # so the rank order comes from it at an infinite threshold
+        dets = [make_det(3 * k % 20, 0, 3 * k % 20 + 10, 10, 0.9 - 0.01 * k, class_id=k % 2)
+                for k in range(30)]
+        with mock.patch.object(infer, "PAIR_CHUNK", chunk):
+            got = nms(dets, math.nan)
+        assert [id(d) for d in got] == [id(d) for d in reference_nms(dets, math.inf)]
 
     @pytest.mark.parametrize("chunk", [1, 2, infer.PAIR_CHUNK])
     def test_suppressed_box_suppresses_nothing(self, chunk):
