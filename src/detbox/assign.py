@@ -84,7 +84,7 @@ class AssignMode:
                 raise AssignmentError(
                     f"scale thresholds must start at 0 and end at inf, got {m}"
                 )
-            if any(b <= a for a, b in zip(m, m[1:])):
+            if any(not b > a for a, b in zip(m, m[1:])):   # NaN fails too
                 raise AssignmentError(
                     f"scale thresholds must be strictly increasing, got {m}"
                 )

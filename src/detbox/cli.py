@@ -31,10 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .assign import LOCATION_STRATEGIES, AssignMode, AssignmentError, assign_scenes
-from .codec import CodecError, ScaleConfig
+from .assign import LOCATION_STRATEGIES, AssignMode, assign_scenes
+from .codec import ScaleConfig
 from .fit import FitConfig, SceneSpec, check_size_bounds, compare_losses, fit_scenes, generate_scene
-from .geom import GeometryError
 from .gradcheck import run_gradcheck
 from .infer import (
     DEFAULT_CONF_THRESHOLD,
@@ -462,8 +461,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, _resolve(args))
-    except (CocoFormatError, CodecError, AssignmentError, GeometryError, ValueError, OSError,
-            zipfile.BadZipFile) as exc:
+    except (ValueError, OSError, zipfile.BadZipFile) as exc:   # package errors are ValueErrors
         print(f"detbox {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,9 +10,9 @@ at its scale's gain.
 One engine, :func:`fit_scenes`, runs every fit. It assigns all scenes in
 one :func:`~detbox.assign.assign_scenes` call, keeps the usable records,
 keeps one logit copy per loss kind, and steps them all in a single loop.
-The loss call is planned once per fit; each step makes one decode (one
-``expit``) and one planned loss call over every kind's rows, and does the
-rest once over every row.
+The loss call is planned once per kind per fit; each step makes one decode
+(one ``expit``), one planned loss call per kind on that kind's rows, and
+does the rest once over every row.
 :func:`fit_scene` and :func:`compare_losses` call it.
 
 Records whose targets fall outside the representable open interval
@@ -273,13 +273,15 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
     logits = np.zeros((n_kinds * n_keys, 4))
     loss_trace = np.empty((cfg.steps + 1, len(scenes), n_kinds))
     iou_trace = np.empty((cfg.steps + 1, n_kinds, n_objects))
-    # the kinds, shapes and truth-only loss terms are settled once per fit
-    loss_grad = plan_loss_grad(rec.target, kinds, (*row_key.shape, 4), cfg.rho)
+    # the shapes and truth-only loss terms are settled once per fit, in one plan per kind
+    plans = [plan_loss_grad(rec.target, kind, (len(rec.target), 4), cfg.rho) for kind in kinds]
+    loss, grad_d = np.empty(row_key.shape), np.empty((*row_key.shape, 4))
     # the last pass only scores the final logits
     for step in range(cfg.steps + 1):
         d, jacobian = decode_with_jacobian(logits[row_key], gain)
         iou_trace[step] = best_iou_per_object(d)
-        loss, grad_d = loss_grad(d)
+        for k, plan in enumerate(plans):
+            loss[k], grad_d[k] = plan(d[k])
         loss_trace[step] = objectives(loss)
         if step == cfg.steps:
             break

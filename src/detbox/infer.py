@@ -79,6 +79,8 @@ class PredictionGrid:
     levels: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        if len(self.levels) == 0:
+            raise ValueError("a grid needs at least one level, got none")
         if any(np.iscomplexobj(a) for a in self.levels):   # a float cast drops the imaginary part
             raise ValueError("levels must be real, got a complex array")
         object.__setattr__(

@@ -109,16 +109,13 @@ def _norm2(x: np.ndarray) -> np.ndarray:
     return sq[0] + sq[1]
 
 
-def _plan_iou_family(t: np.ndarray, kind, rho: float, ndim: int):
+def _plan_iou_family(t: np.ndarray, kind: str, rho: float, ndim: int):
     """IoU-family losses and gradients; a non-positive predicted extent clamps to 0.
 
-    ``kind`` is one kind, or a tuple that names the prediction's leading
-    axis; ``ndim`` is the rank of the prediction and truth broadcast
-    together. The truth's terms are computed here once; each step computes
-    every prediction term once over all rows, and each kind reads its own
-    slices.
+    ``ndim`` is the rank of the prediction and truth broadcast together. The
+    truth's terms are computed here once; each step computes the prediction
+    terms that ``kind`` reads, once.
     """
-    kinds = (kind,) if isinstance(kind, str) else kind
     # C-ordered (side, axis, rows) reaches; .T reverses both row axes alike
     # once their ranks match, so ufuncs broadcast them, and .T restores them
     origin = _ORIGIN.reshape(4, *(1,) * (ndim - 1))
@@ -127,7 +124,7 @@ def _plan_iou_family(t: np.ndarray, kind, rho: float, ndim: int):
         x = x.reshape((1,) * (ndim - x.ndim) + x.shape).T
         return np.subtract(x, origin, order="C").reshape(2, 2, *x.shape[1:])
 
-    needed = set(kinds) | ({"diou"} if "ciou" in kinds else set())   # ciou extends diou
+    needed = {kind, "diou"} if kind == "ciou" else {kind}   # ciou extends diou
     rt = reaches(t)
     ext_t = rt[0] + rt[1]
     area_t = ext_t[0] * ext_t[1]
@@ -136,11 +133,6 @@ def _plan_iou_family(t: np.ndarray, kind, rho: float, ndim: int):
     if "ciou" in needed:
         aspect_t = np.arctan(ext_t[0] / ext_t[1])
         turn = _SIGNS.reshape(2, *(1,) * (ndim - 1))    # (h, w) * turn == (-h, w)
-    # each kind but the last overwrites its own slots of the kind axis, which is
-    # last in this layout; a single kind fills every slot
-    names = list(dict.fromkeys(kinds))
-    last = names.pop()
-    slots = [(n, np.array([k == n for k in kinds])) for n in names]
 
     def step(p: np.ndarray):
         rp = reaches(p)
@@ -196,9 +188,7 @@ def _plan_iou_family(t: np.ndarray, kind, rho: float, ndim: int):
             score, g = terms["diou"]
             terms["ciou"] = (score - alpha * v, g - (d_alpha * v + alpha * dv))
 
-        score, g = terms[last]
-        for name, at in slots:
-            score, g = np.where(at, terms[name][0], score), np.where(at, terms[name][1], g)
+        score, g = terms[kind]
         loss = np.subtract(1.0, score.T, order="C")
         return loss, np.negative(g.reshape(4, *g.shape[2:]).T, order="C")
 
@@ -213,55 +203,26 @@ def _plan_mse(t: np.ndarray, kind, rho: float, ndim: int):
     return step
 
 
-def _positions(kinds: tuple, names: tuple) -> int | slice | list | None:
-    """Where ``names`` sit in ``kinds``: one index, a slice over one run, or a list."""
-    idx = [i for i, k in enumerate(kinds) if k in names]
-    if len(idx) < 2:
-        return idx[0] if idx else None
-    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
+# kind -> planner (truth, kind, rho, ndim) -> step; only the IoU family
+# reads its kind, and only sdiou its rho
+_PLANNERS = {"sdiou": _plan_sdiou, "mse": _plan_mse,
+             **dict.fromkeys(LOSS_KINDS[2:], _plan_iou_family)}
 
 
-# kinds -> planner (truth, kinds, rho, ndim) -> step; only the IoU family
-# reads its kinds, and only sdiou its rho
-_PLANNERS = ((("sdiou",), _plan_sdiou), (("mse",), _plan_mse), (LOSS_KINDS[2:], _plan_iou_family))
+def plan_loss_grad(truth, kind: str, pred_shape, rho: float = 1.0):
+    """Plan :func:`regression_loss_grad` for one truth, kind and prediction shape.
 
-
-def plan_loss_grad(truth, kind, pred_shape, rho: float = 1.0):
-    """Plan :func:`regression_loss_grad` for one truth and one prediction shape.
-
-    Checks the kinds, the shapes and ``rho``, and computes every term that
+    Checks the kind, the shapes and ``rho``, and computes every term that
     depends on the truth alone, once. Returns ``step(pred) -> (loss, grad)``
     for float arrays ``pred`` of shape ``pred_shape``; each call gives the
-    bits of ``regression_loss_grad(pred, truth, kind, rho)``. For a tuple
-    of kinds, every call writes into and returns the same two arrays, so a
-    caller that keeps a result past the next call copies it.
+    bits of ``regression_loss_grad(pred, truth, kind, rho)``.
     """
     t, shape = _dist_array(truth), tuple(pred_shape)
-    if bad := [k for k in ([kind] if isinstance(kind, str) else kind) if k not in LOSS_KINDS]:
-        raise ValueError(f"unknown loss kind {bad[0]!r}; valid: {', '.join(LOSS_KINDS)}")
+    if kind not in LOSS_KINDS:   # a tuple or list of kinds too
+        raise ValueError(f"unknown loss kind {kind!r}; valid: {', '.join(LOSS_KINDS)}")
     if not 0 <= rho < np.inf:   # read by sdiou alone, but checked for every kind
         raise ValueError(f"rho must be >= 0, got {rho}")
-    if isinstance(kind, str):
-        run = next(plan for names, plan in _PLANNERS if kind in names)(
-            t, kind, rho, max(len(shape), t.ndim))
-    else:
-        kinds = tuple(kind)
-        if len(shape) < 2 or shape[0] != len(kinds):
-            raise ValueError(f"{len(kinds)} kinds for prediction rows of shape {shape}")
-        out = np.broadcast_shapes(shape, t.shape)
-        loss, grad = np.empty(out[:-1]), np.empty(out)
-        parts = []
-        for names, planner in _PLANNERS:
-            if (at := _positions(kinds, names)) is not None:
-                own = tuple(kinds[i] for i in at) if isinstance(at, list) else kinds[at]
-                t_at = t[at] if t.ndim == len(shape) and len(t) > 1 else t
-                ndim = max(len(shape) - isinstance(at, int), t_at.ndim)
-                parts.append((at, planner(t_at, own, rho, ndim)))
-
-        def run(p: np.ndarray):
-            for at, part in parts:
-                loss[at], grad[at] = part(p[at])
-            return loss, grad
+    run = _PLANNERS[kind](t, kind, rho, max(len(shape), t.ndim))
 
     def step(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if p.shape != shape:
@@ -272,16 +233,12 @@ def plan_loss_grad(truth, kind, pred_shape, rho: float = 1.0):
 
 
 def regression_loss_grad(
-    pred, truth, kind="sdiou", rho: float = 1.0
+    pred, truth, kind: str = "sdiou", rho: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unified (loss, gradient) dispatch over (..., 4) distance arrays.
+    """Unified (loss, gradient) dispatch for one loss kind over (..., 4) distance arrays.
 
-    ``kind`` is one loss kind, or a tuple of kinds (any order, repeats
-    allowed) that names ``pred``'s leading axis, which ``truth`` has too or
-    broadcasts over. A tuple makes one call per kernel: sdiou, mse and the
-    IoU family. Each kind's slices get the bits of a call with it alone.
-    :func:`plan_loss_grad` builds the call; a loop over one truth builds
-    it once.
+    :func:`plan_loss_grad` builds the call; a loop over one truth builds it
+    once.
     """
     p = _dist_array(pred)
     return plan_loss_grad(truth, kind, p.shape, rho)(p)

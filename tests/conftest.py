@@ -2,8 +2,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from detbox import BoundingBox, ScaleConfig
+
+# every property test draws the same examples on every run, with no time limit;
+# a test's own @settings sets only its max_examples
+settings.register_profile("detbox", deadline=None, derandomize=True)
+settings.load_profile("detbox")
 
 DATA_DIR = Path(__file__).parent / "data"
 COCO_FIXTURE = DATA_DIR / "coco_sample.json"

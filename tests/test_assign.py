@@ -186,6 +186,8 @@ class TestErrors:
             AssignMode(scale_thresholds=(16, 32, math.inf))   # must start at 0
         with pytest.raises(AssignmentError):
             AssignMode(scale_thresholds=(0, 64, 32, math.inf))
+        with pytest.raises(AssignmentError, match="strictly increasing"):
+            AssignMode(scale_thresholds=(0, math.nan, 64, math.inf))   # no bracket at all
 
 
 class TestScaleConstraints:
@@ -222,6 +224,11 @@ class TestScaleConstraints:
     def test_wrong_threshold_count(self, scale):
         with pytest.raises(AssignmentError):
             apply_scale_constraints([], (0, 32, math.inf), scale)
+
+    def test_nan_threshold_rejected(self, scale):
+        records = assign([(BoundingBox(320, 320, 20, 20), 0)], scale)
+        with pytest.raises(AssignmentError, match="strictly increasing"):
+            apply_scale_constraints(records, (0, math.nan, 64, math.inf), scale)
 
 
 class TestCollisionAudit:
@@ -379,7 +386,7 @@ def _assign_cases(draw):
 
 
 class TestAgainstReference:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(_assign_cases())
     def test_matches_reference(self, case):
         objects, scale, mode = case
@@ -446,7 +453,7 @@ def _audit_cases(draw):
 
 
 class TestAuditAgainstReference:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(_audit_cases())
     def test_matches_reference(self, case):
         objects, scale = case
@@ -521,7 +528,7 @@ def _outcome(fn, *args):
 
 
 class TestAssignScenes:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(_scene_cases())
     def test_equals_per_scene_assign(self, case):
         scenes, scale, mode = case

@@ -383,6 +383,16 @@ class TestAssignStats:
         assert "need 4 thresholds for 3 scales, got 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["assign-stats"], ["encode"], ["fit", "--steps", "2"],
+                                         ["compare-losses", "--steps", "2"]])
+    def test_nan_threshold_exits_2(self, tmp_path, capsys, command):
+        # the bracket [0, nan] would drop nothing
+        out = tmp_path / "out"
+        assert main([*command, "--scene", str(COCO_FIXTURE), "--thresholds", "0,nan,64,inf",
+                     "--output", str(out)]) == 2
+        assert "scale thresholds must be strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value, where", [
         *(("y", v, "bbox of annotation for image 1") for v in (None, "a", True, "10")),
         ("width", "abc", "image 1"), ("width", None, "image 1"),
@@ -679,7 +689,7 @@ class TestNmsCommand:
         body = first.read_text().splitlines()[1:]
         assert second.read_text().splitlines()[1:] == body and len(body) == 2
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(dets=detection_sets(), conf=st.sampled_from([0.0, 0.3, 0.6]),
            threshold=st.sampled_from([0.0, 0.5, 1.01]))
     def test_equals_the_row_by_row_referee(self, tmp_path_factory, dets, conf, threshold):
@@ -746,8 +756,9 @@ class TestDetectCommand:
         ("flat", "levels must be 3-d"),
         ("channels", "levels disagree on channel count"),
         ("five_channels", "need at least 6 channels"),
+        ("no_levels", "a grid needs at least one level, got none"),   # an archive of no arrays
     ], ids=["missing_key", "level_count", "shape", "not_npz", "empty", "complex", "npy", "flat",
-            "channels", "five_channels"])
+            "channels", "five_channels", "no_levels"])
     def test_bad_grid_exits_2(self, tmp_path, capsys, bad, message):
         _, levels, _ = _detect_grid(tmp_path)
         path = tmp_path / "bad.npz"
@@ -768,6 +779,8 @@ class TestDetectCommand:
             np.savez(path, levels[0], levels[1][..., :-1], levels[2])
         elif bad == "five_channels":
             np.savez(path, *(level[..., :5] for level in levels))
+        elif bad == "no_levels":
+            np.savez(path)
         elif bad == "empty":
             path.write_bytes(b"")
         else:

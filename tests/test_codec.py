@@ -190,7 +190,7 @@ class TestDecode:
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
 
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(logits=arrays(float, st.integers(1, 40), elements=st.floats(-800.0, 800.0)
                          | st.floats(-380.0, -350.0)),
            gain=st.sampled_from([2.0, 4.0, 16.0, 0.3]), per_row=st.booleans())
@@ -222,7 +222,7 @@ class TestEncodeLogit:
         with pytest.raises(CodecError, match="t="):
             encode_logit_array(np.array([2, 0.0, 2, 2]), scale.gains[0])
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(rows=st.integers(2, 6), data=st.data(), per_row=st.booleans(),
            points=st.booleans(), width=st.sampled_from([4, 3]))
     def test_later_row_names_the_same_entry(self, rows, data, per_row, points, width):

@@ -135,6 +135,10 @@ class TestDecodeGrid:
         res = decode_grid(PredictionGrid(tuple(levels)), scale, conf_threshold=1e-5)
         assert len(res.detections) == 1
 
+    def test_no_levels_rejected(self):
+        with pytest.raises(ValueError, match="at least one level, got none"):
+            PredictionGrid(())
+
     def test_shape_mismatch_rejected(self, scale):
         levels = empty_grid(scale)
         levels[0] = levels[0][:-1]
@@ -309,14 +313,14 @@ class TestNmsAgainstReference:
         assert nms(dets, 0.0) == [flat, box, line, twin]
         assert nms(dets, 0.0) == reference_nms(dets, 0.0)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(dets=detection_sets(), threshold=st.sampled_from(THRESHOLDS))
     def test_matches_reference(self, dets, threshold):
         got = nms(dets, threshold)
         want = reference_nms(dets, threshold)
         assert [id(d) for d in got] == [id(d) for d in want]
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(dets=detection_sets(), threshold=st.sampled_from(THRESHOLDS),
            chunk=st.sampled_from([1, 3, 7]))
     def test_matches_reference_in_small_chunks(self, dets, threshold, chunk):
@@ -327,7 +331,7 @@ class TestNmsAgainstReference:
         want = reference_nms(dets, threshold)
         assert [id(d) for d in got] == [id(d) for d in want]
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(dets=box_rows(), threshold=st.sampled_from(THRESHOLDS), chunk=st.integers(1, 7))
     def test_matches_reference_on_rows_past_the_kept_extent(self, dets, threshold, chunk):
         # small blocks leave most of a row to the tail step of each block's kept boxes
@@ -498,7 +502,7 @@ THRESHOLDS = [0.0, 1.0, 1.5, np.nan, -0.5, 0.001, 0.5, 0.999999, 1 - 2**-53, 5e-
 
 
 class TestDecodePrefilter:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(threshold=st.sampled_from(THRESHOLDS) | st.floats(0.0, 1.0),
            seed=st.integers(0, 2**32 - 1))
     def test_selects_what_a_full_expit_mask_selects(self, threshold, seed):
@@ -535,7 +539,7 @@ def gained_grids(draw):
 
 
 class TestOnePassDecode:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(drawn=gained_grids(), threshold=st.sampled_from([0.001, 0.5, 0.9]))
     def test_columns_equal_row_by_row_decoding(self, drawn, threshold):
         scale, levels = drawn
@@ -597,7 +601,7 @@ class TestRowFastPath:
 
 
 class TestTableAgainstObjects:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(levels=tied_grids(), threshold=st.sampled_from([0.0, 0.5, 1.01]))
     def test_table_path_equals_object_path(self, levels, threshold):
         decoded = decode_grid(PredictionGrid(tuple(levels)), SMALL)
@@ -641,7 +645,7 @@ def adversarial_logits(draw):
 
 
 class TestLazyClassScores:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(levels=adversarial_logits())
     def test_columns_equal_the_full_expit_bit_for_bit(self, levels):
         res = decode_grid(PredictionGrid(tuple(levels)), SMALL)
@@ -661,7 +665,7 @@ class TestLazyClassScores:
             assert row.class_id == int(want.argmax())
             assert row.score == row.objectness * float(want.max())
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(values=st.lists(st.sampled_from(ADVERSARIAL) | st.floats(), min_size=1, max_size=5),
            shape=st.tuples(st.integers(0, 40), st.integers(1, 9)), seed=st.integers(0, 2**32 - 1))
     def test_best_class_is_the_argmax_and_max_of_expit(self, values, shape, seed):
