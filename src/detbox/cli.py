@@ -8,7 +8,7 @@ rename), and every file carries the effective configuration in its header
 Each setting of :class:`EffectiveConfig` comes from its flag, else from the
 same key in an optional ``--config`` JSON object, else from the library's
 default. ``strides`` and ``gains`` take a comma string or a list,
-``image_size`` takes ``"WxH"``, ``"N"`` or ``[w, h]``.
+``image_size`` takes ``"WxH"``, ``"N"``, ``N`` or ``[w, h]``, in whole numbers.
 
 ``image_size`` sizes synthetic scenes only. With ``--scene`` every image's
 size comes from the scene file, so an ``image_size`` from the flag or the
@@ -88,13 +88,26 @@ def _write_atomic(path: str | None, text: str) -> None:
         raise
 
 
+def _number(kind):
+    """Parser for one ``kind`` value, int or float. A boolean is a wrong
+    type, and so is a fraction for an int; 8.0 reads as 8."""
+
+    def parse(value):
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return kind(value)
+
+    return parse
+
+
 def _parse_list(kind):
-    """Parser for a comma string or a list of ``kind`` values."""
+    """Parser for a comma string, a list or one value of ``kind``."""
 
     def parse(value) -> tuple:
-        if not isinstance(value, (list, tuple)):
-            value = str(value).replace(" ", "").split(",")
-        return tuple(kind(v) for v in value)
+        if isinstance(value, str):
+            value = value.replace(" ", "").split(",")
+        return tuple(kind(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
 
     return parse
 
@@ -102,12 +115,10 @@ def _parse_list(kind):
 def _parse_image_size(value) -> tuple[int, int]:
     if isinstance(value, (list, tuple)):
         w, h = value
-        return int(w), int(h)
-    parts = str(value).lower().split("x")
-    if len(parts) == 1:
-        return int(parts[0]), int(parts[0])
-    w, h = parts
-    return int(w), int(h)
+    else:
+        parts = value.lower().split("x") if isinstance(value, str) else [value]
+        w, h = parts * 2 if len(parts) == 1 else parts
+    return _number(int)(w), _number(int)(h)
 
 
 def _setting(default, parse):
@@ -118,13 +129,13 @@ def _setting(default, parse):
 class EffectiveConfig:
     """The settings every subcommand resolves, defaulting to the library's."""
 
-    strides: tuple[int, ...] = _setting(_SCALE.strides, _parse_list(int))
-    gains: tuple[float, ...] = _setting(_SCALE.gains, _parse_list(float))
+    strides: tuple[int, ...] = _setting(_SCALE.strides, _parse_list(_number(int)))
+    gains: tuple[float, ...] = _setting(_SCALE.gains, _parse_list(_number(float)))
     image_size: tuple[int, int] = _setting((_SCALE.image_w, _SCALE.image_h), _parse_image_size)
-    rho: float = _setting(_FIT.rho, float)
-    conf_threshold: float = _setting(DEFAULT_CONF_THRESHOLD, float)
-    nms_threshold: float = _setting(DEFAULT_NMS_THRESHOLD, float)
-    seed: int = _setting(0, int)
+    rho: float = _setting(_FIT.rho, _number(float))
+    conf_threshold: float = _setting(DEFAULT_CONF_THRESHOLD, _number(float))
+    nms_threshold: float = _setting(DEFAULT_NMS_THRESHOLD, _number(float))
+    seed: int = _setting(0, _number(int))
 
     def scale(self) -> ScaleConfig:
         """The strides and gains on a square that every stride divides.
@@ -160,7 +171,7 @@ def _resolve(args: argparse.Namespace) -> EffectiveConfig:
             continue
         try:
             values[setting.name] = setting.metadata["parse"](value)
-        except TypeError as exc:   # only a config file supplies non-string values
+        except (TypeError, OverflowError) as exc:   # only a config file supplies non-strings
             raise ValueError(f"config file {args.config}: {setting.name}: "
                              f"wrong type for {value!r}") from exc
     for name in ("conf_threshold", "nms_threshold"):

@@ -43,9 +43,9 @@ class CodecError(ValueError):
 class ScaleConfig:
     """Feature-map pyramid layout: strides, decode gains, image size.
 
-    The image size must be positive. Strides must be strictly increasing
-    and divide both image dimensions exactly, so every scale has an
-    integer grid. Gains control the decoded distance range
+    The image size must be positive. Whole, strictly increasing strides
+    divide both image dimensions exactly, so every scale has an integer
+    grid. Finite positive gains set the decoded distance range
     ``(0, 4 * gain)`` per scale; the default doubles across the first two
     levels and jumps to 16 at the coarsest, reading the level multipliers
     as powers of two with exponents 1, 2 and 4.
@@ -57,6 +57,8 @@ class ScaleConfig:
     image_h: int = 640
 
     def __post_init__(self) -> None:
+        if not all(float(s).is_integer() for s in self.strides):
+            raise CodecError(f"strides must be whole numbers, got {tuple(self.strides)}")
         object.__setattr__(self, "strides", tuple(int(s) for s in self.strides))
         object.__setattr__(self, "gains", tuple(float(g) for g in self.gains))
         if not self.strides:
@@ -70,8 +72,8 @@ class ScaleConfig:
                 f"need one gain per stride: {len(self.gains)} gains, "
                 f"{len(self.strides)} strides"
             )
-        if any(g <= 0 for g in self.gains):
-            raise CodecError(f"gains must be positive, got {self.gains}")
+        if not all(0 < g < math.inf for g in self.gains):
+            raise CodecError(f"gains must be finite and > 0, got {self.gains}")
         if self.image_w <= 0 or self.image_h <= 0:
             raise CodecError(f"image size must be positive, got {self.image_w}x{self.image_h}")
         for s in self.strides:

@@ -329,14 +329,12 @@ def compare_losses(
     cfg: FitConfig = FitConfig(),
     kinds=("sdiou", "mse", "giou", "ciou"),
 ) -> list[dict]:
-    """Fit the same scenes once per loss kind from identical initialization.
+    """Fit a sequence of scenes once per loss kind from identical initialization.
 
     Returns one row per kind with convergence counts and the median number
     of update steps to reach IoU 0.9 and 0.99 across all objects of all
     scenes (never-converged objects count as infinite).
     """
-    if isinstance(scenes, Scene):
-        scenes = [scenes]
     rows = []
     for kind, reports in zip(kinds, fit_scenes(scenes, cfg, kinds)):
         steps90 = [v for report in reports for v in report.steps_to_iou90]

@@ -114,11 +114,11 @@ def best_class(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class DetectionTable(Sequence):
-    """Detections as columns. Decoding gives the class ``logits``, from which
-    ``class_id`` and ``best`` (the best class probability) come by
-    :func:`best_class`; the ``class_scores`` matrix, ``expit(logits)``, is
-    computed when first read. Tables read from JSONL or rows have
-    ``class_id`` and ``best`` as given columns and no logits.
+    """Detections as columns. Whatever builds a table gives its ``class_id``
+    and ``best`` (the best class probability) columns: decoding takes them
+    from the class ``logits`` by :func:`best_class`, and tables read from
+    JSONL or rows have no logits. The ``class_scores`` matrix,
+    ``expit(logits)``, is computed when first read.
 
     Indexing and iteration give :class:`Detection` rows of Python scalars,
     built on first read and cached, so an index always gives the same
@@ -133,16 +133,12 @@ class DetectionTable(Sequence):
     logits: np.ndarray | None   # (n, m) class logits, or None
     scale_index: np.ndarray
     cell: np.ndarray            # (n, 2) cell_x, cell_y
-    class_id: np.ndarray = None
-    best: np.ndarray = None
+    class_id: np.ndarray
+    best: np.ndarray
     _rows: list = field(default=None, repr=False)       # the row cache, shared by views
     _slot: np.ndarray = field(default=None, repr=False)  # each row's place in _rows
 
     def __post_init__(self) -> None:
-        if self.class_id is None:
-            class_id, best = best_class(self.logits)
-            object.__setattr__(self, "class_id", class_id)
-            object.__setattr__(self, "best", best)
         if self._rows is None:
             object.__setattr__(self, "_rows", [None] * len(self.objectness))
             object.__setattr__(self, "_slot", np.arange(len(self.objectness)))

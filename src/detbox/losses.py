@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codec import RegressionTarget, decode_with_jacobian
+from .codec import decode_with_jacobian
 
 LOSS_KINDS = ("sdiou", "mse", "iou", "giou", "diou", "ciou")
 
@@ -52,12 +52,6 @@ _ASPECT_EPS = 1e-9     # width/height floor inside the ciou aspect term
 
 class DegenerateGeometryError(ValueError):
     """Both boxes have collapsed to (near) points; the score is undefined."""
-
-
-def _dist_array(x) -> np.ndarray:
-    if isinstance(x, RegressionTarget):
-        return x.as_array()
-    return np.asarray(x, dtype=float)
 
 
 def sdiou_loss(pred, truth, rho: float = 1.0) -> np.ndarray:
@@ -110,11 +104,12 @@ def _norm2(x: np.ndarray) -> np.ndarray:
 
 
 def _plan_iou_family(t: np.ndarray, kind: str, rho: float, ndim: int):
-    """IoU-family losses and gradients; a non-positive predicted extent clamps to 0.
+    """One IoU-family kind's loss and gradient; a non-positive predicted extent clamps to 0.
 
     ``ndim`` is the rank of the prediction and truth broadcast together. The
-    truth's terms are computed here once; each step computes the prediction
-    terms that ``kind`` reads, once.
+    truth terms that ``kind`` reads are computed here once. Each step scores
+    iou, and then ``kind`` alone: giou adds the hull term, diou and ciou add
+    the centre distance, and ciou adds the aspect term to diou's score.
     """
     # C-ordered (side, axis, rows) reaches; .T reverses both row axes alike
     # once their ranks match, so ufuncs broadcast them, and .T restores them
@@ -124,13 +119,12 @@ def _plan_iou_family(t: np.ndarray, kind: str, rho: float, ndim: int):
         x = x.reshape((1,) * (ndim - x.ndim) + x.shape).T
         return np.subtract(x, origin, order="C").reshape(2, 2, *x.shape[1:])
 
-    needed = {kind, "diou"} if kind == "ciou" else {kind}   # ciou extends diou
     rt = reaches(t)
     ext_t = rt[0] + rt[1]
     area_t = ext_t[0] * ext_t[1]
-    if "diou" in needed:
+    if kind in ("diou", "ciou"):   # ciou extends diou
         half_t = (rt[1] - rt[0]) / 2
-    if "ciou" in needed:
+    if kind == "ciou":
         aspect_t = np.arctan(ext_t[0] / ext_t[1])
         turn = _SIGNS.reshape(2, *(1,) * (ndim - 1))    # (h, w) * turn == (-h, w)
 
@@ -150,29 +144,29 @@ def _plan_iou_family(t: np.ndarray, kind: str, rho: float, ndim: int):
         d_inter = (ext_i > 0.0) * (rp < rt) * inner_p[::-1]
         d_union = (ext_p > 0.0) * ext_pp[::-1] - d_inter
         d_iou = (d_inter * union - inter * d_union) / (union * union)
-        terms = {"iou": (iou, d_iou)}   # (score, gradient) per kind
+        score, g = iou, d_iou
 
-        if needed - {"iou"}:
+        if kind != "iou":
             # the hull grows with a reach beyond the truth's
             hull = np.maximum(rp, rt)
             ext_h = hull[0] + hull[1]
             d_hull = rp > rt
 
-        if "giou" in needed:
+        if kind == "giou":
             # iou - (hull - union)/hull == iou - 1 + union/hull
             area = ext_h[0] * ext_h[1]
             d_area = d_hull * ext_h[::-1]
-            terms["giou"] = (iou - 1.0 + union / area,
-                             d_iou + (d_union * area - union * d_area) / (area * area))
+            score, g = (iou - 1.0 + union / area,
+                        d_iou + (d_union * area - union * d_area) / (area * area))
 
-        if "diou" in needed:
+        if kind in ("diou", "ciou"):
             gap = (rp[1] - rp[0]) / 2 - half_t   # a back reach pulls it back
             dist2, diag2 = _norm2(gap), _norm2(ext_h)
             d_diag2 = 2.0 * ext_h * d_hull
-            terms["diou"] = (iou - dist2 / diag2, d_iou - (
-                np.multiply.outer(_SIGNS, gap) * diag2 - dist2 * d_diag2) / (diag2 * diag2))
+            score, g = iou - dist2 / diag2, d_iou - (
+                np.multiply.outer(_SIGNS, gap) * diag2 - dist2 * d_diag2) / (diag2 * diag2)
 
-        if "ciou" in needed:
+        if kind == "ciou":
             # Aspect-ratio consistency term, differentiated exactly, including
             # through its adaptive weight.
             ext_c = np.maximum(ext_p, _ASPECT_EPS)
@@ -185,10 +179,8 @@ def _plan_iou_family(t: np.ndarray, kind: str, rho: float, ndim: int):
             big = (1.0 - iou) + v + _COVER_EPS
             alpha = v / big
             d_alpha = (dv * big - v * (dv - d_iou)) / (big * big)
-            score, g = terms["diou"]
-            terms["ciou"] = (score - alpha * v, g - (d_alpha * v + alpha * dv))
+            score, g = score - alpha * v, g - (d_alpha * v + alpha * dv)
 
-        score, g = terms[kind]
         loss = np.subtract(1.0, score.T, order="C")
         return loss, np.negative(g.reshape(4, *g.shape[2:]).T, order="C")
 
@@ -217,7 +209,7 @@ def plan_loss_grad(truth, kind: str, pred_shape, rho: float = 1.0):
     for float arrays ``pred`` of shape ``pred_shape``; each call gives the
     bits of ``regression_loss_grad(pred, truth, kind, rho)``.
     """
-    t, shape = _dist_array(truth), tuple(pred_shape)
+    t, shape = np.asarray(truth, dtype=float), tuple(pred_shape)
     if kind not in LOSS_KINDS:   # a tuple or list of kinds too
         raise ValueError(f"unknown loss kind {kind!r}; valid: {', '.join(LOSS_KINDS)}")
     if not 0 <= rho < np.inf:   # read by sdiou alone, but checked for every kind
@@ -240,7 +232,7 @@ def regression_loss_grad(
     :func:`plan_loss_grad` builds the call; a loop over one truth builds it
     once.
     """
-    p = _dist_array(pred)
+    p = np.asarray(pred, dtype=float)
     return plan_loss_grad(truth, kind, p.shape, rho)(p)
 
 

@@ -3,11 +3,13 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import detbox
 from detbox import BoundingBox, PredictionGrid, ScaleConfig, decode_grid, nms
-from detbox.cli import build_parser, main
+from detbox.cli import EffectiveConfig, build_parser, main
 from detbox.gradcheck import FD_STEPS
 from detbox.infer import detections_from_jsonl, detections_to_jsonl
 from detbox.losses import LOSS_KINDS
@@ -392,6 +394,21 @@ class TestAssignStats:
                      "--output", str(out)]) == 2
         assert "scale thresholds must be strictly increasing" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("gain", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["assign-stats", "--scene", "COCO"], ["encode", "--scene", "COCO"],
+        ["fit", "--scene", "COCO", "--steps", "2"], ["gradcheck", "--samples", "20"],
+        ["detect", "--grid", "GRID"]])
+    def test_a_gain_that_is_not_finite_exits_2(self, tmp_path, capsys, command, gain):
+        # unchecked, a NaN gain drops every scale-0 record and fails a gradcheck
+        files = {"COCO": str(COCO_FIXTURE), "GRID": str(_detect_grid(tmp_path)[0])}
+        out = tmp_path / "out"
+        assert main([files.get(a, a) for a in command] + ["--gains", f"{gain},4,16",
+                                                           "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"gains must be finite and > 0, got ({gain}, 4.0, 16.0)" in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("field, value, where", [
         *(("y", v, "bbox of annotation for image 1") for v in (None, "a", True, "10")),
@@ -928,6 +945,10 @@ class TestNmsCommandMemory:
         assert [line.replace('"class":80,', f'"class":{class_id},') for line in small] == large
 
 
+# one of each JSON kind, and numbers at and past every edge a setting checks
+_CONFIG_VALUES = [None, True, "a", [1], {}, math.nan, math.inf, -1, 1e30, 0, 1.5, -0.0, []]
+
+
 class TestConfigPrecedence:
     def test_file_overrides_builtin_and_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -977,7 +998,15 @@ class TestConfigPrecedence:
                 "rho": 2.0, "conf_threshold": 0.2, "nms_threshold": 0.3, "seed": 11,
             })
 
-    @pytest.mark.parametrize("key,value", [("rho", [1]), ("strides", [[8]])])
+    @pytest.mark.parametrize("key,value", [
+        ("rho", [1]), ("strides", [[8]]),
+        # a JSON boolean is not a number, not even inside a list
+        ("strides", [True, 16, 32]), ("seed", True), ("rho", True), ("conf_threshold", True),
+        ("gains", [True, 4, 16]), ("image_size", [640, False]),
+        # a stride, an image side and a seed are whole numbers
+        ("seed", math.inf), ("strides", [math.inf, 16, 32]), ("image_size", [math.inf, 480]),
+        ("strides", [8.5, 16, 32]), ("image_size", [640.5, 480]), ("seed", 1.5),
+    ])
     def test_wrong_json_type_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
@@ -985,6 +1014,34 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert f"{key}: wrong type" in err
         assert "Traceback" not in err
+
+    def test_whole_floats_read_as_ints(self, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+        cfg.write_text(json.dumps({"strides": [8.0, 16, 32], "image_size": 320.0, "seed": 2.0}))
+        assert main(["gradcheck", "--samples", "2", "--config", str(cfg),
+                     "--output", str(out)]) == 0
+        echo = json.loads(out.read_text())["config"]
+        assert (echo["strides"], echo["image_w"], echo["image_h"], echo["seed"]) == (
+            [8, 16, 32], 320, 320, 2)
+
+    @settings(max_examples=40)
+    @given(value=st.sampled_from(_CONFIG_VALUES))
+    @pytest.mark.parametrize("key", [s.name for s in fields(EffectiveConfig)])
+    def test_any_json_value_exits_0_or_2_and_a_read_value_is_echoed(self, tmp_path_factory,
+                                                                    key, value):
+        cfg = tmp_path_factory.mktemp("config") / "cfg.json"
+        out = cfg.with_name("out.json")
+        cfg.write_text(json.dumps({key: value}))
+        code = main(["gradcheck", "--samples", "2", "--config", str(cfg), "--output", str(out)])
+        assert code in (0, 2)
+        if code == 0:
+            echo = json.loads(out.read_text())["config"]
+            want = getattr(EffectiveConfig(), key) if value is None else value
+            if key in ("strides", "gains", "image_size"):   # a list, or one number for all
+                sides = 2 if key == "image_size" else 1
+                want = list(want) if isinstance(want, (list, tuple)) else [want] * sides
+            got = [echo["image_w"], echo["image_h"]] if key == "image_size" else echo[key]
+            assert got == want
 
 
 _COMMON_FLAGS = {"-h", "--help", "--strides", "--gains", "--image-size", "--rho",

@@ -1,5 +1,6 @@
 """Corner-distance encoding, squared-sigmoid decoding, and their inverses."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +69,19 @@ class TestScaleConfig:
             ScaleConfig(gains=(2.0, 4.0))
         with pytest.raises(CodecError):
             ScaleConfig(gains=(2.0, 0.0, 16.0))
+
+    @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf, -2.0])
+    def test_rejects_a_gain_that_is_not_finite_and_positive(self, gain):
+        with pytest.raises(CodecError, match=r"gains must be finite and > 0, got \("):
+            ScaleConfig(gains=(gain, 4.0, 16.0))
+
+    @pytest.mark.parametrize("stride", [8.5, math.inf, math.nan])
+    def test_rejects_a_stride_that_is_not_a_whole_number(self, stride):
+        with pytest.raises(CodecError, match=r"strides must be whole numbers, got \("):
+            ScaleConfig(strides=(stride, 16, 32))
+
+    def test_whole_float_strides_read_as_ints(self):
+        assert ScaleConfig(strides=[8.0, 16, np.float64(32)]).strides == (8, 16, 32)
 
     def test_for_image_same_size_is_the_same_object(self, scale):
         assert scale.for_image(640, 640) is scale

@@ -1,5 +1,6 @@
 """Gradient-descent harness: determinism, fixed points, convergence."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -184,18 +185,18 @@ class TestCompareLosses:
 
     def test_requested_kinds_present(self):
         scene = generate_scene(SceneSpec(), seed=0)
-        rows = compare_losses(scene, FitConfig(steps=60),
+        rows = compare_losses([scene], FitConfig(steps=60),
                               kinds=("sdiou", "mse", "giou", "ciou"))
         assert [r["loss"] for r in rows] == ["sdiou", "mse", "giou", "ciou"]
 
     def test_unknown_kind_rejected(self):
         scene = generate_scene(SceneSpec(), seed=0)
         with pytest.raises(ValueError, match="valid"):
-            compare_losses(scene, FitConfig(), kinds=("sdiou", "huber"))
+            compare_losses([scene], FitConfig(), kinds=("sdiou", "huber"))
 
     def test_median_handles_never_converged(self):
         scene = generate_scene(SceneSpec(), seed=0)
-        rows = compare_losses(scene, FitConfig(steps=1), kinds=("sdiou",))
+        rows = compare_losses([scene], FitConfig(steps=1), kinds=("sdiou",))
         assert rows[0]["median_steps_to_iou90"] == math.inf
 
 
@@ -301,3 +302,47 @@ class TestConfigValidation:
             FitConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             FitConfig(loss="huber")
+
+
+def _reports_digest(reports):
+    """sha256 over everything a report measures, report by report."""
+    digest = hashlib.sha256()
+    for r in reports:
+        for trace in (r.loss_trace, r.iou_trace, r.final_iou):
+            digest.update(trace.tobytes())
+        digest.update(repr((r.steps_to_iou90, r.steps_to_iou99, r.excluded_objects,
+                            r.n_records, r.n_records_excluded)).encode())
+    return digest.hexdigest()
+
+
+# fit_scenes bits per kind on a seeded three-scene batch whose wide boxes lose
+# records at the fine scale, with multitask off and on
+_FIT_BITS = {
+    False: {
+        "sdiou": "439b2902095e1c6c432d957a7b434fbb220338f5b3f1ee466c33bba566e0b401",
+        "mse": "e03a77e184586e69272563b6d812b907e9e6f9f610ccd34a41e07006446b1fa2",
+        "iou": "674dad5104ac35d925ff5da1816bf73c697d3153dc485ea7d7e2d5a0759d20db",
+        "giou": "2c12e341e4e25c2382dab80c4b6a1f8897326d7f7fe17bee71eb765b4afe2681",
+        "diou": "1a4bdd23ebcf3348105fb0fae2d1d4e83018833adabb9433c40db86982e84fac",
+        "ciou": "e3b8875375409ea632be640c1a3f8de85a62df2ddee9386c63bddb868a9c6e19",
+    },
+    True: {
+        "sdiou": "1c26aba56778f209fe6b841e76f00cdf697a7459a30875c33d212118aaf539bf",
+        "mse": "7ecc8df7aadd6bc62334478695c9dfe0a7f38875f2f7647df183cc1be97f5dba",
+        "iou": "225511126ab6749dad7371ed44bf015852411b4bc36da3961275aa79d42444f2",
+        "giou": "83a651e50d6f4ac0ef58c6f7cd7f6b9504524b8d8b422669e897859fe475f9d1",
+        "diou": "e392386d5cf03a3573ed61bbc92cd18421c6faf8381b5270774f8c69e355a80e",
+        "ciou": "7e7135ce00a8c2375d2e8ba505de4d55527977216ee0270547eb1de0758a4f0b",
+    },
+}
+
+
+@pytest.mark.parametrize("multitask", [False, True])
+def test_fit_scenes_bits_are_pinned(multitask):
+    spec = SceneSpec(n_objects=3, size_min=20, size_max=180)
+    scenes = [generate_scene(spec, seed) for seed in (7, 8, 9)]
+    cfg = FitConfig(steps=30, scale=TestFitScenes.SCALE, multitask=multitask)
+    by_kind = fit_scenes(scenes, cfg, LOSS_KINDS)
+    assert sum(r.n_records_excluded for r in by_kind[0]) > 0
+    assert {kind: _reports_digest(reports)
+            for kind, reports in zip(LOSS_KINDS, by_kind)} == _FIT_BITS[multitask]

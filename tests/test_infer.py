@@ -406,7 +406,8 @@ def crowded_table(kind, n=5000, seed=0):
     logits = np.full((n, classes), -np.inf)   # class probabilities 0, and 0.5 or 1 at the class
     logits[np.arange(n), rng.integers(classes, size=n)] = rng.choice([0.0, np.inf], n)
     return DetectionTable(boxes, rng.choice([0.25, 0.5, 0.75, 1.0], n), logits,
-                          rng.integers(3, size=n), rng.integers(80, size=(n, 2)))
+                          rng.integers(3, size=n), rng.integers(80, size=(n, 2)),
+                          *infer.best_class(logits))
 
 
 class TestNmsAtScale:
@@ -591,7 +592,7 @@ class TestRowFastPath:
     def test_out_of_order_corners_raise_when_read(self, bad):
         table = DetectionTable(np.array([(0.0, 0.0, 4.0, 4.0), bad]), np.array([0.9, 0.8]),
                                np.ones((2, M)), np.zeros(2, dtype=int),
-                               np.zeros((2, 2), dtype=int))
+                               np.zeros((2, 2), dtype=int), *infer.best_class(np.ones((2, M))))
         assert table[0].box == CornerBox(0.0, 0.0, 4.0, 4.0)
         with pytest.raises(GeometryError) as want:
             CornerBox(*bad)

@@ -1,5 +1,6 @@
 """Distance-space losses: fixed points, worked values, gradient checks."""
 
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -192,7 +193,7 @@ class TestLogitGradients:
     def test_saturated_logits_vanish(self, scale):
         truth = RegressionTarget(3, 1.75, 3, 1.75, 0)
         logits = np.array([25.0, -25.0, 25.0, -25.0])
-        _, grad = logit_loss_grad(logits, truth, scale.gains[truth.scale_index])
+        _, grad = logit_loss_grad(logits, truth.as_array(), scale.gains[truth.scale_index])
         assert np.all(np.abs(grad) < 1e-8)
 
     def test_zero_at_decoded_truth(self, scale, rng):
@@ -482,3 +483,34 @@ class TestMultitask:
         out = bce_with_logits(z, y)
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out[2], math.log(2), atol=1e-15)
+
+
+def _loss_bits_digest(kind):
+    """sha256 of the loss and gradient bytes of one kind on 200 seeded
+    ``sample_pair`` rows, in three broadcast forms."""
+    rng = np.random.default_rng(2024)
+    pred, truth = (np.array(x) for x in zip(*(sample_pair(rng, ScaleConfig())[:2]
+                                              for _ in range(200))))
+    wide = np.stack([pred, np.roll(pred, 1, axis=0), np.roll(pred, 2, axis=0)], axis=1)
+    digest = hashlib.sha256()
+    for p, t in ((pred, truth), (wide, truth[:, None]), (pred, truth[0])):
+        for x in regression_loss_grad(p, t, kind):
+            digest.update(x.tobytes())
+    return digest.hexdigest()
+
+
+# Loss and gradient bits per kind, so that a refactor of the kernels shows
+# a changed bit here
+_LOSS_BITS = {
+    "sdiou": "2f54ac3bd82386df00d7a07fe3a978b0a77a3471d74a7ef4a22a33357216bb37",
+    "mse": "66136ed577b011597e358f826a039b04dec4d76c588654f179193ac53bc08402",
+    "iou": "c5afc3bf23de3bdac9866afdb3833450805af9b28d9c475e4cfcfd960de1fd72",
+    "giou": "854030cdc0cdb7fd65cc4c8f7dbd648c2bfab6fc513a4f0af5c966e0bef5861a",
+    "diou": "a25c515f81bac46fe4b1402c3f878df53c847741685c30262b80761368625345",
+    "ciou": "9281a3628529288ab5fba6735eca49c2b2489f41a24d0c54dc1f71008b86c578",
+}
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_loss_and_gradient_bits_are_pinned(kind):
+    assert _loss_bits_digest(kind) == _LOSS_BITS[kind]
