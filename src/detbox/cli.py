@@ -164,16 +164,17 @@ def _resolve(args: argparse.Namespace) -> EffectiveConfig:
             raise ValueError(f"config file {args.config}: expected a JSON object")
     values = {}
     for setting in fields(EffectiveConfig):
-        value = getattr(args, setting.name)
+        value, source = getattr(args, setting.name), "--" + setting.name.replace("_", "-")
         if value is None:
-            value = file_cfg.get(setting.name)
+            value, source = file_cfg.get(setting.name), f"config file {args.config}: {setting.name}"
         if value is None:
             continue
         try:
             values[setting.name] = setting.metadata["parse"](value)
         except (TypeError, OverflowError) as exc:   # only a config file supplies non-strings
-            raise ValueError(f"config file {args.config}: {setting.name}: "
-                             f"wrong type for {value!r}") from exc
+            raise ValueError(f"{source}: wrong type for {value!r}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{source}: cannot read {value!r}: {exc}") from exc
     for name in ("conf_threshold", "nms_threshold"):
         if not math.isfinite(values.get(name, 0.0)):
             raise ValueError(f"{name} must be finite, got {values[name]}")

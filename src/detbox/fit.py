@@ -12,7 +12,9 @@ one :func:`~detbox.assign.assign_scenes` call, keeps the usable records,
 keeps one logit copy per loss kind, and steps them all in a single loop.
 The loss call is planned once per kind per fit; each step makes one decode
 (one ``expit``), one planned loss call per kind on that kind's rows, and
-does the rest once over every row.
+one gradient update over every row. The traces are taken per block of
+steps (at most :data:`BLOCK_VALUES` distances): one IoU call, and in plain
+mode one objective sum per scene.
 :func:`fit_scene` and :func:`compare_losses` call it.
 
 Records whose targets fall outside the representable open interval
@@ -39,6 +41,7 @@ from .ingest import Scene
 from .losses import LOSS_KINDS, bce_with_logits, plan_loss_grad
 
 N_CLASSES = 3   # synthetic class ids are drawn from range(N_CLASSES)
+BLOCK_VALUES = 32768   # decoded distances buffered per block of fit steps: bounds its memory
 
 
 @dataclass(frozen=True)
@@ -225,12 +228,6 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
     # a box is stride * (corner + d * side): x1 = stride * (x + 1 - l), ..., y2 = stride * (y + b)
     corner, side = np.concatenate([rec.cell + 1.0, rec.cell], axis=1), np.array([-1.0, -1, 1, 1])
 
-    def best_iou_per_object(d: np.ndarray) -> np.ndarray:
-        best = np.full(n_kinds * n_objects, np.nan)   # NaN for an object without records
-        iou = iou_xyxy(stride[:, None] * (corner + d * side), truth).ravel()
-        best[owners] = np.maximum.reduceat(iou, starts)
-        return best.reshape(n_kinds, n_objects)
-
     if cfg.multitask:
         if (low := rec.class_id.min(initial=0)) < 0:
             raise ValueError(f"multitask class ids must be >= 0, got {low}")
@@ -257,9 +254,7 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
         cls_div = (key_count * key_classes)[:, None]
 
     def objectives(loss: np.ndarray) -> list:
-        """Each scene's objective under each kind, from the (kinds, rows) losses."""
-        if not cfg.multitask:
-            return [loss[:, rec_off[i]:rec_off[i + 1]].sum(axis=1) for i in range(len(scenes))]
+        """Each scene's multitask objective per kind, from one step's (kinds, rows) losses."""
         obj, cls = bce_with_logits(obj_logits, 1.0), bce_with_logits(cls_logits, cls_labels)
         # per (scene, scale), the mean objectness and class cross entropy; the
         # kinds share them, and an empty group adds 0
@@ -272,17 +267,29 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
 
     logits = np.zeros((n_kinds * n_keys, 4))
     loss_trace = np.empty((cfg.steps + 1, len(scenes), n_kinds))
-    iou_trace = np.empty((cfg.steps + 1, n_kinds, n_objects))
+    iou_trace = np.full((cfg.steps + 1, n_kinds, n_objects), np.nan)   # NaN: no records
     # the shapes and truth-only loss terms are settled once per fit, in one plan per kind
     plans = [plan_loss_grad(rec.target, kind, (len(rec.target), 4), cfg.rho) for kind in kinds]
-    loss, grad_d = np.empty(row_key.shape), np.empty((*row_key.shape, 4))
+    # a block of steps' distances and losses, traced together once the block is full
+    block = int(np.clip(BLOCK_VALUES // max(1, row_key.size * 4), 1, cfg.steps + 1))
+    d_block, loss_block = np.empty((block, *row_key.shape, 4)), np.empty((block, *row_key.shape))
+    grad_d = np.empty((*row_key.shape, 4))
     # the last pass only scores the final logits
     for step in range(cfg.steps + 1):
+        j = step % block
         d, jacobian = decode_with_jacobian(logits[row_key], gain)
-        iou_trace[step] = best_iou_per_object(d)
+        d_block[j] = d
         for k, plan in enumerate(plans):
-            loss[k], grad_d[k] = plan(d[k])
-        loss_trace[step] = objectives(loss)
+            loss_block[j, k], grad_d[k] = plan(d[k])
+        if cfg.multitask:   # the head logits move every step
+            loss_trace[step] = objectives(loss_block[j])
+        if j == block - 1 or step == cfg.steps:   # each object's best IoU, each plain objective
+            at, n = slice(step - j, step + 1), j + 1
+            iou = iou_xyxy(stride[:, None] * (corner + d_block[:n] * side), truth).reshape(n, -1)
+            iou_trace.reshape(cfg.steps + 1, -1)[at, owners] = np.maximum.reduceat(iou, starts, 1)
+            if not cfg.multitask:
+                for i in range(len(scenes)):
+                    loss_trace[at, i] = loss_block[:n, :, rec_off[i]:rec_off[i + 1]].sum(axis=-1)
         if step == cfg.steps:
             break
 

@@ -169,11 +169,6 @@ def load_coco(path) -> CocoLoadResult:
     return CocoLoadResult(scenes=scenes, skipped=skipped, n_annotations=len(annotations))
 
 
-def bbox_xywh(box: BoundingBox) -> list[float]:
-    """Back to COCO's top-left (x, y, w, h) form."""
-    return [box.x1, box.y1, box.w, box.h]
-
-
 def dataset_stats(
     scenes: list[Scene],
     scale: ScaleConfig,

@@ -30,7 +30,6 @@ from detbox import (
 from detbox.cli import main
 from detbox.codec import decode_distances, encode_logit_array
 from detbox.gradcheck import run_gradcheck
-from detbox.ingest import bbox_xywh
 
 from conftest import COCO_FIXTURE, random_box
 from test_infer import make_det, reference_nms
@@ -230,7 +229,7 @@ def test_criterion_09_coco_ingestion():
     for scene in result.scenes:
         pool = by_image.get(int(scene.source_id), [])
         for box, _ in scene.objects:
-            out = bbox_xywh(box)
+            out = [box.x1, box.y1, box.w, box.h]   # COCO's top-left form
             err, idx = min(
                 (max(abs(a - b) for a, b in zip(pool[i], out)), i)
                 for i in range(len(pool))

@@ -1015,6 +1015,33 @@ class TestConfigPrecedence:
         assert f"{key}: wrong type" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key,value,cause", [
+        ("strides", "a", "invalid literal for int() with base 10: 'a'"),
+        ("image_size", [1], "not enough values to unpack"),
+    ])
+    def test_unreadable_config_value_names_the_file_and_key(self, tmp_path, capsys,
+                                                           key, value, cause):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["gradcheck", "--samples", "2", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config file {cfg}: {key}: cannot read {value!r}: {cause}" in err
+
+    @pytest.mark.parametrize("flag,value,cause", [
+        ("--strides", "a", "invalid literal for int() with base 10: 'a'"),
+        ("--image-size", "1x2x3", "too many values to unpack"),
+        ("--gains", "1,x,3", "could not convert string to float: 'x'"),
+    ])
+    def test_unreadable_flag_value_names_the_flag(self, tmp_path, capsys, flag, value, cause):
+        # a flag wins over the config file, so the flag is named, not the file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strides": [8, 16, 32], "gains": [2, 4, 16]}))
+        argv = ["gradcheck", "--samples", "2", "--config", str(cfg), flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag}: cannot read {value!r}: {cause}" in err
+        assert "config file" not in err
+
     def test_whole_floats_read_as_ints(self, tmp_path):
         cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
         cfg.write_text(json.dumps({"strides": [8.0, 16, 32], "image_size": 320.0, "seed": 2.0}))

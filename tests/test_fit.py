@@ -22,6 +22,7 @@ from detbox import (
     generate_scene,
     sdiou_loss,
 )
+from detbox import fit
 from detbox.fit import N_CLASSES, check_size_bounds
 from detbox.losses import LOSS_KINDS
 
@@ -337,12 +338,45 @@ _FIT_BITS = {
 }
 
 
-@pytest.mark.parametrize("multitask", [False, True])
-def test_fit_scenes_bits_are_pinned(multitask):
+def _pinned_batch(multitask):
     spec = SceneSpec(n_objects=3, size_min=20, size_max=180)
     scenes = [generate_scene(spec, seed) for seed in (7, 8, 9)]
     cfg = FitConfig(steps=30, scale=TestFitScenes.SCALE, multitask=multitask)
-    by_kind = fit_scenes(scenes, cfg, LOSS_KINDS)
-    assert sum(r.n_records_excluded for r in by_kind[0]) > 0
+    return fit_scenes(scenes, cfg, LOSS_KINDS)
+
+
+def _assert_pinned(by_kind, multitask):
     assert {kind: _reports_digest(reports)
             for kind, reports in zip(LOSS_KINDS, by_kind)} == _FIT_BITS[multitask]
+
+
+@pytest.mark.parametrize("multitask", [False, True])
+def test_fit_scenes_bits_are_pinned(multitask):
+    by_kind = _pinned_batch(multitask)
+    assert sum(r.n_records_excluded for r in by_kind[0]) > 0
+    _assert_pinned(by_kind, multitask)
+
+
+@pytest.mark.parametrize("multitask", [False, True])
+@pytest.mark.parametrize("steps_per_block", [1, 4, 31])
+def test_step_blocks_keep_the_pinned_bits(monkeypatch, multitask, steps_per_block):
+    # the batch's 31 passes traced one step per block, in blocks of 4 that
+    # leave a short last block, and in one block
+    values = len(LOSS_KINDS) * sum(r.n_records for r in _pinned_batch(False)[0]) * 4
+    monkeypatch.setattr(fit, "BLOCK_VALUES", steps_per_block * values)
+    _assert_pinned(_pinned_batch(multitask), multitask)
+
+
+@pytest.mark.parametrize("multitask", [False, True])
+@pytest.mark.parametrize("budget", [1, fit.BLOCK_VALUES])
+def test_fits_without_usable_records_trace_nan_and_zero(monkeypatch, multitask, budget):
+    monkeypatch.setattr(fit, "BLOCK_VALUES", budget)
+    scenes = [Scene(640, 640, (), "empty"),
+              Scene(640, 640, ((BoundingBox(320, 320, 400, 400), 0),), "excluded")]
+    cfg = FitConfig(steps=5, scale=TestFitScenes.SCALE, multitask=multitask)
+    for reports in fit_scenes(scenes, cfg, ("sdiou", "giou")):
+        empty, excluded = reports
+        assert empty.iou_trace.shape == (6, 0) and excluded.iou_trace.shape == (6, 1)
+        assert np.isnan(excluded.iou_trace).all() and excluded.excluded_objects == (0,)
+        for report in reports:
+            assert report.n_records == 0 and report.loss_trace.tolist() == [0.0] * 6

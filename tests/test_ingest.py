@@ -14,7 +14,6 @@ from detbox import (
     dataset_stats,
     load_coco,
 )
-from detbox.ingest import bbox_xywh
 
 from conftest import COCO_FIXTURE
 
@@ -57,7 +56,7 @@ class TestLoad:
 
     def test_bbox_xywh_inverse(self):
         box = BoundingBox(100.25, 60.5, 40.0, 21.0)
-        assert bbox_xywh(box) == [80.25, 50.0, 40.0, 21.0]
+        assert [box.x1, box.y1, box.w, box.h] == [80.25, 50.0, 40.0, 21.0]
 
 
     def test_planted_skips_on_a_generated_document(self, tmp_path):
