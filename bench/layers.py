@@ -5,13 +5,16 @@ Run from the repository root:
     python3 bench/layers.py                      # this checkout -> BENCH_1.json
     python3 bench/layers.py --compare HEAD~1     # this checkout and HEAD~1, alternately
 
-Every case runs once per round, rounds are interleaved in one process per
-checkout, and each case reports the min and the median over rounds of its
-seconds and of its rate; on a noisy machine the min is the steadier of the
-two. With ``--compare REV`` the working tree and ``git archive REV`` run in
-two worker processes that take turns, one round at a time, so both see the
-same swings of the machine, and each case also reports in how many rounds
-the working tree was the faster. The bench code is this checkout's in both.
+Every case runs once per round, and each case reports the min and the
+median over rounds of its seconds and of its rate; on a noisy machine the
+min is the steadier of the two. The rounds are spread, as evenly as they
+divide, over ``WORKER_SETS`` (3) sets of fresh worker processes, one process
+per checkout, started one set after the other, so that no one process's
+luck of memory layout or cache decides a case. With ``--compare REV`` the
+working tree and ``git archive REV`` are the two workers of each set, which
+take turns, one round at a time and in ABBA order, so both see the same
+swings of the machine, and each case also reports in how many rounds the
+working tree was the faster. The bench code is this checkout's in both.
 
 Cases, keyed like perfbench's spans:
 
@@ -89,6 +92,7 @@ CLASSES, STRIDES, GAINS = 80, (8, 16, 32), (2.0, 4.0, 16.0)
 LOSS_PAIRS, LOSS_CALLS = 200, 50   # rows per regression_loss_grad call, calls per round
 COMPARE_SCENES = 100   # the scene count of ROADMAP aim 1's loss comparison
 COMPARE_KEY = f"fit.compare_losses.{COMPARE_SCENES}"
+WORKER_SETS = 3   # fresh worker processes per checkout, each serving a share of the rounds
 
 
 def dense_grid(detbox, n: int, seed: int = 0):
@@ -308,24 +312,27 @@ def main(argv=None) -> int:
                                      capture_output=True, check=True).stdout
             subprocess.run(["tar", "-x", "-C", scratch], input=archive, check=True)
             checkouts[rev] = Path(scratch)
-        workers = {}
-        for name, root in checkouts.items():
-            workers[name] = subprocess.Popen(
+        rounds = {name: [] for name in checkouts}
+        for k in range(WORKER_SETS):
+            share = range(args.rounds)[k::WORKER_SETS]   # global round indexes of this set
+            if not share:
+                break
+            workers = {name: subprocess.Popen(
                 [sys.executable, __file__, "--worker", str(root / "src"), "--images",
                  str(args.images), "--sizes", args.sizes],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        try:
-            heads = {name: json.loads(w.stdout.readline()) for name, w in workers.items()}
-            rounds = {name: [] for name in workers}
-            for r in range(args.rounds):
-                for name in list(workers)[::1 if r % 2 == 0 else -1]:   # ABBA order
-                    workers[name].stdin.write("round\n")
-                    workers[name].stdin.flush()
-                    rounds[name].append(json.loads(workers[name].stdout.readline()))
-        finally:
-            for w in workers.values():
-                w.stdin.close()
-                w.wait()
+                for name, root in checkouts.items()}
+            try:
+                heads = {name: json.loads(w.stdout.readline()) for name, w in workers.items()}
+                for r in share:
+                    for name in list(workers)[::1 if r % 2 == 0 else -1]:   # ABBA order
+                        workers[name].stdin.write("round\n")
+                        workers[name].stdin.flush()
+                        rounds[name].append(json.loads(workers[name].stdout.readline()))
+            finally:
+                for w in workers.values():
+                    w.stdin.close()
+                    w.wait()
         results = {name: {"src_detbox_lines": source_lines(root),
                           "layers": summary(heads[name]["work"], heads[name]["units"],
                                             rounds[name])}

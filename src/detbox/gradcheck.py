@@ -7,15 +7,17 @@ chained through the logit decode. Samples landing within an exclusion
 margin of a min/max/clamp switching point are redrawn: the gradient is
 only defined piecewise there.
 
-Sampling stays sequential, so a seed always draws the same pairs. The
-checks then run batched, :data:`CHUNK_SAMPLES` at a time so memory stays
-flat, and a chunk is one loss call on ``(n, 18, 4)`` rows. The first nine
-are distance rows: the point, then the four rows of each side of the
-central difference, each moving one component. The last nine are the
-same rows in logit space, decoded to distances, so the chain rule is the
-distance gradient at the logit point times the decode's Jacobian there.
-The point's gradient is the analytic one. A NaN error counts as infinite
-and fails the check.
+Sampling stays sequential, so a seed always draws the same pairs. A pair
+is drawn, encoded and accepted on Python floats with the formulas of
+:func:`~detbox.codec.encode_distances` in its order, for the codec's bits
+(the sampler referee test pins them). The checks then run batched,
+:data:`CHUNK_SAMPLES` at a time so memory stays flat, and a chunk is one
+loss call on ``(n, 18, 4)`` rows. The first nine are distance rows: the
+point, then the four rows of each side of the central difference, each
+moving one component. The last nine are the same rows in logit space,
+decoded to distances, so the chain rule is the distance gradient at the
+logit point times the decode's Jacobian there. The point's gradient is
+the analytic one. A NaN error counts as infinite and fails the check.
 
 The difference of an O(1) loss carries round-off of about 1e-16 / h, so
 the step is set per kind: iou and giou gradients get as small as ~1e-6,
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import (
-    ScaleConfig, decode_distances, decode_with_jacobian, encode_distances, encode_logit_array,
+    ScaleConfig, decode_distances, decode_with_jacobian, encode_logit_array,
 )
 from .losses import regression_loss_grad
 
@@ -62,7 +64,8 @@ def _worst_rel_err(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Largest relative error of ``(n, ..., 4)`` rows over the first axis; NaN counts as inf."""
     # a (1, 4) @ (4, 1) product rounds each row as np.linalg.norm's dot
     # rounds one 4-vector; np.linalg.norm(axis=-1) sums in another order
-    na, nb, nd = (np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0]) for x in (a, b, a - b))
+    x = np.array([a, b, a - b])
+    na, nb, nd = np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
     err = nd / np.maximum(np.maximum(na, nb), 1e-8)
     return np.max(np.where(np.isnan(err), np.inf, err), axis=0)
 
@@ -78,8 +81,13 @@ def _near_switch(pred: list, truth: list) -> bool:
 def sample_pair(rng: np.random.Generator, scale: ScaleConfig) -> tuple[np.ndarray, np.ndarray, int]:
     """One (pred, truth, scale_index) triple away from gradient switches.
 
-    Gains too small to encode the boxes drawn raise :class:`ValueError`.
+    Gains too small to encode the boxes drawn, or an image side of less
+    than 2 px more than the narrowest box, raise :class:`ValueError`.
     """
+    if min(scale.image_w, scale.image_h) - 2 < 0.2 * scale.strides[-1]:
+        raise ValueError(
+            f"image size {scale.image_w}x{scale.image_h} is too small to draw a box at stride "
+            f"{scale.strides[-1]}: each side needs at least {0.2 * scale.strides[-1] + 2:g} px")
     for _ in range(MAX_TRIES):
         scale_index = int(rng.integers(scale.num_scales))
         stride = scale.strides[scale_index]
@@ -92,15 +100,16 @@ def sample_pair(rng: np.random.Generator, scale: ScaleConfig) -> tuple[np.ndarra
         h = rng.uniform(low, min(top, scale.image_h - 2))
         cx = rng.uniform(w / 2 + 1, scale.image_w - w / 2 - 1)
         cy = rng.uniform(h / 2 + 1, scale.image_h - h / 2 - 1)
-        corners = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-        truth = encode_distances(corners, (int(cx // stride), int(cy // stride)), stride)
-        t = truth.tolist()   # the accept tests on floats: numpy calls on 4-vectors cost more
+        x, y = int(cx // stride), int(cy // stride)
+        # encode_distances' formula in its order: numpy calls on 4-vectors cost more
+        t = [(x + 1) - (cx - w / 2) / stride, (y + 1) - (cy - h / 2) / stride,
+             (cx + w / 2) / stride - x, (cy + h / 2) / stride - y]
         if max(t) >= 4.0 * gain:
             continue
         pred = decode_distances(rng.uniform(-2.5, 2.5, size=4), gain)
         if _near_switch(pred.tolist(), t):
             continue
-        return pred, truth, scale_index
+        return pred, np.array(t), scale_index
     raise ValueError(
         f"could not draw a pair away from gradient switch points at gains {scale.gains}; "
         "a gain of 0.15 or less cannot encode the boxes drawn, at least 0.2 strides wide"
@@ -148,9 +157,9 @@ def run_gradcheck(
     for start in range(0, samples, CHUNK_SAMPLES):
         n = min(CHUNK_SAMPLES, samples - start)
         preds, truths, scale_index = zip(*(sample_pair(rng, scale) for _ in range(n)))
-        pred, truth = np.stack(preds)[:, None], np.stack(truths)[:, None]   # (n, 1, 4)
+        pred, truth = np.array(preds)[:, None], np.array(truths)[:, None]   # (n, 1, 4)
         per_scale = [count + scale_index.count(k) for k, count in enumerate(per_scale)]
-        gain = np.asarray(scale.gains)[list(scale_index)][:, None, None]
+        gain = np.array([scale.gains[k] for k in scale_index])[:, None, None]
         logits = encode_logit_array(pred, gain)
         # each space's point and the rows of both sides, as central_diff builds them
         decoded, jac = decode_with_jacobian(
@@ -159,7 +168,8 @@ def run_gradcheck(
             np.concatenate([pred, pred + step, pred - step, decoded], axis=1), truth, kind, rho)
         loss = loss.reshape(n, 2, 9)
         fd = (loss[..., 1:5] - loss[..., 5:]) / (2.0 * h)
-        analytic = np.stack([grad[:, 0], grad[:, 9] * jac[:, 0]], axis=1)   # (n, 2, 4)
+        analytic = grad[:, [0, 9]]   # (n, 2, 4): each space's point
+        analytic[:, 1] *= jac[:, 0]   # the chain rule through the decode
         worst = np.maximum(worst, _worst_rel_err(analytic, fd))
     return GradcheckResult(
         kind=kind,

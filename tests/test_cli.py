@@ -1,7 +1,9 @@
 """Subcommand behavior: worked values, exit codes, config echo, determinism."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -176,7 +178,13 @@ class TestGradcheck:
         # 0.1 rejects every draw; 0.01 leaves no box width to draw
         (["--gains", "0.1,0.1,0.1"], "at gains (0.1, 0.1, 0.1)"),
         (["--gains", "0.01,0.01,0.01"], "at gains (0.01, 0.01, 0.01)"),
-    ], ids=["tolerance-negative", "tolerance-zero", "gains-0.1", "gains-0.01"])
+        # no box side fits between 0.2 strides and the image side less 2 px
+        (["--strides", "2", "--gains", "2", "--image-size", "2x2"],
+         "image size 2x2 is too small to draw a box at stride 2: each side needs at least 2.4 px"),
+        (["--strides", "1", "--gains", "2", "--image-size", "1x1"],
+         "image size 1x1 is too small to draw a box at stride 1: each side needs at least 2.2 px"),
+    ], ids=["tolerance-negative", "tolerance-zero", "gains-0.1", "gains-0.01", "image-2x2",
+            "image-1x1"])
     def test_unusable_setting_exits_2(self, tmp_path, capsys, flags, message):
         out = tmp_path / "gc.json"
         assert main(["gradcheck", "--samples", "5", *flags, "--output", str(out)]) == 2
@@ -582,6 +590,25 @@ def _det_line(x1, y1, x2, y2, score, class_id, scale=0):
             f'"score":{score},"class":{class_id},"scale":{scale}}}')
 
 
+# one of each JSON kind, and numbers at and past every edge a setting or field checks
+_CONFIG_VALUES = [None, True, "a", [1], {}, math.nan, math.inf, -1, 1e30, 0, 1.5, -0.0, []]
+
+
+def _jsonl_accepts(field, value):
+    """Whether ``detections_from_jsonl``'s docstring rules accept ``value`` in
+    ``field`` of ``_det_line(0, 0, 10, 10, 0.9, 1)``."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        return False
+    if field in ("x1", "y1"):   # corners in order
+        return value <= 10
+    if field in ("x2", "y2"):
+        return value >= 0
+    if field in ("class", "scale"):   # whole, within int64, a class at least 0
+        return value == int(value) and -2**63 <= value < 2**63 and (
+            field == "scale" or value >= 0)
+    return True
+
+
 class TestNmsCommand:
     def test_duplicate_boxes_collapse(self, tmp_path):
         src = tmp_path / "dets.jsonl"
@@ -697,6 +724,22 @@ class TestNmsCommand:
         assert capsys.readouterr().err == (
             f"detbox nms: error: bad detection on line 1: expected a JSON object, got {kind}\n")
         assert not out.exists()
+
+    @settings(max_examples=40)
+    @given(value=st.sampled_from(_CONFIG_VALUES))
+    @pytest.mark.parametrize("field", ["x1", "y1", "x2", "y2", "score", "class", "scale"])
+    def test_any_json_value_in_any_field_exits_0_or_2(self, tmp_path_factory, field, value):
+        line = json.loads(_det_line(0, 0, 10, 10, 0.9, 1))
+        line[field] = value
+        src = tmp_path_factory.mktemp("nms") / "dets.jsonl"
+        src.write_text(json.dumps(line) + "\n")
+        out = src.with_name("kept.jsonl")
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["nms", "--detections", str(src), "--output", str(out)])
+        assert code == (0 if _jsonl_accepts(field, value) else 2)
+        assert out.exists() == (code == 0)
+        if code == 2:
+            assert err.getvalue().startswith("detbox nms: error: bad detection on line 1: ")
 
     def test_reads_back_what_it_writes(self, tmp_path):
         path, _, _ = _detect_grid(tmp_path)
@@ -943,10 +986,6 @@ class TestNmsCommandMemory:
         small = (tmp_path / "small_kept.jsonl").read_text().splitlines()[1:]
         large = (tmp_path / "large_kept.jsonl").read_text().splitlines()[1:]
         assert [line.replace('"class":80,', f'"class":{class_id},') for line in small] == large
-
-
-# one of each JSON kind, and numbers at and past every edge a setting checks
-_CONFIG_VALUES = [None, True, "a", [1], {}, math.nan, math.inf, -1, 1e30, 0, 1.5, -0.0, []]
 
 
 class TestConfigPrecedence:

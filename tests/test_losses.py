@@ -284,6 +284,7 @@ SAMPLER_SCALES = (
     ScaleConfig(),
     ScaleConfig(strides=(8, 24, 72), gains=(2.0, 4.0, 16.0), image_w=576, image_h=576),
     ScaleConfig(image_w=320, image_h=96),
+    ScaleConfig(gains=(0.25, 0.5, 1.0)),   # about a quarter of the draws fail max(t) < 4 * gain
 )
 
 
@@ -316,6 +317,17 @@ class TestGradcheckReferees:
     def test_gains_too_small_to_draw_from_raise(self, gains):
         with pytest.raises(ValueError, match=rf"at gains \({gains[0]}, "):
             run_gradcheck(samples=5, scale=ScaleConfig(gains=gains))
+
+    @pytest.mark.parametrize("stride, side", [(2, 2), (1, 1), (1, 2)])
+    def test_image_too_small_to_draw_from_raises(self, stride, side):
+        scale = ScaleConfig(strides=(stride,), gains=(2.0,), image_w=side, image_h=side)
+        with pytest.raises(ValueError, match=rf"image size {side}x{side} is too small to draw "
+                                             rf"a box at stride {stride}"):
+            run_gradcheck(samples=5, scale=scale)
+
+    def test_image_two_px_wider_than_the_narrowest_box_draws(self):
+        scale = ScaleConfig(strides=(1,), gains=(2.0,), image_w=3, image_h=3)   # 0.2 + 2 < 3
+        assert run_gradcheck(samples=20, scale=scale).passed
 
     def test_reports_samples_per_scale(self):
         # a gain of 0.1 draws no pair at scale 0, so that scale goes unchecked
