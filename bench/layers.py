@@ -14,7 +14,9 @@ luck of memory layout or cache decides a case. With ``--compare REV`` the
 working tree and ``git archive REV`` are the two workers of each set, which
 take turns, one round at a time and in ABBA order, so both see the same
 swings of the machine, and each case also reports in how many rounds the
-working tree was the faster. The bench code is this checkout's in both.
+working tree was the faster, with the two-sided sign-test p-value of that
+count: the chance of a count at least as lopsided if either checkout were
+as likely to win each round. The bench code is this checkout's in both.
 
 Cases, keyed like perfbench's spans:
 
@@ -50,10 +52,10 @@ Cases, keyed like perfbench's spans:
   every scene of that document whose size every stride divides, empty
   ones too, as ``detbox assign-stats`` runs it on a file of such scenes;
 - ``assign.assign``: objects/s of one ``assign`` call per scene of that
-  document that has objects and a size every stride divides, as
-  ``dataset_stats`` calls it;
+  document that has objects and a size every stride divides, the array
+  pass that ``dataset_stats`` runs on each scene;
 - ``codec.encode_distances``: boxes/s of one call per such scene on the
-  records ``assign`` makes there, as ``assign`` calls it;
+  records ``assign`` makes there, the formula that ``assign`` evaluates;
 - ``codec.decode_distances``: boxes/s of one call per such scene on seeded
   logits for those records, with each record's gain.
 
@@ -74,6 +76,7 @@ for _var in THREAD_VARS:   # single threaded, as perfbench runs
 import argparse  # noqa: E402
 import gc  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -279,6 +282,12 @@ def worker(src: Path, images: int, sizes: list[int]) -> int:
     return 0
 
 
+def sign_test_p(wins: int, rounds: int) -> float:
+    """Two-sided sign-test p-value of ``wins`` in ``rounds`` fair coin flips."""
+    tail = sum(math.comb(rounds, k) for k in range(min(wins, rounds - wins) + 1))
+    return min(1.0, 2 * tail / 2**rounds)
+
+
 def summary(work: dict, units: dict, rounds: list[dict]) -> dict:
     out = {}
     for key in work:
@@ -341,8 +350,9 @@ def main(argv=None) -> int:
               "images": args.images, "checkouts": results}
     if args.compare:   # rounds are paired: each ran next to the other checkout's
         mine, theirs = rounds.values()
-        report["working_tree_faster_rounds"] = {
-            key: sum(a[key] < b[key] for a, b in zip(mine, theirs)) for key in mine[0]}
+        wins = {key: sum(a[key] < b[key] for a, b in zip(mine, theirs)) for key in mine[0]}
+        report["working_tree_faster_rounds"] = wins
+        report["working_tree_sign_p"] = {k: sign_test_p(w, args.rounds) for k, w in wins.items()}
     args.output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for name, result in results.items():
         print(f"{name} ({result['src_detbox_lines']} lines in src/detbox)")
@@ -350,7 +360,8 @@ def main(argv=None) -> int:
             print(f"  {key:34s} {v['rate_at_min']:12.5g} {v['unit']:13s} "
                   f"min {v['min_s'] * 1e3:9.2f} ms  median {v['median_s'] * 1e3:9.2f} ms")
     for key, wins in report.get("working_tree_faster_rounds", {}).items():
-        print(f"working tree faster in {wins} of {args.rounds} rounds: {key}")
+        print(f"working tree faster in {wins} of {args.rounds} rounds "
+              f"(sign test p = {report['working_tree_sign_p'][key]:.4f}): {key}")
     return 0
 
 

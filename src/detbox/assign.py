@@ -14,7 +14,8 @@ midpoints, box corners) and per-scale size constraints are provided for
 ablation studies. :func:`assign` evaluates every candidate cell of a scene
 in one array pass and returns an :class:`AssignmentTable` of columns;
 :func:`assign_scenes` runs the same pass over many scenes at once, each
-sized to its own image.
+sized to its own image. The pass floors each object's center cells on its
+way, and :func:`~detbox.ingest.dataset_stats` audits those for collisions.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codec import CodecError, RegressionTarget, ScaleConfig, encode, encode_distances
+from .codec import CodecError, RegressionTarget, ScaleConfig, encode
 from .geom import BoundingBox, overlaps
 
 
@@ -51,6 +52,8 @@ LOCATION_STRATEGIES = tuple(_GROUPS)
 # (k, k) masks of j < i, to drop a candidate that repeats an earlier one;
 # np.tril would build the mask again on every call
 _BELOW = functools.cache(lambda k: np.tri(k, k, -1, dtype=bool))
+_STRIDES = functools.cache(lambda strides: np.array(strides)[:, None, None])   # (scales, 1, 1)
+_EYE = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,7 @@ def assign(
     strictly inside the image, and :class:`~detbox.codec.CodecError` for a
     center-cell distance that is not positive.
     """
-    return _assign(objects, (scale.image_w, scale.image_h), scale, mode)
+    return _assign(objects, (scale.image_w, scale.image_h), scale, mode)[0]
 
 
 def assign_scenes(
@@ -169,6 +172,11 @@ def assign_scenes(
     offsets: scene ``i`` owns ids ``offsets[i]`` up to ``offsets[i + 1]``.
     An error is the one that those calls, in scene order, raise first.
     """
+    return _assign_scenes(scenes, scale, mode)[:2]
+
+
+def _assign_scenes(scenes, scale: ScaleConfig, mode: AssignMode):
+    """:func:`assign_scenes`, and :func:`_assign`'s cells and corners for :func:`_audit`."""
     sized = []
     try:
         for scene in scenes:
@@ -178,7 +186,8 @@ def assign_scenes(
         # one (w, h) when the scenes share a size, else one per object
         image = sizes[0] if len(set(sizes)) == 1 else np.repeat(sizes, counts, 0).reshape(-1, 2)
         objects = [o for scene in scenes for o in scene.objects]
-        return _assign(objects, image, scale, mode), np.array([0, *accumulate(counts)])
+        table, audit = _assign(objects, image, scale, mode)
+        return table, np.array([0, *accumulate(counts)]), audit
     except (AssignmentError, CodecError):
         # an error of the pass names neither its scene nor that scene's size,
         # and an earlier scene may fail too: replay the scenes sized so far,
@@ -188,29 +197,28 @@ def assign_scenes(
         raise
 
 
-def _assign(objects, image, scale: ScaleConfig, mode: AssignMode) -> AssignmentTable:
-    """:func:`assign`'s array pass, ``image`` one (w, h) or one per object."""
+def _assign(objects, image, scale: ScaleConfig, mode: AssignMode):
+    """:func:`assign`'s array pass, and the center cells and corners that :func:`_audit` reads."""
     if not objects and mode.scale_thresholds is None:   # the pass's columns, without its cost
-        return AssignmentTable(*np.zeros((3, 0), np.int64), np.zeros((0, 2), np.int64),
-                               np.zeros((0, 4)), np.zeros(0, np.int64))
+        return (AssignmentTable(*np.zeros((3, 0), np.int64), np.zeros((0, 2), np.int64),
+                                np.zeros((0, 4)), np.zeros(0, np.int64)),
+                (np.zeros((0, scale.num_scales), complex), np.zeros((0, 4))))
     boxes = np.array([(b.cx, b.cy, b.w, b.h) for b, _ in objects], dtype=float).reshape(-1, 4)
     image = np.asarray(image)                                          # (2,) or (objects, 2)
-    outside = np.flatnonzero(~((0 < boxes[:, :2]) & (boxes[:, :2] < image)).all(axis=1))
-    if outside.size:
-        i = int(outside[0])
-        raise AssignmentError(
-            f"object {i} center ({objects[i][0].cx}, {objects[i][0].cy}) not strictly "
-            f"inside image {scale.image_w}x{scale.image_h}"
-        )
+    inside = (0 < boxes[:, :2]) & (boxes[:, :2] < image)
+    if not inside.all():
+        i = int(np.flatnonzero(~inside.all(axis=1))[0])
+        raise AssignmentError(f"object {i} center ({objects[i][0].cx}, {objects[i][0].cy}) not "
+                              f"strictly inside image {scale.image_w}x{scale.image_h}")
     c, wh = boxes[:, None, None, :2], boxes[:, None, None, 2:]   # (objects, 1, 1, 2), (x, y) last
     half = wh / 2
     corners = np.concatenate([c - half, c + half], axis=-1)            # (objects, 1, 1, 4)
-    s = np.array(scale.strides)[:, None, None]                         # (scales, 1, 1)
+    s = _STRIDES(scale.strides)
     a = np.floor(c / s)                                                # (objects, scales, 1, 2)
     groups = {
         "center": lambda: a,
         # strictly past the midline on each axis; on the midline the offset is 0
-        "neighbors": lambda: a + np.sign((c - s * a) - s / 2) * np.eye(2),
+        "neighbors": lambda: a + np.sign(c - s * (a + 0.5)) * _EYE,
         # midpoints of the segments from the center to the top-left and
         # bottom-right corners
         "midpoints": lambda: np.floor((c + np.concatenate([-wh, wh], axis=-2) / 4) / s),
@@ -224,24 +232,27 @@ def _assign(objects, image, scale: ScaleConfig, mode: AssignMode) -> AssignmentT
     keep &= inside[..., 0] & inside[..., 1]
 
     object_id, scale_index, _ = np.nonzero(keep)
-    cell = cand[keep].astype(np.int64)
-    stride = s[scale_index, 0]                                         # (n, 1)
-    target = encode_distances(corners[object_id, 0, 0], cell, stride[:, 0])
-    at_center = (cell == a[object_id, scale_index, 0]).all(axis=1)
-    bad = np.flatnonzero(at_center & (target <= 0).any(axis=1))
+    at = a.view(complex)[..., 0]                                       # (objects, scales, 1)
+    cells = z[keep].view(float).reshape(-1, 2)                        # (n, 2), (x, y)
+    # encode_distances' formula and order on the float cells, for its bits
+    q = (corners / s)[object_id, scale_index, 0]
+    target = np.concatenate([(cells + 1) - q[:, :2], q[:, 2:] - cells], axis=1)
+    bad = np.flatnonzero((z == at)[keep] & (target <= 0).any(axis=1))
     if bad.size:  # encode raises the CodecError naming the cell and distances
         r = bad[0]
-        encode(objects[object_id[r]][0], tuple(cell[r].tolist()), scale, int(scale_index[r]))
+        encode(objects[object_id[r]][0], tuple(map(int, cells[r])), scale, int(scale_index[r]))
 
-    quadrant = np.zeros(len(cell), dtype=np.int64)
+    quadrant = np.zeros(len(cells), dtype=np.int64)
     if mode.predictions_per_cell == 4:
         # 2x2 sub-quadrant of the record's cell nearest the object center
-        quadrant += (boxes[object_id, :2] >= stride * (cell + 0.5)) @ np.array([1, 2])
+        stride = s[scale_index, 0]                                     # (n, 1)
+        quadrant += (boxes[object_id, :2] >= stride * (cells + 0.5)) @ np.array([1, 2])
     classes = np.array([k for _, k in objects], dtype=np.int64)
-    table = AssignmentTable(object_id, classes[object_id], scale_index, cell, target, quadrant)
+    table = AssignmentTable(object_id, classes[object_id], scale_index, cells.astype(np.int64),
+                            target, quadrant)
     if mode.scale_thresholds is not None:
         table = apply_scale_constraints(table, mode.scale_thresholds, scale)
-    return table
+    return table, (at[..., 0], corners[:, 0, 0])
 
 
 def apply_scale_constraints(
@@ -265,7 +276,7 @@ def apply_scale_constraints(
             f"need {scale.num_scales + 1} thresholds for {scale.num_scales} "
             f"scales, got {len(m)}"
         )
-    s = np.array(scale.strides)[table.scale_index, None]
+    s = _STRIDES(scale.strides)[table.scale_index, 0]                  # (n, 1)
     size = np.max(s * (table.target[:, :2] + table.target[:, 2:] - 1.0), axis=1)
     lo, hi = np.array(m)[table.scale_index[:, None] + [0, 1]].T
     return table.select(~((size < lo) | (size > hi)))
@@ -281,24 +292,32 @@ def center_collision_audit(
     the true center cell of at least two objects whose boxes overlap
     (:func:`~detbox.geom.overlaps`: IoU > 0, and a zero-area box overlaps
     nothing). A center that is not finite raises :class:`AssignmentError`.
+    :func:`~detbox.ingest.dataset_stats` runs the same audit on its pass's cells.
     """
-    report: dict[int, list[tuple[tuple[int, int], tuple[int, ...]]]] = {}
-    centers = np.array([(b.cx, b.cy) for b, _ in objects], dtype=float).reshape(-1, 1, 2)
-    cells = np.floor(centers / np.array(scale.strides)[:, None])      # (objects, scales, 2)
+    boxes = np.array([(b.cx, b.cy, b.w, b.h) for b, _ in objects], dtype=float).reshape(-1, 4)
+    cells = np.floor(boxes[:, None, :2] / np.array(scale.strides)[:, None])   # (objects, scales, 2)
     if not np.isfinite(cells).all():
         raise AssignmentError("object center is not finite")
-    boxes = [(b.x1, b.y1, b.x2, b.y2) for b, _ in objects]
-    for scale_index, column in enumerate(cells.transpose(1, 0, 2).tolist()):
-        keys = list(map(tuple, column))
+    xy, half = boxes[:, :2], boxes[:, 2:] / 2   # corners with BoundingBox.x1..y2's bits
+    return _audit(cells.view(complex)[..., 0], np.hstack([xy - half, xy + half]))
+
+
+def _audit(cells, corners) -> dict[int, list[tuple[tuple[int, int], tuple[int, ...]]]]:
+    """:func:`center_collision_audit` of one scene from its center cells per
+    scale, ``(objects, scales)`` as ``x + yj``, and its ``(objects, 4)`` corners."""
+    report: dict[int, list[tuple[tuple[int, int], tuple[int, ...]]]] = {}
+    for scale_index, keys in enumerate(cells.T.tolist()):
         hits = report[scale_index] = []
         if len(set(keys)) == len(keys):   # no shared center cell at this scale
             continue
-        by_cell: dict[tuple[float, float], list[int]] = defaultdict(list)
+        by_cell: dict[complex, list[int]] = defaultdict(list)
         for object_id, key in enumerate(keys):
             by_cell[key].append(object_id)
-        for cell, ids in sorted(item for item in by_cell.items() if len(item[1]) > 1):
-            overlapping = tuple(i for i in ids
-                                if any(i != j and overlaps(boxes[i], boxes[j]) for j in ids))
+        for cell, ids in sorted(((int(k.real), int(k.imag)), ids)
+                                for k, ids in by_cell.items() if len(ids) > 1):
+            boxes = corners[ids].tolist()   # corner tuples only for a shared cell
+            overlapping = tuple(i for i, a in zip(ids, boxes)
+                                if any(a is not b and overlaps(a, b) for b in boxes))
             if len(overlapping) >= 2:
-                hits.append(((int(cell[0]), int(cell[1])), overlapping))
+                hits.append((cell, overlapping))
     return report

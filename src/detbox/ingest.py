@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assign import AssignMode, assign_scenes, center_collision_audit
+from .assign import AssignMode, _assign_scenes, _audit
 from .codec import ScaleConfig
 from .geom import BoundingBox
 
@@ -88,8 +88,8 @@ def load_coco(path) -> CocoLoadResult:
     bbox entries or ``iscrowd`` flags that are not JSON numbers, category
     ids that are not JSON integers, image ids that are not integers or
     strings, duplicate image ids (``1`` and ``"1"`` too, since both would
-    label a scene ``"1"``), or annotations referencing unknown images or
-    categories.
+    label a scene ``"1"``), annotations referencing unknown images or
+    categories, or, once all else passes, a category id outside int64.
     """
     path = Path(path)
     try:
@@ -156,6 +156,9 @@ def load_coco(path) -> CocoLoadResult:
             skipped.center_outside += 1
             continue
         objects[img_id].append((BoundingBox(cx, cy, w, h), cat))
+    # last, so that the first fault is still the one named: class ids are int64 columns
+    if wide := sorted(c for c in category_ids if not -2**63 <= c < 2**63):
+        raise CocoFormatError(f"{path}: category id {wide[0]} does not fit in 64 bits")
 
     scenes = [
         Scene(
@@ -178,35 +181,28 @@ def dataset_stats(
 
     Returns a JSON-ready report: scene/object totals, the min/median/max of
     positive samples per object, per-scale record counts, and per-scale
-    collision totals with their (scene, cell, objects) details.
+    collision totals with their (scene, cell, objects) details. The audit
+    reads each object's center cells and corners from the assignment pass.
     """
-    table, offsets = assign_scenes(scenes, scale, mode)
+    table, offsets, (cells, corners) = _assign_scenes(scenes, scale, mode)
     # objects filtered out at every scale still count as zero positives
     counts = np.bincount(table.object_id, minlength=offsets[-1]).tolist()
     collisions = {i: 0 for i in range(scale.num_scales)}
     details = []
-    for scene in scenes:
-        if not scene.objects:
-            continue
-        # the audit reads only the strides, which every scene's pyramid shares
-        for scale_index, hits in center_collision_audit(scene.objects, scale).items():
+    bounds = offsets.tolist()
+    for scene, lo, hi in zip(scenes, bounds, bounds[1:]):
+        # the audit of the pass's own center cells, at the strides every scene's pyramid shares
+        for scale_index, hits in _audit(cells[lo:hi], corners[lo:hi]).items():
             collisions[scale_index] += len(hits)
-            for cell, ids in hits:
-                details.append(
-                    {
-                        "scene": scene.source_id,
-                        "scale": scale_index,
-                        "cell": list(cell),
-                        "objects": list(ids),
-                    }
-                )
-    per_scale_records = np.bincount(table.scale_index, minlength=scale.num_scales)
+            details += [{"scene": scene.source_id, "scale": scale_index, "cell": list(cell),
+                         "objects": list(ids)} for cell, ids in hits]
+    per_scale_records = np.bincount(table.scale_index, minlength=scale.num_scales).tolist()
     positives = {
         "min": min(counts, default=0),
         "median": float(statistics.median(counts)) if counts else 0.0,
         "max": max(counts, default=0),
         "total": sum(counts),
-        "per_scale": {str(k): int(v) for k, v in enumerate(per_scale_records)},
+        "per_scale": {str(k): v for k, v in enumerate(per_scale_records)},
     }
     return {
         "n_scenes": len(scenes),

@@ -13,6 +13,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+sys.path.insert(0, str(ROOT / "bench"))
+
+from layers import sign_test_p  # noqa: E402
 from loss_study import GRADCHECK_OPS, KINDS, SAMPLES_PER_KIND, STEPS  # noqa: E402
 
 CASES = {"infer.decode_grid": "cells/s", "infer.e2e.call": "images/s",
@@ -54,6 +57,7 @@ def test_writes_every_case_with_the_environment(tmp_path):
     assert report["rounds"] == 2 and report["images"] == 2
     assert list(report["checkouts"]) == ["working tree"]
     assert "working_tree_faster_rounds" not in report
+    assert "working_tree_sign_p" not in report
     check_checkout(report["checkouts"]["working tree"])
     layers = report["checkouts"]["working tree"]["layers"]
     assert layers["infer.decode_grid"]["work"] == 2 * (80 * 80 + 40 * 40 + 20 * 20)
@@ -77,5 +81,14 @@ def test_compare_times_a_revision_too(tmp_path):
     assert len(report["checkouts"]) == 2 and report["rounds"] == rounds
     assert set(report["working_tree_faster_rounds"]) == set(CASES)
     assert all(0 <= wins <= rounds for wins in report["working_tree_faster_rounds"].values())
+    assert set(report["working_tree_sign_p"]) == set(CASES)
+    for key, wins in report["working_tree_faster_rounds"].items():
+        assert report["working_tree_sign_p"][key] == sign_test_p(wins, rounds)
     for result in report["checkouts"].values():
         check_checkout(result)
+
+
+def test_sign_test_p():
+    assert sign_test_p(9, 9) == sign_test_p(0, 9) == pytest.approx(0.0039, abs=1e-4)   # 2 / 512
+    assert sign_test_p(7, 9) == pytest.approx(0.1797, abs=1e-4)   # 2 * 46 / 512
+    assert sign_test_p(2, 4) == sign_test_p(5, 9) == 1.0

@@ -609,6 +609,104 @@ def _jsonl_accepts(field, value):
     return True
 
 
+# a COCO document holding a shared-cell collision and a second image
+_COCO_DOC = {
+    "images": [{"id": 1, "width": 640, "height": 480}, {"id": 2, "width": 320, "height": 320}],
+    "annotations": [
+        {"id": 1, "image_id": 1, "category_id": 1, "bbox": [80, 80, 40, 40], "iscrowd": 0},
+        {"id": 2, "image_id": 1, "category_id": 2, "bbox": [82, 80, 40, 40]},
+        {"id": 3, "image_id": 2, "category_id": 2, "bbox": [10, 20, 30, 5]},
+    ],
+    "categories": [{"id": 1}, {"id": 2}],
+}
+# every field, as a key path into _COCO_DOC; "pair" puts one value into both
+# the first category's id and the first annotation's category_id
+_COCO_FIELDS = [
+    ("images",), ("images", 0), ("images", 0, "id"), ("images", 0, "width"),
+    ("images", 0, "height"), ("annotations",), ("annotations", 0), ("annotations", 0, "id"),
+    ("annotations", 0, "image_id"), ("annotations", 0, "category_id"),
+    ("annotations", 0, "bbox"), *(("annotations", 0, "bbox", k) for k in range(4)),
+    ("annotations", 0, "iscrowd"), ("categories",), ("categories", 0), ("categories", 0, "id"),
+    "pair",
+]
+_MISSING = object()   # the field left out
+
+
+@st.composite
+def coco_documents(draw, field):
+    """``_COCO_DOC`` with ``field`` set to a drawn value: one of the config
+    values, 10**30 as a JSON integer too, or left out."""
+    value = draw(st.sampled_from([*_CONFIG_VALUES, 10**30, _MISSING]))
+    doc = json.loads(json.dumps(_COCO_DOC))
+    paths = [("categories", 0, "id"), ("annotations", 0, "category_id")] if field == "pair" \
+        else [field]
+    for path in paths:
+        if len(path) == 1 and value is _MISSING:
+            del doc[path[0]]
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _MISSING:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+class TestCocoFuzz:
+    @settings(max_examples=20)
+    @pytest.mark.parametrize("field", _COCO_FIELDS, ids=str)
+    @pytest.mark.parametrize("command", ["assign-stats", "audit"])
+    @given(data=st.data())
+    def test_any_value_in_any_field_exits_0_or_2(self, tmp_path_factory, command, field, data):
+        doc = data.draw(coco_documents(field))
+        scene = tmp_path_factory.mktemp("coco") / "scene.json"
+        scene.write_text(json.dumps(doc))
+        out = scene.with_name("out.json")
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, "--scene", str(scene), "--output", str(out)])
+        assert code in (0, 2)
+        assert out.exists() == (code == 0)
+        if code == 2:
+            assert err.getvalue().startswith(f"detbox {command}: error: ")
+            return
+        # every annotation converts or is counted as a skip
+        if command == "assign-stats":
+            stats = json.loads(out.read_text())
+            assert stats["n_objects"] + stats["skipped"]["total"] == stats["n_annotations"]
+        else:
+            loaded = detbox.load_coco(scene)
+            assert loaded.n_converted + loaded.skipped.total == loaded.n_annotations
+
+
+@pytest.mark.parametrize("argv", [["encode"], ["assign-stats"], ["audit"],
+                                  ["fit", "--steps", "1"], ["compare-losses", "--steps", "1"]],
+                         ids=lambda a: a[0])
+@pytest.mark.parametrize("category", [2**70, 2**63, -2**63 - 1])
+def test_category_id_outside_int64_exits_2(worked_scene, capsys, tmp_path, argv, category):
+    # a valid JSON integer once gave an OverflowError traceback at the int64 class column
+    doc = json.loads(worked_scene.read_text())
+    doc["annotations"][0]["category_id"] = doc["categories"][0]["id"] = category
+    worked_scene.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([*argv, "--scene", str(worked_scene), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (f"detbox {argv[0]}: error: {worked_scene}: category id "
+                                       f"{category} does not fit in 64 bits\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("category", [2**63 - 1, -2**63])
+def test_category_id_at_the_int64_limits_is_read(worked_scene, tmp_path, category):
+    doc = json.loads(worked_scene.read_text())
+    doc["annotations"][0]["category_id"] = doc["categories"][0]["id"] = category
+    worked_scene.write_text(json.dumps(doc))
+    out = tmp_path / "records.csv"
+    assert main(["encode", "--scene", str(worked_scene), "--output", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert {row[header.index("class")] for row in rows} == {str(category)}
+
+
 class TestNmsCommand:
     def test_duplicate_boxes_collapse(self, tmp_path):
         src = tmp_path / "dets.jsonl"

@@ -1,9 +1,13 @@
 """COCO ingestion, skip accounting, dataset statistics."""
 
 import json
+import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detbox import (
     AssignMode,
@@ -11,9 +15,13 @@ from detbox import (
     CocoFormatError,
     ScaleConfig,
     Scene,
+    center_collision_audit,
     dataset_stats,
     load_coco,
 )
+from detbox.assign import LOCATION_STRATEGIES
+from detbox.codec import center_cell
+from detbox.geom import overlaps
 
 from conftest import COCO_FIXTURE
 
@@ -347,6 +355,21 @@ class TestMalformed:
         with pytest.raises(CocoFormatError, match="field 'h' in bbox of annotation for image 1"):
             load_coco(path)
 
+    def test_category_id_outside_int64_comes_after_every_other_fault(self, tmp_path):
+        wide = 2**70
+        doc = {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": wide, "bbox": [1, 1, 2, 2]}],
+            "categories": [{"id": 1}, {"id": wide}],
+        }
+        with pytest.raises(CocoFormatError) as exc:
+            load_coco(self._write(tmp_path, doc))
+        assert str(exc.value) == f"{tmp_path / 'bad.json'}: category id {wide} does not fit in 64 bits"
+        # a later annotation's fault of any older kind is still the one named
+        doc["annotations"].append({"id": 2, "image_id": 9, "category_id": 1, "bbox": [1, 1, 2, 2]})
+        with pytest.raises(CocoFormatError, match="unknown image_id 9"):
+            load_coco(self._write(tmp_path, doc))
+
     def test_bad_bbox_shape(self, tmp_path):
         path = self._write(tmp_path, {
             "images": [{"id": 1, "width": 64, "height": 64}],
@@ -392,3 +415,86 @@ class TestStats:
     def test_stats_json_serializable(self, fixture_result, scale):
         stats = dataset_stats(fixture_result.scenes, scale)
         json.dumps(stats)
+
+
+def referee_audit(objects, scale):
+    """Brute force: each scale's objects grouped by ``center_cell``, and the
+    members of a group that share an area with another, by ``overlaps``."""
+    corners = [(b.x1, b.y1, b.x2, b.y2) for b, _ in objects]
+    report = {}
+    for scale_index, stride in enumerate(scale.strides):
+        by_cell = defaultdict(list)
+        for i, (b, _) in enumerate(objects):
+            by_cell[center_cell(b.cx, b.cy, stride)].append(i)
+        report[scale_index] = []
+        for cell in sorted(by_cell):
+            ids = by_cell[cell]
+            hit = tuple(i for i in ids if any(i != j and overlaps(corners[i], corners[j])
+                                              for j in ids))
+            if len(hit) >= 2:
+                report[scale_index].append((cell, hit))
+    return report
+
+
+def referee_collisions(scenes, scale):
+    """``dataset_stats``' collisions section, from :func:`referee_audit`."""
+    per_scale, details = {str(k): 0 for k in range(scale.num_scales)}, []
+    for scene in scenes:
+        for k, hits in referee_audit(scene.objects, scale).items():
+            per_scale[str(k)] += len(hits)
+            details += [{"scene": scene.source_id, "scale": k, "cell": list(cell),
+                         "objects": list(ids)} for cell, ids in hits]
+    return {"per_scale": per_scale, "total": sum(per_scale.values()), "details": details}
+
+
+@st.composite
+def crowded_batches(draw):
+    """Scenes of clustered objects: centers within 2 px of a cluster point, many
+    on grid lines, so they share a cell at every stride; sides from 0.01 px up."""
+    strides = draw(st.sampled_from([(8, 16, 32), (8, 24, 72)]))
+    unit = strides[-1]
+    scale = ScaleConfig(strides=strides, gains=(2, 4, 16), image_w=unit, image_h=unit)
+    scenes = []
+    for n in range(draw(st.integers(1, 4))):
+        w, h = (unit * draw(st.integers(1, 8)) for _ in range(2))
+        objects = []
+        for _ in range(draw(st.integers(0, 4))):   # clusters
+            # multiples of 4 sit on a grid line or a cell midline at every stride
+            x, y = (draw(st.one_of(st.integers(1, side // 4 - 1).map(lambda k: 4.0 * k),
+                                   st.floats(1, side - 3)))
+                    for side in (w, h))
+            for _ in range(draw(st.integers(1, 5))):
+                dx, dy = (draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 2)) for _ in "xy")
+                bw, bh = (draw(st.sampled_from([0.01, 1.0, 4.0]) | st.floats(0.01, 200))
+                          for _ in "wh")
+                objects.append((BoundingBox(x + dx, y + dy, bw, bh), 0))
+        scenes.append(Scene(w, h, tuple(objects), source_id=f"s{n}"))
+    return scenes, scale
+
+
+class TestAuditHandOff:
+    """``dataset_stats`` audits the cells and corners of its assignment pass;
+    the brute-force referee and the public audit must agree with it."""
+
+    @settings(max_examples=150)
+    @given(case=crowded_batches(), strategy=st.sampled_from(LOCATION_STRATEGIES),
+           thresholds=st.sampled_from([None, (0, 24, 96, math.inf)]),
+           predictions=st.sampled_from([1, 4]))
+    def test_collisions_equal_the_referee(self, case, strategy, thresholds, predictions):
+        scenes, scale = case
+        mode = AssignMode(strategy, thresholds, predictions)
+        stats = dataset_stats(scenes, scale, mode)
+        assert stats["collisions"] == referee_collisions(scenes, scale)
+        # one all-scenes call is the merge of the one-scene calls
+        parts = [dataset_stats([scene], scale, mode) for scene in scenes]
+        assert stats["collisions"]["details"] == [d for p in parts
+                                                  for d in p["collisions"]["details"]]
+        for k in stats["collisions"]["per_scale"]:
+            assert stats["collisions"]["per_scale"][k] == sum(
+                p["collisions"]["per_scale"][k] for p in parts)
+            assert stats["positives"]["per_scale"][k] == sum(
+                p["positives"]["per_scale"][k] for p in parts)
+        assert stats["positives"]["total"] == sum(p["positives"]["total"] for p in parts)
+        for scene in scenes:
+            assert center_collision_audit(scene.objects, scale) == referee_audit(scene.objects,
+                                                                                 scale)
