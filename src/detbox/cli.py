@@ -364,7 +364,13 @@ def _cmd_detect(args, cfg: EffectiveConfig) -> int:
         names = [f"arr_{i}" for i in range(len(archive.files))]
         if set(archive.files) != set(names):
             raise ValueError(f"grid {args.grid}: levels must be {names}, got {archive.files}")
-        grid = PredictionGrid(tuple(archive[name] for name in names))
+        levels = []
+        for name in names:   # np.load refuses an object array without allow_pickle
+            try:
+                levels.append(archive[name])
+            except ValueError:
+                raise ValueError(f"grid {args.grid}: level {name} is not a numeric array") from None
+        grid = PredictionGrid(tuple(levels))
     decoded = decode_grid(grid, cfg.scale().for_image(*cfg.image_size), cfg.conf_threshold)
     kept = nms(decoded.detections, cfg.nms_threshold)
     print(f"detbox detect: cells_in={sum(a[..., 0].size for a in grid.levels)} "

@@ -36,9 +36,9 @@ from scipy.special import expit
 
 from .assign import AssignMode, assign_scenes
 from .codec import ScaleConfig, decode_with_jacobian
-from .geom import BoundingBox, iou_xyxy
+from .geom import BoundingBox, iou_columns, xyxy_area
 from .ingest import Scene
-from .losses import LOSS_KINDS, bce_with_logits, plan_loss_grad
+from .losses import LOSS_KINDS, _bce, plan_loss_grad
 
 N_CLASSES = 3   # synthetic class ids are drawn from range(N_CLASSES)
 BLOCK_VALUES = 32768   # decoded distances buffered per block of fit steps: bounds its memory
@@ -216,17 +216,20 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     n_keys, n_objects = len(first), obj_off[-1]
     truth = np.array([(b.x1, b.y1, b.x2, b.y2) for s in scenes for b, _ in s.objects])
-    truth = truth.reshape(-1, 4)[obj]
-    gain, stride = gains[rec.scale_index, None], np.array(cfg.scale.strides)[rec.scale_index]
+    truth = truth.reshape(-1, 4)[obj].T.copy()    # corner columns x1, y1, x2, y2
+    stride = np.array(cfg.scale.strides)[rec.scale_index]
     # rows are (kind, record): kind k owns logit sets [k * n_keys, (k + 1) * n_keys)
     by_kind = np.arange(n_kinds)[:, None]
     row_key = by_kind * n_keys + np.argsort(np.argsort(first))[inverse.reshape(-1)]
+    # each row's gain, laid out at the decode's (kinds, rows, 4) shape once, not broadcast per step
+    gain = np.broadcast_to(gains[rec.scale_index, None], (*row_key.shape, 4)).copy()
     # one bincount bin per (logit set, component) adds gradients in row order
     bins = (row_key[..., None] * 4 + np.arange(4)).ravel()
     # rows run by (kind, object), so an object's best IoU is a max over a run
     owners, starts = np.unique(by_kind * n_objects + obj, return_index=True)
     # a box is stride * (corner + d * side): x1 = stride * (x + 1 - l), ..., y2 = stride * (y + b)
     corner, side = np.concatenate([rec.cell + 1.0, rec.cell], axis=1), np.array([-1.0, -1, 1, 1])
+    truth_area = xyxy_area(truth)
 
     if cfg.multitask:
         if (low := rec.class_id.min(initial=0)) < 0:
@@ -255,7 +258,7 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
 
     def objectives(loss: np.ndarray) -> list:
         """Each scene's multitask objective per kind, from one step's (kinds, rows) losses."""
-        obj, cls = bce_with_logits(obj_logits, 1.0), bce_with_logits(cls_logits, cls_labels)
+        obj, cls = _bce(obj_logits, 1.0), _bce(cls_logits, cls_labels)   # 0, 1 by construction
         # per (scene, scale), the mean objectness and class cross entropy; the
         # kinds share them, and an empty group adds 0
         heads = [(float(np.mean(obj[k])), float(np.mean(cls[k, :n_classes[g // n_scales]])))
@@ -277,7 +280,7 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
     # the last pass only scores the final logits
     for step in range(cfg.steps + 1):
         j = step % block
-        d, jacobian = decode_with_jacobian(logits[row_key], gain)
+        d, jacobian = decode_with_jacobian(logits.take(row_key, axis=0), gain)
         d_block[j] = d
         for k, plan in enumerate(plans):
             loss_block[j, k], grad_d[k] = plan(d[k])
@@ -285,7 +288,8 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
             loss_trace[step] = objectives(loss_block[j])
         if j == block - 1 or step == cfg.steps:   # each object's best IoU, each plain objective
             at, n = slice(step - j, step + 1), j + 1
-            iou = iou_xyxy(stride[:, None] * (corner + d_block[:n] * side), truth).reshape(n, -1)
+            box = [stride * (corner[:, k] + d_block[:n, ..., k] * side[k]) for k in range(4)]
+            iou = iou_columns(box, truth, xyxy_area(box), truth_area).reshape(n, -1)
             iou_trace.reshape(cfg.steps + 1, -1)[at, owners] = np.maximum.reduceat(iou, starts, 1)
             if not cfg.multitask:
                 for i in range(len(scenes)):

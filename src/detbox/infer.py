@@ -81,8 +81,11 @@ class PredictionGrid:
     def __post_init__(self) -> None:
         if len(self.levels) == 0:
             raise ValueError("a grid needs at least one level, got none")
-        if any(np.iscomplexobj(a) for a in self.levels):   # a float cast drops the imaginary part
-            raise ValueError("levels must be real, got a complex array")
+        for dtype in (np.asarray(a).dtype for a in self.levels):   # no pass over the data
+            if dtype.kind == "c":   # a float cast drops the imaginary part
+                raise ValueError("levels must be real, got a complex array")
+            if dtype.kind not in "iuf":   # strings, dates and bools would cast to float too
+                raise ValueError(f"levels must hold integers or floats, got dtype {dtype}")
         object.__setattr__(
             self, "levels", tuple(np.asarray(a, dtype=float) for a in self.levels)
         )

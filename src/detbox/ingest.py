@@ -65,6 +65,14 @@ class CocoLoadResult:
         return sum(len(s.objects) for s in self.scenes)
 
 
+def _float(value) -> float:
+    """``float(value)``, reading an integer too large for a float as the infinity it spells."""
+    try:
+        return float(value)
+    except OverflowError:   # 10**400 as JSON digits, where 1e400 parses to inf
+        return math.inf if value > 0 else -math.inf
+
+
 def _require(mapping, key, where: str, path, kind: str | None = None):
     try:
         value = mapping[key]
@@ -73,7 +81,7 @@ def _require(mapping, key, where: str, path, kind: str | None = None):
     if kind is not None and type(value) not in _KINDS[kind][0]:
         raise CocoFormatError(f"{path}: field {key!r} in {where} is not {_KINDS[kind][1]}: "
                               f"{value!r}")
-    if kind == "size" and not math.isfinite(value):   # 1e400 parses to inf
+    if kind == "size" and not math.isfinite(_float(value)):   # 1e400 parses to inf
         raise CocoFormatError(f"{path}: field {key!r} in {where} is not finite: {value!r}")
     return value
 
@@ -141,7 +149,10 @@ def load_coco(path) -> CocoLoadResult:
         if not _NUMBER.issuperset(map(type, bbox)):   # name the first entry that is no number
             where = f"bbox of annotation for image {img_id}"
             bbox = [_require(dict(zip("xywh", bbox)), k, where, path, "number") for k in "xywh"]
-        x, y, w, h = map(float, bbox)
+        try:
+            x, y, w, h = map(float, bbox)
+        except OverflowError:   # the common case stays on the builtin
+            x, y, w, h = map(_float, bbox)
         if type(crowd := ann.get("iscrowd", 0)) not in _NUMBER:
             _require(ann, "iscrowd", f"annotation for image {img_id}", path, "number")
         if crowd:

@@ -66,9 +66,8 @@ def _plan_sdiou(t: np.ndarray, kind, rho: float, ndim: int):
         s = np.add.reduce(diff * diff, axis=-1)
         mn = np.minimum(t, p)
         mx = np.maximum(t, p)
-        # (width, height) pairs of the overlap, before and after its clamp, and the cover
-        inner_raw = mn[..., :2] + mn[..., 2:] - 1.0
-        inner = np.maximum(inner_raw, 0.0)
+        # (width, height) pairs of the overlap, clamped at 0, and of the cover
+        inner = np.maximum(mn[..., :2] + mn[..., 2:] - 1.0, 0.0)
         cover = mx[..., :2] + mx[..., 2:] - 1.0
         i, c = (sq[..., 0] + sq[..., 1] for sq in (inner * inner, cover * cover))
         if (c <= _COVER_EPS).any():
@@ -78,9 +77,9 @@ def _plan_sdiou(t: np.ndarray, kind, rho: float, ndim: int):
         numer = i - rho * s
         # the prediction moves an extent only through the components where it
         # drives the min (overlap) or the max (cover); (l, t, r, b) reads the
-        # (width, height) pair twice
-        live = inner * (inner_raw > 0.0)
-        di = 2.0 * live.take(_TWICE, axis=-1) * (p < t)
+        # (width, height) pair twice. A clamped extent adds nothing, and needs
+        # no mask: there ``inner`` is already +-0 (or NaN, which a mask keeps)
+        di = 2.0 * inner.take(_TWICE, axis=-1) * (p < t)
         dc = 2.0 * cover.take(_TWICE, axis=-1) * (p > t)
 
         ds = 2.0 * (p - t)
@@ -261,8 +260,12 @@ def bce_with_logits(logits, labels) -> np.ndarray:
 
     Labels must be exactly 0 or 1.
     """
-    z = np.asarray(logits, dtype=float)
-    y = np.asarray(labels, dtype=float)
+    z, y = np.asarray(logits, dtype=float), np.asarray(labels, dtype=float)
     if np.any((y != 0.0) & (y != 1.0)):
         raise ValueError("labels must be 0 or 1")
+    return _bce(z, y)
+
+
+def _bce(z: np.ndarray, y) -> np.ndarray:
+    """:func:`bce_with_logits` on float logits, without the label check."""
     return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))

@@ -635,8 +635,8 @@ _MISSING = object()   # the field left out
 @st.composite
 def coco_documents(draw, field):
     """``_COCO_DOC`` with ``field`` set to a drawn value: one of the config
-    values, 10**30 as a JSON integer too, or left out."""
-    value = draw(st.sampled_from([*_CONFIG_VALUES, 10**30, _MISSING]))
+    values, 10**30 and +-10**400 as JSON integers too, or left out."""
+    value = draw(st.sampled_from([*_CONFIG_VALUES, 10**30, 10**400, -10**400, _MISSING]))
     doc = json.loads(json.dumps(_COCO_DOC))
     paths = [("categories", 0, "id"), ("annotations", 0, "category_id")] if field == "pair" \
         else [field]
@@ -657,15 +657,17 @@ def coco_documents(draw, field):
 class TestCocoFuzz:
     @settings(max_examples=20)
     @pytest.mark.parametrize("field", _COCO_FIELDS, ids=str)
-    @pytest.mark.parametrize("command", ["assign-stats", "audit"])
+    @pytest.mark.parametrize("argv", [["assign-stats"], ["audit"], ["encode"],
+                                      ["fit", "--steps", "1"]], ids=lambda a: a[0])
     @given(data=st.data())
-    def test_any_value_in_any_field_exits_0_or_2(self, tmp_path_factory, command, field, data):
+    def test_any_value_in_any_field_exits_0_or_2(self, tmp_path_factory, argv, field, data):
         doc = data.draw(coco_documents(field))
         scene = tmp_path_factory.mktemp("coco") / "scene.json"
         scene.write_text(json.dumps(doc))
         out = scene.with_name("out.json")
+        command = argv[0]
         with contextlib.redirect_stderr(io.StringIO()) as err:
-            code = main([command, "--scene", str(scene), "--output", str(out)])
+            code = main([*argv, "--scene", str(scene), "--output", str(out)])
         assert code in (0, 2)
         assert out.exists() == (code == 0)
         if code == 2:
@@ -694,6 +696,20 @@ def test_category_id_outside_int64_exits_2(worked_scene, capsys, tmp_path, argv,
     assert capsys.readouterr().err == (f"detbox {argv[0]}: error: {worked_scene}: category id "
                                        f"{category} does not fit in 64 bits\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["assign-stats"], ["audit"], ["encode"], ["fit", "--steps", "1"]],
+                         ids=lambda a: a[0])
+def test_image_size_integer_too_large_for_a_float_exits_2(worked_scene, capsys, tmp_path, argv):
+    # a JSON integer past the float range once gave an OverflowError traceback
+    doc = json.loads(worked_scene.read_text())
+    doc["images"][0]["width"] = 10**400
+    worked_scene.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([*argv, "--scene", str(worked_scene), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"detbox {argv[0]}: error: {worked_scene}: field 'width' in image ")
+    assert "is not finite: 1000" in err and not out.exists()
 
 
 @pytest.mark.parametrize("category", [2**63 - 1, -2**63])
@@ -915,8 +931,15 @@ class TestDetectCommand:
         ("channels", "levels disagree on channel count"),
         ("five_channels", "need at least 6 channels"),
         ("no_levels", "a grid needs at least one level, got none"),   # an archive of no arrays
+        # a float cast would read each of these; '-10.0' parses and bools make detections
+        ("string", "levels must hold integers or floats, got dtype <U"),
+        ("datetime", "levels must hold integers or floats, got dtype datetime64[s]"),
+        ("bool", "levels must hold integers or floats, got dtype bool"),
+        ("void", "levels must hold integers or floats, got dtype |V8"),
+        ("object", "level arr_1 is not a numeric array"),   # np.load refuses it unpickled
     ], ids=["missing_key", "level_count", "shape", "not_npz", "empty", "complex", "npy", "flat",
-            "channels", "five_channels", "no_levels"])
+            "channels", "five_channels", "no_levels", "string", "datetime", "bool", "void",
+            "object"])
     def test_bad_grid_exits_2(self, tmp_path, capsys, bad, message):
         _, levels, _ = _detect_grid(tmp_path)
         path = tmp_path / "bad.npz"
@@ -939,6 +962,10 @@ class TestDetectCommand:
             np.savez(path, *(level[..., :5] for level in levels))
         elif bad == "no_levels":
             np.savez(path)
+        elif bad in ("string", "datetime", "bool", "void", "object"):
+            dtype = {"string": str, "datetime": "datetime64[s]", "bool": bool, "void": "V8",
+                     "object": object}[bad]
+            np.savez(path, levels[0], levels[1].astype(dtype), levels[2])
         elif bad == "empty":
             path.write_bytes(b"")
         else:

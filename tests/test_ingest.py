@@ -264,6 +264,33 @@ class TestMalformed:
             load_coco(path)
         assert str(exc.value).endswith(f"field {field!r} in image 1 is not finite: {value}")
 
+    @pytest.mark.parametrize("field, sign, value", [("width", "", "inf"), ("height", "-", "-inf")])
+    def test_image_size_integer_too_large_for_a_float(self, tmp_path, field, sign, value):
+        # 10**400 as JSON digits reads as the infinity it spells, as 1e400 does
+        path = tmp_path / "bad.json"
+        image = {"id": 1, "width": 64, "height": 64, field: 10**400 * (-1 if sign else 1)}
+        path.write_text(json.dumps({"images": [image], "annotations": [], "categories": []}))
+        with pytest.raises(CocoFormatError) as exc:
+            load_coco(path)
+        assert f"field {field!r} in image 1 is not finite: {sign}1000" in str(exc.value)
+
+    @pytest.mark.parametrize("k, big, reason", [
+        (0, 10**400, "center_outside"), (1, -10**400, "center_outside"),
+        (2, 10**400, "center_outside"), (3, -10**400, "nonpositive_size"),
+    ])
+    def test_bbox_integer_too_large_for_a_float_is_a_counted_skip(self, tmp_path, k, big, reason):
+        bbox = [1, 1, 2, 2]
+        bbox[k] = big
+        path = self._write(tmp_path, {
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": bbox},
+                            {"id": 2, "image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2]}],
+            "categories": [{"id": 1}],
+        })
+        result = load_coco(path)
+        assert result.n_converted == 1 and result.skipped.total == 1
+        assert getattr(result.skipped, reason) == 1
+
     @pytest.mark.parametrize("section, field, value, where", [
         ("categories", "id", 1.5, "category"),
         ("categories", "id", "1", "category"),
