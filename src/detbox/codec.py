@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit, logit
+import scipy
 
 
 class CodecError(ValueError):
@@ -168,7 +168,7 @@ def encode(box, cell: tuple[int, int], scale: ScaleConfig, scale_index: int) -> 
 
 def decode_distances(p: np.ndarray, gain) -> np.ndarray:
     """Vectorized logit-to-distance map: ``(2*sigmoid(p))**2 * gain``."""
-    s = expit(np.asarray(p, dtype=float))
+    s = scipy.special.expit(np.asarray(p, dtype=float))
     return 4.0 * np.asarray(gain, dtype=float) * s * s
 
 
@@ -179,7 +179,7 @@ def decode_with_jacobian(p: np.ndarray, gain) -> tuple[np.ndarray, np.ndarray]:
     ``8*gain*s*s*(1-s)`` of the shared sigmoid ``s``, not ``2*d*(1-s)``,
     which rounds differently where ``s*s`` is subnormal.
     """
-    s = expit(np.asarray(p, dtype=float))
+    s = scipy.special.expit(np.asarray(p, dtype=float))
     gain = np.asarray(gain, dtype=float)
     return 4.0 * gain * s * s, 8.0 * gain * s * s * (1.0 - s)
 
@@ -207,5 +207,5 @@ def encode_logit_array(d: np.ndarray, gain) -> np.ndarray:
             f"component {name}={d[idx]:.6g} at index {idx} not representable: "
             f"open interval (0, {4.0 * gain[idx]:.6g})"
         )
-    return logit(np.sqrt(d / gain) / 2.0)
+    return scipy.special.logit(np.sqrt(d / gain) / 2.0)
 

@@ -32,7 +32,7 @@ import statistics
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
+import scipy
 
 from .assign import AssignMode, assign_scenes
 from .codec import ScaleConfig, decode_with_jacobian
@@ -301,8 +301,9 @@ def fit_scenes(scenes, cfg: FitConfig = FitConfig(), kinds=None) -> list[list[Fi
         g = np.bincount(bins, (grad * jacobian).ravel(), logits.size)
         logits -= cfg.learning_rate * g.reshape(logits.shape)
         if cfg.multitask:
-            obj_logits -= cfg.learning_rate * ((expit(obj_logits) - 1.0) / key_count)
-            cls_logits -= cfg.learning_rate * ((expit(cls_logits) - cls_labels) / cls_div)
+            obj_logits -= cfg.learning_rate * ((scipy.special.expit(obj_logits) - 1.0) / key_count)
+            cls_logits -= cfg.learning_rate * (
+                (scipy.special.expit(cls_logits) - cls_labels) / cls_div)
 
     has_records = np.zeros(n_objects, dtype=bool)
     has_records[obj] = True

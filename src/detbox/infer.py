@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
+import scipy
 
 from .codec import ScaleConfig, decode_distances
 from .geom import CornerBox, iou_columns, xyxy_area
@@ -108,10 +108,10 @@ def best_class(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gives a NaN max."""
     rest, every = np.array(logits, dtype=float), np.arange(len(logits))
     class_id = rest.argmax(axis=1)
-    best = expit(rest[every, class_id])
+    best = scipy.special.expit(rest[every, class_id])
     rest[every, class_id] = -np.inf
-    tied = np.flatnonzero(expit(rest[every, rest.argmax(axis=1)]) == best)
-    class_id[tied] = expit(logits[tied]).argmax(axis=1)
+    tied = np.flatnonzero(scipy.special.expit(rest[every, rest.argmax(axis=1)]) == best)
+    class_id[tied] = scipy.special.expit(logits[tied]).argmax(axis=1)
     return class_id, best
 
 
@@ -163,7 +163,7 @@ class DetectionTable(Sequence):
 
     @cached_property
     def class_scores(self) -> np.ndarray | None:
-        return None if self.logits is None else expit(self.logits)
+        return None if self.logits is None else scipy.special.expit(self.logits)
 
     @property
     def score(self) -> np.ndarray:
@@ -203,7 +203,7 @@ class DetectionTable(Sequence):
         boxes = self.boxes[missing]
         if (bad := (boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1])).any():
             CornerBox(*boxes[bad.argmax()].tolist())   # raises its GeometryError
-        scores = (expit(self.logits[missing]) if self.logits is not None
+        scores = (scipy.special.expit(self.logits[missing]) if self.logits is not None
                   else (np.where(np.arange(c + 1) == c, b, 0.0) for c, b in
                         zip(self.class_id[missing].tolist(), self.best[missing].tolist())))
         columns = (boxes.tolist(), self.objectness[missing].tolist(), scores,
@@ -255,7 +255,7 @@ def decode_grid(
     # the rest is one pass over every level's candidates, stride and gain per row
     level = np.repeat(np.arange(len(cells)), [cx.size for cx, _ in cells])
     (cx, cy), rows = (np.concatenate(c) for c in zip(*cells)), np.concatenate(rows)
-    obj = expit(rows[:, 4])
+    obj = scipy.special.expit(rows[:, 4])
     d = decode_distances(rows[:, :4], np.array(scale.gains)[level, None])
     corner = np.stack([cx + 1.0, cy + 1.0, cx, cy], axis=1)
     boxes = np.array(scale.strides)[level, None] * (corner + d * [-1.0, -1.0, 1.0, 1.0])

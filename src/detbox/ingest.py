@@ -9,6 +9,7 @@ center not strictly inside the image, or crowd regions (never assigned).
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import statistics
@@ -98,8 +99,21 @@ def load_coco(path) -> CocoLoadResult:
     strings, duplicate image ids (``1`` and ``"1"`` too, since both would
     label a scene ``"1"``), annotations referencing unknown images or
     categories, or, once all else passes, a category id outside int64.
+
+    The cyclic garbage collector, if on, is paused for the load, whose
+    new objects would set off collections that free nothing.
     """
-    path = Path(path)
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        return _load_coco(Path(path))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_coco(path: Path) -> CocoLoadResult:
     try:
         with open(path) as f:
             doc = json.load(f)

@@ -979,6 +979,71 @@ class TestDetectCommand:
         assert ("levels must be real" in err) == (bad == "complex")
 
 
+# what a level's dtype may become: numbers detect reads, and kinds it refuses
+_GRID_DTYPES = ["<f8", ">f4", "f2", "<i8", "u1", "bool", "complex128", "<U8", "datetime64[s]",
+                "timedelta64[s]", "V8", "object"]
+_GRID_VALUES = [np.nan, np.inf, -np.inf, 1e308, -1e308]
+_GRID_SHAPES = ["ndim2", "ndim4", "channels", "grid", "zero"]   # ndim, channels, grid size
+
+
+@st.composite
+def npz_grids(draw, fault):
+    """The members of an ``np.savez`` archive: a valid grid for a 64x64 image
+    at the default strides, with NaN, infinite and huge values drawn in, and
+    then ``fault``, if any: a drawn level count or key name, or one level
+    changed in the way of :data:`_GRID_SHAPES` or cast to the dtype named."""
+    scale = ScaleConfig().for_image(64, 64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = [rng.normal(0.0, 4.0, (*scale.grid_size(i), 5 + M)) for i in range(3)]
+    if fault == "count":
+        levels.append(rng.normal(0.0, 4.0, (2, 2, 5 + M)))
+        levels = levels[:draw(st.sampled_from([0, 1, 2, 4]))]
+    for a in levels:
+        for value, at in draw(st.lists(st.tuples(st.sampled_from(_GRID_VALUES), st.integers(0)),
+                                       max_size=3)):
+            a.flat[at % a.size] = value
+        if draw(st.booleans()):   # one channel of every cell
+            a[..., draw(st.integers(0, 4 + M))] = draw(st.sampled_from(_GRID_VALUES))
+    k = draw(st.integers(0, max(len(levels) - 1, 0)))
+    if fault == "ndim2":
+        levels[k] = levels[k][..., 0]
+    elif fault == "ndim4":
+        levels[k] = levels[k][..., None]
+    elif fault == "channels":
+        levels[k] = levels[k][..., :draw(st.integers(0, 4 + M))]
+    elif fault == "grid":   # a cell short, or the axes swapped on a non-square level
+        levels[k] = levels[k][:-1] if draw(st.booleans()) else levels[k].swapaxes(0, 1)[:, :1]
+    elif fault == "zero":
+        levels[k] = levels[k][:0]
+    elif fault in _GRID_DTYPES:
+        with np.errstate(all="ignore"):
+            levels[k] = levels[k].astype(fault)
+    names = [f"arr_{i}" for i in range(len(levels))]
+    if fault == "name":
+        names[k] = draw(st.sampled_from(["arr_9", "arr_01", "x", "arr_0"]))
+    return dict(zip(names, levels))
+
+
+@settings(max_examples=15)
+@pytest.mark.parametrize("fault", [None, "count", "name", *_GRID_SHAPES, *_GRID_DTYPES])
+@given(data=st.data())
+def test_any_npz_grid_exits_0_or_2(tmp_path_factory, fault, data):
+    members = data.draw(npz_grids(fault))
+    path = tmp_path_factory.mktemp("grid") / "grid.npz"
+    np.savez(path, **members)
+    out = path.with_name("kept.jsonl")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["detect", "--grid", str(path), "--image-size", "64x64",
+                     "--output", str(out)])
+    assert code in (0, 2)
+    assert out.exists() == (code == 0)
+    if code == 2:
+        assert err.getvalue().startswith("detbox detect: error: ")
+        assert "allow_pickle" not in err.getvalue()
+    else:
+        detections_from_jsonl(out.read_text())
+
+
 def _tie_heavy_detections(path, n=400, seed=7):
     """Integer boxes (duplicates and zero areas common), scores and classes
     from small sets, some lines below the default confidence threshold."""

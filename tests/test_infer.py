@@ -690,12 +690,13 @@ class TestLazyClassScores:
         plant(levels, scale, BoundingBox(241.5, 133.25, 58.0, 37.5), scale_index=1, class_id=2)
         plant(levels, scale, BoundingBox(400.5, 300.25, 40.0, 30.0), scale_index=0, class_id=1)
         grid = PredictionGrid(tuple(levels))
-        with mock.patch.object(infer, "expit", wraps=expit) as spy:
+        with mock.patch("scipy.special.expit", wraps=expit) as spy:
             table = decode_grid(grid, scale).detections
             kept = nms(table)
-            # objectness, each row's best class and its next best; no row ties
+            # objectness, the distances (in codec), each row's best class and its
+            # next best; no row ties
             calls = [c.args[0].shape for c in spy.call_args_list]
-            assert calls == [(2,), (2,), (2,), (0, M)]
+            assert calls == [(2,), (2, 4), (2,), (2,), (0, M)]
             assert "class_scores" not in vars(table) and "class_scores" not in vars(kept)
             spy.reset_mock()
             rows = list(kept)

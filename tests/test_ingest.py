@@ -1,5 +1,6 @@
 """COCO ingestion, skip accounting, dataset statistics."""
 
+import gc
 import json
 import math
 from collections import defaultdict
@@ -19,6 +20,7 @@ from detbox import (
     dataset_stats,
     load_coco,
 )
+from detbox import ingest
 from detbox.assign import LOCATION_STRATEGIES
 from detbox.codec import center_cell
 from detbox.geom import overlaps
@@ -122,6 +124,39 @@ class TestLoad:
         res = load_coco(path)
         assert [s.source_id for s in res.scenes] == ["2", "10", "1", "B", "a"]
         assert [len(s.objects) for s in res.scenes] == [1, 0, 0, 0, 1]
+
+
+class TestCollector:
+    """``load_coco`` pauses the cyclic collector and leaves it as it found it."""
+
+    @pytest.fixture(params=[True, False], ids=["on", "off"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_state_kept_after_a_load(self, collector):
+        load_coco(COCO_FIXTURE)
+        assert gc.isenabled() is collector
+
+    def test_state_kept_after_a_format_error(self, collector, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "images": [{"id": 1, "width": 64, "height": 64}],
+            "annotations": [{"id": 1, "image_id": 9, "category_id": 1, "bbox": [1, 1, 2, 2]}],
+            "categories": [{"id": 1}],
+        }))
+        with pytest.raises(CocoFormatError, match="image_id 9"):
+            load_coco(path)
+        assert gc.isenabled() is collector
+
+    def test_paused_during_the_load(self, collector, monkeypatch):
+        seen, read = [], ingest._load_coco
+        monkeypatch.setattr(ingest, "_load_coco", lambda path: seen.append(gc.isenabled())
+                            or read(path))
+        assert load_coco(COCO_FIXTURE).n_annotations == 63
+        assert seen == [False]
 
 
 class TestMalformed:
